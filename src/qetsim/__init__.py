@@ -1,10 +1,11 @@
 """Excitation-transfer QPU emulator.
 
 Layers, bottom up: dense state-vector algebra over mixed-dimension
-subsystems, the seven-instruction machine and its gate matrices, a
-physics-level simulation of the three-cavity transfer protocol used as
-an independent oracle, a logical-qubit compiler over the pairwise
-encoding, and a multi-client programming service with a dispatcher.
+subsystems, the seven-instruction machine on a sparse register and its
+gate matrices, a physics-level simulation of the three-cavity transfer
+protocol used as an independent oracle, a logical-qubit compiler over
+the pairwise encoding, and a multi-client programming service with a
+dispatcher.
 """
 
 from .compiler import (LogicalGate, LogicalProgram, LogicalQubitMap,

@@ -8,7 +8,7 @@ import sys
 import time
 
 from .compiler import parse_logical_program, transform_program
-from .errors import ProgramSyntaxError, QetSimError, QpuRuntimeError
+from .errors import ProgramSyntaxError, QetSimError
 from .isa import format_program, parse_program_with_lines, validate_program
 from .machine import run_program
 from .protocol import (ProtocolInput, assemble_state, initial_state,
@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
             else:
                 readout = " ".join(f"m{addr}={bit}" for addr, bit in results)
                 print(f"shot {shot}: {readout or '(no measurements)'}")
-    except QpuRuntimeError as exc:
+    except QetSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output == "machine":

@@ -5,9 +5,27 @@ basis states of equal Hamming weight, so population can only move between
 ``|01>`` and ``|10>``-type configurations.
 """
 
+import math
+
 import numpy as np
 
 from .statevector import LocalUnitary
+
+
+def _half_angle(theta: float) -> tuple[float, float]:
+    """``cos(theta/2)``, ``sin(theta/2)``, exact at whole multiples of pi.
+
+    ``cos(math.pi / 2)`` is 6e-17, not 0: without exact values a full
+    transfer would leave that much amplitude behind, and a sparse
+    register would carry every such remnant as one more nonzero entry.
+    The exact values cover one period of the matrix either side of 0
+    (``|theta| <= 4 pi``), where an integer quotient ``theta / pi`` puts
+    ``theta`` within rounding of ``k * pi``.
+    """
+    turns = theta / math.pi
+    if turns.is_integer() and abs(turns) <= 4:
+        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[int(turns) % 4]
+    return np.cos(theta / 2), np.sin(theta / 2)
 
 
 def qet_matrix(theta: float) -> LocalUnitary:
@@ -15,14 +33,13 @@ def qet_matrix(theta: float) -> LocalUnitary:
 
     Rotates the single-excitation pair ``|01>``, ``|10>`` by ``theta``;
     the transferred component picks up a factor ``i`` at full transfer
-    (``theta = pi``).
+    (``theta = pi``), where the block is exactly ``[[0, i], [i, 0]]``.
     """
-    c = np.cos(theta / 2)
-    s = 1j * np.sin(theta / 2)
+    c, s = _half_angle(theta)
     m = np.eye(4, dtype=complex)
     m[1, 1] = c
-    m[1, 2] = s
-    m[2, 1] = s
+    m[1, 2] = 1j * s
+    m[2, 1] = 1j * s
     m[2, 2] = c
     return LocalUnitary((2, 2), m)
 

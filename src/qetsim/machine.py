@@ -1,11 +1,26 @@
-"""Execution of machine programs on a state-vector register.
+"""Execution of machine programs on a sparse register.
 
-The register holds the ``s`` memory slots followed by the three
-transistor cells.  LOAD and SAVE are swaps with an empty receiving
-position, which is the only unitary move semantics that keeps
-entanglement with spectator qubits intact.  Unoccupied positions are
-always ``|0>`` and unentangled, so measuring one yields 0 with
-probability one.
+The machine has ``n = s + 3`` two-level positions: the ``s`` memory
+slots followed by the three transistor cells.  The register stores only
+its support, as two arrays: int64 basis indices and their complex
+amplitudes.  Position ``q`` is bit ``n - 1 - q`` of an index, the digit
+order of the dense row-major register, so the three cells are the three
+lowest bits.
+
+Every gate conserves excitation number, so the support stays as small
+as the entanglement of the program allows, whatever ``s`` is, and the
+cost of each instruction scales with the support, not with ``2^n``.
+LOAD and SAVE are swaps with an empty receiving position, which is the
+only unitary move semantics that keeps entanglement with spectator
+qubits intact; on the support each is a swap of two bits in every index,
+and no amplitude moves.  QET, PHASE and CQET map each entry through the
+nonzero entries of the gate on the cell bits, then sum the amplitudes
+of equal indices and drop those that are exactly 0 (full transfers are
+exact, see ``gates.qet_matrix``, so they leave no remnants).  Unoccupied
+positions are always ``|0>`` and unentangled, so measuring one yields 0
+with probability one.
+
+An int64 index holds at most 63 positions, so ``s`` is at most 60.
 """
 
 from __future__ import annotations
@@ -14,26 +29,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QpuRuntimeError
+from .errors import DimensionError, MeasurementError, QpuRuntimeError
 from .gates import cqet_matrix, phase_matrix, qet_matrix
 from .isa import Instruction, QuantumProgram
-from .statevector import (LocalUnitary, RandomSource, StateVector,
-                          apply_local, basis_state, measure_subsystem)
+from .statevector import (NORM_TOL, LocalUnitary, RandomSource, StateVector,
+                          SubsystemShape)
 
-_SWAP = LocalUnitary((2, 2), np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1]], dtype=complex))
-
-_FLIP = LocalUnitary((2,), np.array([[0, 1], [1, 0]], dtype=complex))
+MAX_POSITIONS = 63
 
 
 @dataclass(frozen=True, eq=False)
 class MachineState:
-    """Register plus occupancy bookkeeping and accumulated results."""
+    """Sparse register plus occupancy bookkeeping and accumulated results.
 
-    register: StateVector
+    ``indices`` holds distinct basis indices and ``amps`` their nonzero
+    amplitudes; every index absent from ``indices`` has amplitude 0.
+    """
+
+    indices: np.ndarray
+    amps: np.ndarray
     memory_occupied: tuple[bool, ...]
     cell_occupied: tuple[bool, bool, bool]
     classical_results: tuple[tuple[int, int], ...]
@@ -42,8 +56,13 @@ class MachineState:
     def s(self) -> int:
         return len(self.memory_occupied)
 
-    def cell_subsystem(self, cell: int) -> int:
-        return self.s + cell
+    @property
+    def register(self) -> StateVector:
+        """The dense ``2^(s+3)``-amplitude register, built on each call."""
+        n = self.s + 3
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[self.indices] = self.amps
+        return StateVector(SubsystemShape((2,) * n), amps)
 
 
 @dataclass(frozen=True)
@@ -62,13 +81,62 @@ ExecutionTrace = tuple[TraceRecord, ...]
 
 
 def fresh_machine(s: int) -> MachineState:
-    register = basis_state((2,) * (s + 3), (0,) * (s + 3))
-    return MachineState(register, (False,) * s, (False, False, False), ())
+    if s + 3 > MAX_POSITIONS:
+        raise DimensionError(
+            f"a register of {s + 3} positions exceeds the {MAX_POSITIONS} "
+            f"an int64 basis index can hold")
+    return MachineState(np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex),
+                        (False,) * s, (False, False, False), ())
 
 
 def _require(condition: bool, index: int, opcode: str, message: str):
     if not condition:
         raise QpuRuntimeError(index, opcode, message)
+
+
+def _finite(amps: np.ndarray) -> np.ndarray:
+    if not np.isfinite(amps).all():
+        raise DimensionError("non-finite amplitude")
+    return amps
+
+
+def _swap_bits(indices: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Exchange bits ``a`` and ``b`` of every index."""
+    differ = ((indices >> a) ^ (indices >> b)) & 1
+    return indices ^ ((differ << a) | (differ << b))
+
+
+def _apply_to_cells(indices: np.ndarray, amps: np.ndarray,
+                    gate: LocalUnitary) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a gate on the lowest ``gate.arity`` bits (the last cells)."""
+    width = gate.entries.shape[0]
+    local = indices & (width - 1)
+    # column ``local`` of the gate maps an entry to the rows ``base + row``
+    products = gate.entries[:, local] * amps
+    targets = (indices - local) + np.arange(width, dtype=np.int64)[:, None]
+    nonzero = products != 0
+    support, slot = np.unique(targets[nonzero], return_inverse=True)
+    summed = np.zeros(len(support), dtype=complex)
+    np.add.at(summed, slot, products[nonzero])
+    keep = summed != 0
+    return support[keep], _finite(summed[keep])
+
+
+def _measure(indices: np.ndarray, amps: np.ndarray, bit: int, position: int,
+             rng: RandomSource) -> tuple[int, np.ndarray, np.ndarray]:
+    """Born-rule measurement of one position, then reset it to ``|0>``."""
+    ones = ((indices >> bit) & 1).astype(bool)
+    probabilities = np.abs(amps) ** 2
+    weights = np.array([probabilities[~ones].sum(), probabilities[ones].sum()])
+    total = float(weights.sum())
+    if total < NORM_TOL:
+        raise MeasurementError(
+            f"state norm {total:.3e} too small to measure subsystem {position}")
+    outcome = rng.choose(weights / total)
+    kept = ones if outcome else ~ones
+    # classical-conditional flip back to |0> so the slot can be reused
+    return (outcome, indices[kept] ^ (outcome << bit),
+            _finite(amps[kept] / np.sqrt(weights[outcome])))
 
 
 def execute_instruction(machine: MachineState, instr: Instruction,
@@ -79,7 +147,7 @@ def execute_instruction(machine: MachineState, instr: Instruction,
     s = machine.s
     mem = list(machine.memory_occupied)
     cells = list(machine.cell_occupied)
-    register = machine.register
+    indices, amps = machine.indices, machine.amps
     results = machine.classical_results
     outcome = None
 
@@ -87,20 +155,20 @@ def execute_instruction(machine: MachineState, instr: Instruction,
         raise QpuRuntimeError(index, op,
                               f"transistor t{instr.transistor_id} does not exist")
 
+    # memory slot m<k> is bit s + 2 - k, cell c<j> is bit 2 - j
     if op == "INIT":
         addr = instr.memory_addr
         _require(0 <= addr < s, index, op, f"address m{addr} out of range [0, {s})")
         _require(not mem[addr], index, op, f"slot m{addr} already occupied")
         if instr.init_value == 1:
-            register = apply_local(register, _FLIP, (addr,))
+            indices = indices ^ (1 << (s + 2 - addr))
         mem[addr] = True
     elif op == "LOAD":
         addr, cell = instr.memory_addr, instr.cell
         _require(0 <= addr < s, index, op, f"address m{addr} out of range [0, {s})")
         _require(mem[addr], index, op, f"slot m{addr} unoccupied")
         _require(not cells[cell], index, op, f"cell c{cell} already occupied")
-        register = apply_local(register, _SWAP,
-                               (addr, machine.cell_subsystem(cell)))
+        indices = _swap_bits(indices, s + 2 - addr, 2 - cell)
         mem[addr] = False
         cells[cell] = True
     elif op == "SAVE":
@@ -108,8 +176,7 @@ def execute_instruction(machine: MachineState, instr: Instruction,
         _require(0 <= addr < s, index, op, f"address m{addr} out of range [0, {s})")
         _require(cells[cell], index, op, f"cell c{cell} unoccupied")
         _require(not mem[addr], index, op, f"slot m{addr} already occupied")
-        register = apply_local(register, _SWAP,
-                               (addr, machine.cell_subsystem(cell)))
+        indices = _swap_bits(indices, s + 2 - addr, 2 - cell)
         mem[addr] = True
         cells[cell] = False
     elif op in ("QET", "PHASE"):
@@ -117,29 +184,21 @@ def execute_instruction(machine: MachineState, instr: Instruction,
                  "transistor cells c1, c2 unoccupied")
         gate = (qet_matrix(instr.theta) if op == "QET"
                 else phase_matrix(instr.theta, instr.phi))
-        register = apply_local(register, gate,
-                               (machine.cell_subsystem(1),
-                                machine.cell_subsystem(2)))
+        indices, amps = _apply_to_cells(indices, amps, gate)
     elif op == "CQET":
         _require(all(cells), index, op, "transistor cells c0, c1, c2 unoccupied")
-        register = apply_local(register, cqet_matrix(),
-                               (machine.cell_subsystem(0),
-                                machine.cell_subsystem(1),
-                                machine.cell_subsystem(2)))
+        indices, amps = _apply_to_cells(indices, amps, cqet_matrix())
     elif op == "MEASURE":
         addr = instr.memory_addr
         _require(0 <= addr < s, index, op, f"address m{addr} out of range [0, {s})")
         _require(mem[addr], index, op, f"slot m{addr} unoccupied")
-        outcome, register = measure_subsystem(register, addr, rng)
-        if outcome == 1:
-            # classical-conditional flip back to |0> so the slot can be reused
-            register = apply_local(register, _FLIP, (addr,))
+        outcome, indices, amps = _measure(indices, amps, s + 2 - addr, addr, rng)
         mem[addr] = False
         results = results + ((addr, outcome),)
     else:  # pragma: no cover - Instruction validates opcodes
         raise QpuRuntimeError(index, op, "unknown opcode")
 
-    new = MachineState(register, tuple(mem), tuple(cells), results)
+    new = MachineState(indices, amps, tuple(mem), tuple(cells), results)
     record = TraceRecord(index, op, instr, new.memory_occupied,
                          new.cell_occupied, outcome)
     return new, record

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import socket
 import socketserver
 import threading
@@ -147,6 +148,15 @@ class AddressTable:
             raise ServiceError([(0, "physical pairs are not disjoint")])
 
 
+def _finite_float(value: int | float) -> float | None:
+    """``value`` as a float, or None when it is not finite (or too large)."""
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def parse_client_ops(raw_ops) -> list[ClientOp]:
     """Structural decode of the wire-level ops array."""
     if not isinstance(raw_ops, list):
@@ -167,20 +177,20 @@ def parse_client_ops(raw_ops) -> list[ClientOp]:
                            for q in qubits)):
             errors.append((index, "qubits must be a non-empty list of integers"))
             continue
-        bad_angle = False
+        angles = []
         for label in ("theta", "phi"):
             value = raw.get(label)
-            if value is not None and (not isinstance(value, (int, float))
-                                      or isinstance(value, bool)):
-                errors.append((index, f"{label} must be a number"))
-                bad_angle = True
-        if bad_angle:
-            continue
-        theta = raw.get("theta")
-        phi = raw.get("phi")
-        ops.append(ClientOp(name, tuple(qubits),
-                            None if theta is None else float(theta),
-                            None if phi is None else float(phi)))
+            if value is not None:
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    errors.append((index, f"{label} must be a number"))
+                    continue
+                value = _finite_float(value)
+                if value is None:
+                    errors.append((index, f"{label} must be finite"))
+                    continue
+            angles.append(value)
+        if len(angles) == 2:
+            ops.append(ClientOp(name, tuple(qubits), *angles))
     if errors:
         raise ServiceError(errors)
     return ops
@@ -494,7 +504,8 @@ class QpfService:
             message = json.loads(line)
             if not isinstance(message, dict):
                 raise ValueError("message must be an object")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: the decoder recurses once per nesting level
             return encode_message(
                 {"type": "error",
                  "errors": [{"index": -1, "message": f"malformed message: {exc}"}]})

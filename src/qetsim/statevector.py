@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, MeasurementError
+from .pcg64 import Pcg64
 
 NORM_TOL = 1e-9
 ALGEBRA_TOL = 1e-12
@@ -119,12 +120,13 @@ class LocalUnitary:
 class RandomSource:
     """Deterministic outcome sampler; a fixed seed fixes the whole sequence.
 
-    A single instance must not be shared between threads.
+    The uniforms are those of ``numpy.random.default_rng(seed)``.  A
+    single instance must not be shared between threads.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._gen = np.random.default_rng(self.seed)
+        self._gen = Pcg64(self.seed)
 
     def choose(self, probabilities) -> int:
         """Sample an index by inverse CDF over one uniform draw."""

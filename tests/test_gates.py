@@ -28,6 +28,14 @@ def test_qet_pi_full_transfer():
     assert np.max(np.abs(out - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("turns, c, s", [
+    (-4, 1, 0), (-3, 0, 1), (-2, -1, 0), (-1, 0, -1),
+    (1, 0, 1), (2, -1, 0), (3, 0, -1), (4, 1, 0)])
+def test_qet_whole_multiples_of_pi_are_exact(turns, c, s):
+    block = qet_matrix(turns * np.pi).entries[1:3, 1:3]
+    assert block.tolist() == [[c, 1j * s], [1j * s, c]]
+
+
 def test_qet_half_pi_partial_transfer():
     out = qet_matrix(np.pi / 2).entries @ np.eye(4)[:, 1]
     assert abs(out[1] - np.cos(np.pi / 4)) < 1e-12

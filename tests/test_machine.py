@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qetsim.errors import ProgramSyntaxError, QpuRuntimeError
+from qetsim.compiler import parse_logical_program, transform_program
+from qetsim.errors import DimensionError, ProgramSyntaxError, QpuRuntimeError
 from qetsim.isa import (Instruction, QuantumProgram, format_program,
                         parse_program, parse_program_with_lines,
                         validate_program)
@@ -159,6 +160,40 @@ def test_measure_resets_slot_to_zero():
     assert machine.classical_results == ((0, 1),)
     assert machine.memory_occupied == (False,)
     assert machine.register.amps[0] == 1
+
+
+def test_register_width_limited_to_int64_index():
+    with pytest.raises(DimensionError, match="64 positions"):
+        fresh_machine(61)
+    # the widest register: m0 is bit 62, and its excitation reaches m59
+    rng = RandomSource(0)
+    machine, _ = execute_instruction(fresh_machine(60), Instruction.init(0, 1),
+                                     rng)
+    assert machine.indices.tolist() == [1 << 62]
+    machine = _run_all(machine, [Instruction.load(0, 1),
+                                 Instruction.save(1, 59),
+                                 Instruction.measure(59)], rng)
+    assert machine.classical_results == ((59, 1),)
+    assert machine.indices.tolist() == [0]
+
+
+def test_ghz_ladder_support_stays_two():
+    # compiled CNOTs use exact full transfers, which leave no remnant
+    # entries behind, so the support never exceeds the GHZ state's
+    n = 12
+    program = transform_program(parse_logical_program(
+        f"LQ n={n}\nRX 1.5707963267948966 q0\n"
+        + "".join(f"CNOT q{q} q{q + 1}\n" for q in range(n - 1))
+        + "".join(f"MEASURE q{q}\n" for q in range(n))))
+    rng = RandomSource(3)
+    machine = fresh_machine(program.s)
+    peak = 0
+    for index, instr in enumerate(program.instructions):
+        machine, _ = execute_instruction(machine, instr, rng, index)
+        peak = max(peak, len(machine.indices))
+    assert peak == 2
+    logical = [bit for _, bit in machine.classical_results[::2]]
+    assert logical in ([0] * n, [1] * n)
 
 
 def test_run_program_empty():

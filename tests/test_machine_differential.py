@@ -1,0 +1,183 @@
+"""The sparse machine against a dense reference register.
+
+Random valid machine programs, raw or compiled from random two-qubit
+logical circuits, run on both from the same seed; after every
+instruction the amplitudes must agree and the measurement outcomes must
+be the same.  The reference steps a dense ``2^(s+3)`` state vector with
+``apply_local`` and ``measure_subsystem``.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qetsim.compiler import LogicalGate, LogicalProgram, transform_program
+from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
+from qetsim.isa import Instruction
+from qetsim.machine import execute_instruction, fresh_machine
+from qetsim.statevector import (LocalUnitary, RandomSource, apply_local,
+                                basis_state, measure_subsystem)
+
+SWAP = LocalUnitary((2, 2), np.array(
+    [[1, 0, 0, 0],
+     [0, 0, 1, 0],
+     [0, 1, 0, 0],
+     [0, 0, 0, 1]], dtype=complex))
+
+FLIP = LocalUnitary((2,), np.array([[0, 1], [1, 0]], dtype=complex))
+
+# exact multiples of pi/2 make amplitudes cancel to exactly 0, tenths
+# of a radian mix generically, and the float range adds edge values
+ANGLES = st.one_of(
+    st.sampled_from([math.pi / 2, -math.pi / 2, math.pi, -math.pi, 0.0,
+                     2 * math.pi]),
+    st.integers(1, 62).map(lambda k: k / 10),
+    st.floats(-2 * math.pi, 2 * math.pi))
+
+
+def dense_step(register, s, instr, rng):
+    """One instruction on the dense register; the program is valid."""
+    op = instr.opcode
+    outcome = None
+    if op == "INIT":
+        if instr.init_value == 1:
+            register = apply_local(register, FLIP, (instr.memory_addr,))
+    elif op in ("LOAD", "SAVE"):
+        register = apply_local(register, SWAP,
+                               (instr.memory_addr, s + instr.cell))
+    elif op == "QET":
+        register = apply_local(register, qet_matrix(instr.theta),
+                               (s + 1, s + 2))
+    elif op == "PHASE":
+        register = apply_local(register, phase_matrix(instr.theta, instr.phi),
+                               (s + 1, s + 2))
+    elif op == "CQET":
+        register = apply_local(register, cqet_matrix(), (s, s + 1, s + 2))
+    else:
+        outcome, register = measure_subsystem(register, instr.memory_addr, rng)
+        if outcome == 1:
+            register = apply_local(register, FLIP, (instr.memory_addr,))
+    return register, outcome
+
+
+@st.composite
+def machine_programs(draw):
+    """``(s, instructions)`` whose every runtime precondition holds.
+
+    Every slot is initialized first.  Then each step is one instruction
+    drawn from those whose preconditions hold, or a whole transfer block
+    (load two or three slots, apply gates, save the cells to free slots),
+    which spreads excitations across the register.
+    """
+    s = draw(st.sampled_from([4, 3, 2, 1]))
+    slots = [False] * s
+    cells = [False] * 3
+    instructions = []
+
+    def emit(instr):
+        if instr.opcode == "INIT":
+            slots[instr.memory_addr] = True
+        elif instr.opcode == "LOAD":
+            slots[instr.memory_addr], cells[instr.cell] = False, True
+        elif instr.opcode == "SAVE":
+            slots[instr.memory_addr], cells[instr.cell] = True, False
+        elif instr.opcode == "MEASURE":
+            slots[instr.memory_addr] = False
+        instructions.append(instr)
+
+    def gate(op):
+        if op == "QET":
+            return Instruction.qet(draw(ANGLES))
+        if op == "PHASE":
+            return Instruction.phase(draw(ANGLES), draw(ANGLES))
+        return Instruction.cqet()
+
+    for addr in range(s):
+        emit(Instruction.init(addr, draw(st.integers(0, 1))))
+    for _ in range(draw(st.integers(2, 12))):
+        free = [k for k in range(s) if not slots[k]]
+        held = [k for k in range(s) if slots[k]]
+        empty = [c for c in range(3) if not cells[c]]
+        full = [c for c in range(3) if cells[c]]
+        if not any(cells) and len(held) >= 2 and draw(st.integers(0, 3)):
+            width = draw(st.sampled_from([2, 3] if len(held) >= 3 else [2]))
+            sources = draw(st.permutations(held))[:width]
+            used = range(3 - width, 3)
+            for addr, cell in zip(sources, used):
+                emit(Instruction.load(addr, cell))
+            ops = ["QET", "PHASE"] + ["CQET"] * (width == 3)
+            for op in draw(st.lists(st.sampled_from(ops), min_size=1,
+                                    max_size=4)):
+                emit(gate(op))
+            for cell in used:
+                free = [k for k in range(s) if not slots[k]]
+                emit(Instruction.save(cell, draw(st.sampled_from(free))))
+            continue
+        options = []
+        if free:
+            options.append("INIT")
+        if held and empty:
+            options.append("LOAD")
+        if free and full:
+            options.append("SAVE")
+        if cells[1] and cells[2]:
+            options += ["QET", "PHASE"]
+        if all(cells):
+            options.append("CQET")
+        if held:
+            options.append("MEASURE")
+        op = draw(st.sampled_from(options))
+        if op == "INIT":
+            emit(Instruction.init(draw(st.sampled_from(free)),
+                                  draw(st.integers(0, 1))))
+        elif op == "LOAD":
+            emit(Instruction.load(draw(st.sampled_from(held)),
+                                  draw(st.sampled_from(empty))))
+        elif op == "SAVE":
+            emit(Instruction.save(draw(st.sampled_from(full)),
+                                  draw(st.sampled_from(free))))
+        elif op == "MEASURE":
+            emit(Instruction.measure(draw(st.sampled_from(held))))
+        else:
+            emit(gate(op))
+    return s, instructions
+
+
+@st.composite
+def compiled_programs(draw):
+    """``(s, instructions)`` of a random circuit on two logical qubits.
+
+    The pairwise encoding keeps one excitation per slot pair, so these
+    programs entangle more than raw ones: up to 4 encoded basis states,
+    and more in the middle of a lowered CNOT.
+    """
+    kinds = st.sampled_from(["CNOT", "RX", "RZ"])
+    gates = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "CNOT":
+            gates.append(LogicalGate("CNOT", draw(st.permutations([0, 1]))))
+        else:
+            gates.append(LogicalGate(kind, (draw(st.sampled_from([0, 1])),),
+                                     theta=draw(ANGLES)))
+    measured = draw(st.lists(st.sampled_from([0, 1]), unique=True))
+    program = transform_program(LogicalProgram(2, gates, measured))
+    return program.s, list(program.instructions)
+
+
+@settings(max_examples=400)
+@given(program=st.one_of(machine_programs(), compiled_programs()),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sparse_machine_matches_dense_reference(program, seed):
+    s, instructions = program
+    sparse_rng, dense_rng = RandomSource(seed), RandomSource(seed)
+    machine = fresh_machine(s)
+    dense = basis_state((2,) * (s + 3), (0,) * (s + 3))
+    for index, instr in enumerate(instructions):
+        machine, record = execute_instruction(machine, instr, sparse_rng, index)
+        dense, outcome = dense_step(dense, s, instr, dense_rng)
+        assert record.outcome == outcome
+        assert np.max(np.abs(machine.register.amps - dense.amps)) <= 1e-12
+        assert np.all(machine.amps != 0)
+        assert len(np.unique(machine.indices)) == len(machine.indices)

@@ -306,12 +306,46 @@ def test_capacity_query_and_malformed_line():
     service = QpfService(seed=0, capacity=77)
     assert json.loads(service.handle_line('{"type":"capacity"}')) == {
         "type": "capacity", "capacity": 77}
-    bad = json.loads(service.handle_line("{nope"))
-    assert bad["type"] == "error"
+    for line in ("{nope", "[" * 100_000):
+        bad = json.loads(service.handle_line(line))
+        assert bad["type"] == "error"
+        assert bad["errors"][0]["message"].startswith("malformed message")
     # the service stays usable afterwards
     ok = json.loads(service.handle_line(
         '{"type":"submit","client":"a","ops":[{"op":"MEASURE","qubits":[0]}]}'))
     assert ok["type"] == "result"
+
+
+@pytest.mark.parametrize("op, message", [
+    ('{"op":"QET","qubits":[0],"theta":NaN}', "theta must be finite"),
+    ('{"op":"QET","qubits":[0],"theta":Infinity}', "theta must be finite"),
+    ('{"op":"QET","qubits":[0],"theta":-1e999}', "theta must be finite"),
+    ('{"op":"QET","qubits":[0],"theta":1%s}' % ("0" * 400),
+     "theta must be finite"),
+    ('{"op":"PHASE","qubits":[0],"theta":1.0,"phi":NaN}', "phi must be finite"),
+], ids=["nan", "infinity", "float-overflow", "int-overflow", "phi-nan"])
+def test_non_finite_angle_rejected_before_anything_is_committed(op, message):
+    service = QpfService(seed=0)
+    reply = json.loads(service.handle_line(
+        '{"type":"submit","client":"a","ops":[%s,'
+        '{"op":"MEASURE","qubits":[0]}]}' % op))
+    assert reply == {"type": "error",
+                     "errors": [{"index": 0, "message": message}]}
+    assert service.table.locals_of("a") == {}
+    assert service._next_request == 0
+
+
+def test_register_wider_than_index_is_error_reply():
+    # 31 logical qubits are 62 memory slots plus 3 cells: 65 positions
+    service = QpfService(seed=0)
+    wide = [{"op": "MEASURE", "qubits": [q]} for q in range(31)]
+    reply = service.submit_request("a", wide)
+    assert reply["type"] == "error"
+    assert "65 positions" in reply["errors"][0]["message"]
+    # 30 logical qubits fill all 63 positions an index holds
+    widest = [{"op": "MEASURE", "qubits": [q]} for q in range(30)]
+    assert service.submit_request("b", widest) == {
+        "type": "result", "results": [{"qubit": q, "bit": 0} for q in range(30)]}
 
 
 def test_serve_stdio_round_trip():
