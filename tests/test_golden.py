@@ -1,15 +1,20 @@
-"""Seeded ``qetsim run`` transcripts must stay byte-identical.
+"""Seeded transcripts and compiler output must stay byte-identical.
 
-The files under ``golden/`` were recorded with the dense state-vector
-machine that preceded the sparse register.  A change that alters them
-changes the fixed-seed contract and must say so.
+The run transcripts under ``golden/`` were recorded with the dense
+state-vector machine that preceded the sparse register; the compile
+output and the service transcript were recorded before the opcode
+table, the shared occupancy step and the shared lowering emitters
+replaced their duplicated predecessors.  A change that alters any of
+them changes the fixed-seed contract and must say so.
 """
 
+import io
 from pathlib import Path
 
 import pytest
 
 from qetsim.cli import main
+from qetsim.service import QpfService, serve_stdio
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -23,3 +28,18 @@ def test_seeded_run_transcript_is_byte_identical(program, shots, transcript,
     assert main(["run", str(GOLDEN / program), "--seed", "5",
                  "--shots", str(shots), "--output", "machine"]) == 0
     assert capsys.readouterr().out == (GOLDEN / transcript).read_text()
+
+
+@pytest.mark.parametrize("name", ["bell", "ghz7", "mixed"])
+def test_compile_output_is_byte_identical(name, capsys):
+    assert main(["compile", str(GOLDEN / f"{name}.lq")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.qpu").read_text()
+
+
+def test_seeded_service_transcript_is_byte_identical():
+    # valid requests from several clients, every kind of rejection, a
+    # backend failure (65 positions) and malformed or unknown messages
+    out = io.StringIO()
+    with open(GOLDEN / "service_requests.jsonl", encoding="utf-8") as requests:
+        serve_stdio(QpfService(seed=7, capacity=64), requests, out)
+    assert out.getvalue() == (GOLDEN / "service_seed7.jsonl").read_text()
