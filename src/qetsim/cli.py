@@ -9,7 +9,8 @@ import time
 
 from .compiler import parse_logical_program, transform_program
 from .errors import ProgramSyntaxError, QetSimError
-from .isa import format_program, parse_program_with_lines, validate_program
+from .isa import (format_program, parse_program_with_lines, token_lines,
+                  validate_program)
 from .machine import run_program
 from .protocol import (ProtocolInput, assemble_state, initial_state,
                        protocol_sequence, run_protocol, step_term_trace,
@@ -27,6 +28,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qetsim",
@@ -38,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a program file")
     p.add_argument("path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--shots", type=_positive_int, default=1)
     p.add_argument("--output", choices=("human", "machine"), default="human")
 
@@ -50,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--convention", choices=("ideal", "physical"),
                    default="ideal")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", choices=("human", "machine"), default="human")
 
     p = sub.add_parser("serve", help="serve the multi-client framework protocol")
     p.add_argument("--capacity", type=_positive_int, default=1024)
     p.add_argument("--transport", choices=("stdio", "socket"), default="stdio")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
     return parser
@@ -68,10 +76,8 @@ def _read(path: str) -> str:
 
 
 def _program_kind(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0].upper()
+    for _, tokens in token_lines(text):
+        return tokens[0].upper()
     return ""
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ProgramSyntaxError, SynthesisError
 from .gates import cqet_matrix, qet_matrix
-from .isa import Instruction, QuantumProgram, validate_program
+from .isa import (Instruction, QuantumProgram, read_lines, read_operand,
+                  validate_program)
 from .statevector import StateVector
 
 # Correction angles that turn the raw controlled transfer into an exact
@@ -145,12 +146,30 @@ def encode_init(lmap: LogicalQubitMap, logical_id: int,
             Instruction.init(second, 1 - basis_bit)]
 
 
-def _bracket(pair: tuple[int, int],
-             inner: list[Instruction]) -> list[Instruction]:
+def bracket(pair: tuple[int, int],
+            inner: list[Instruction]) -> list[Instruction]:
+    """Run ``inner`` with the pair's slots in cells c1 and c2."""
     first, second = pair
     return ([Instruction.load(first, 1), Instruction.load(second, 2)]
             + inner
             + [Instruction.save(1, first), Instruction.save(2, second)])
+
+
+def controlled_transfer(ctrl: tuple[int, int],
+                        tgt: tuple[int, int]) -> list[Instruction]:
+    """One CQET with the control's first slot in c0 and the target pair in c1, c2."""
+    return [Instruction.load(ctrl[0], 0),
+            Instruction.load(tgt[0], 1),
+            Instruction.load(tgt[1], 2),
+            Instruction.cqet(),
+            Instruction.save(0, ctrl[0]),
+            Instruction.save(1, tgt[0]),
+            Instruction.save(2, tgt[1])]
+
+
+def readout(pair: tuple[int, int]) -> list[Instruction]:
+    """Measure a pair first slot first; both slots end free."""
+    return [Instruction.measure(pair[0]), Instruction.measure(pair[1])]
 
 
 def logical_rx(lmap: LogicalQubitMap, logical_id: int,
@@ -160,13 +179,13 @@ def logical_rx(lmap: LogicalQubitMap, logical_id: int,
     The transfer block carries ``+i sin``, which is ``Rx`` of the negated
     angle, hence the sign flip.
     """
-    return _bracket(lmap.pair(logical_id), [Instruction.qet(-theta)])
+    return bracket(lmap.pair(logical_id), [Instruction.qet(-theta)])
 
 
 def logical_rz(lmap: LogicalQubitMap, logical_id: int,
                theta: float) -> list[Instruction]:
     """Rotation about z: a phase gate with ``phi = 0`` on the pair."""
-    return _bracket(lmap.pair(logical_id), [Instruction.phase(theta, 0.0)])
+    return bracket(lmap.pair(logical_id), [Instruction.phase(theta, 0.0)])
 
 
 def synthesize_logical_cnot(lmap: LogicalQubitMap, ctrl_id: int,
@@ -182,15 +201,9 @@ def synthesize_logical_cnot(lmap: LogicalQubitMap, ctrl_id: int,
         raise SynthesisError("CNOT control and target must differ")
     ctrl = lmap.pair(ctrl_id)
     tgt = lmap.pair(tgt_id)
-    seq = _bracket(ctrl, [Instruction.qet(math.pi)])
-    seq += [Instruction.load(ctrl[0], 0),
-            Instruction.load(tgt[0], 1),
-            Instruction.load(tgt[1], 2),
-            Instruction.cqet(),
-            Instruction.save(0, ctrl[0]),
-            Instruction.save(1, tgt[0]),
-            Instruction.save(2, tgt[1])]
-    seq += _bracket(ctrl, [
+    seq = bracket(ctrl, [Instruction.qet(math.pi)])
+    seq += controlled_transfer(ctrl, tgt)
+    seq += bracket(ctrl, [
         Instruction.phase(CNOT_CORRECTION_THETA, CNOT_CORRECTION_PHI),
         Instruction.qet(math.pi),
     ])
@@ -300,9 +313,7 @@ def transform_program(lp: LogicalProgram,
     for gate in lp.gates:
         instructions += _gate_instructions(lmap, gate)
     for q in lp.measured:
-        first, second = lmap.pair(q)
-        instructions += [Instruction.measure(first),
-                         Instruction.measure(second)]
+        instructions += readout(lmap.pair(q))
     program = QuantumProgram(lmap.physical_span, tuple(instructions))
     issues = validate_program(program)
     if issues:  # pragma: no cover - synthesis always emits valid programs
@@ -337,44 +348,19 @@ def parse_logical_program(text: str) -> LogicalProgram:
     issues: list[tuple[int, str]] = []
     gates: list[LogicalGate] = []
     measured: list[int] = []
-    n: int | None = None
 
     def qubit(token: str) -> int:
-        if not token.lower().startswith("q") or len(token) < 2:
-            raise ValueError(f"expected qubit like 'q0', got {token!r}")
-        try:
-            value = int(token[1:])
-        except ValueError:
-            raise ValueError(f"expected qubit like 'q0', got {token!r}") from None
-        if value < 0:
-            raise ValueError(f"qubit index must be non-negative, got {token!r}")
-        return value
+        return read_operand("q", token)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if n is None:
-            head = tokens[0].upper()
-            if head == "LQ" and len(tokens) == 2 and tokens[1].lower().startswith("n="):
-                try:
-                    n = int(tokens[1][2:])
-                except ValueError:
-                    issues.append((lineno, f"bad qubit count {tokens[1]!r}"))
-                    n = 0
-                continue
-            issues.append((lineno, "expected header 'LQ n=<int>'"))
-            n = 0
+    n, body = read_lines(text, "LQ", "n", issues)
+    for lineno, tokens in body:
         op = tokens[0].upper()
         try:
             if op in ("RX", "RZ"):
                 if len(tokens) != 3:
                     raise ValueError(f"{op} takes an angle and a qubit")
-                theta = float(tokens[1])
-                if not math.isfinite(theta):
-                    raise ValueError("angle must be finite")
-                gates.append(LogicalGate(op, (qubit(tokens[2]),), theta=theta))
+                gates.append(LogicalGate(op, (qubit(tokens[2]),),
+                                         theta=float(tokens[1])))
             elif op == "CNOT":
                 if len(tokens) != 3:
                     raise ValueError("CNOT takes two qubits")
@@ -397,9 +383,6 @@ def parse_logical_program(text: str) -> LogicalProgram:
                 raise ValueError(f"unknown logical operation {tokens[0]!r}")
         except (ValueError, SynthesisError) as exc:
             issues.append((lineno, str(exc)))
-    if n is None:
-        issues.append((1, "empty program: expected header 'LQ n=<int>'"))
-        n = 0
     if not issues:
         try:
             return LogicalProgram(n, tuple(gates), tuple(measured))

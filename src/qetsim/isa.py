@@ -22,20 +22,31 @@ from dataclasses import dataclass
 
 from .errors import ProgramSyntaxError
 
-OPCODES = ("INIT", "LOAD", "SAVE", "QET", "PHASE", "CQET", "MEASURE")
-
-_REQUIRED_FIELDS = {
-    "INIT": ("memory_addr", "init_value"),
-    "LOAD": ("memory_addr", "cell"),
-    "SAVE": ("cell", "memory_addr"),
-    "QET": ("theta", "transistor_id"),
-    "PHASE": ("theta", "phi", "transistor_id"),
-    "CQET": ("transistor_id",),
-    "MEASURE": ("memory_addr",),
+# Operands of each opcode, in text order: (Instruction field, kind).  A
+# trailing transistor operand may be left out of the text.
+SYNTAX = {
+    "INIT": (("memory_addr", "slot"), ("init_value", "bit")),
+    "LOAD": (("memory_addr", "slot"), ("cell", "cell")),
+    "SAVE": (("cell", "cell"), ("memory_addr", "slot")),
+    "QET": (("theta", "angle"), ("transistor_id", "transistor")),
+    "PHASE": (("theta", "angle"), ("phi", "angle"),
+              ("transistor_id", "transistor")),
+    "CQET": (("transistor_id", "transistor"),),
+    "MEASURE": (("memory_addr", "slot"),),
 }
-
-_ALL_FIELDS = ("memory_addr", "cell", "theta", "phi", "transistor_id",
-               "init_value")
+# Operand kind -> (text prefix, the values it allows, a test for them).
+# An angle is written as a decimal float, every other kind as an integer.
+_KINDS = {
+    "slot": ("m", "a non-negative integer", lambda v: v >= 0),
+    "cell": ("c", "0, 1 or 2", lambda v: v in (0, 1, 2)),
+    "transistor": ("t", "a non-negative integer", lambda v: v >= 0),
+    "bit": ("", "0 or 1", lambda v: v in (0, 1)),
+    "angle": ("", "finite", math.isfinite),
+}
+# Opcode -> (field, the values it allows, a test for them) per operand.
+_CHECKS = {op: tuple((name,) + _KINDS[kind][1:] for name, kind in operands)
+           for op, operands in SYNTAX.items()}
+OPCODES = tuple(SYNTAX)
 
 
 @dataclass(frozen=True)
@@ -51,28 +62,20 @@ class Instruction:
     init_value: int | None = None
 
     def __post_init__(self):
-        if self.opcode not in OPCODES:
+        checks = _CHECKS.get(self.opcode)
+        if checks is None:
             raise ValueError(f"unknown opcode {self.opcode!r}")
-        required = _REQUIRED_FIELDS[self.opcode]
-        for name in _ALL_FIELDS:
-            value = getattr(self, name)
-            if name in required:
-                if value is None:
-                    raise ValueError(f"{self.opcode} requires {name}")
-            elif value is not None:
-                raise ValueError(f"{self.opcode} does not take {name}")
-        if self.memory_addr is not None and self.memory_addr < 0:
-            raise ValueError("memory address must be non-negative")
-        if self.cell is not None and self.cell not in (0, 1, 2):
-            raise ValueError(f"cell must be 0, 1 or 2, got {self.cell}")
-        for name in ("theta", "phi"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if self.transistor_id is not None and self.transistor_id < 0:
-            raise ValueError("transistor id must be non-negative")
-        if self.init_value is not None and self.init_value not in (0, 1):
-            raise ValueError(f"init value must be 0 or 1, got {self.init_value}")
+        values = vars(self)
+        for name, allowed, test in checks:
+            value = values[name]
+            if value is None:
+                raise ValueError(f"{self.opcode} requires {name}")
+            if not test(value):
+                raise ValueError(f"{name} must be {allowed}, got {value!r}")
+        if list(values.values()).count(None) != len(values) - 1 - len(checks):
+            taken = ["opcode"] + [name for name, _, _ in checks]
+            extra = [n for n, v in values.items() if v is not None and n not in taken]
+            raise ValueError(f"{self.opcode} does not take {extra[0]}")
 
     @classmethod
     def init(cls, memory_addr: int, value: int = 0) -> "Instruction":
@@ -122,74 +125,73 @@ class QuantumProgram:
         return len(self.instructions)
 
 
-def _parse_operand(token: str, prefix: str, what: str) -> int:
-    if not token.lower().startswith(prefix) or len(token) <= len(prefix):
-        raise ValueError(f"expected {what} like '{prefix}0', got {token!r}")
-    try:
-        value = int(token[len(prefix):])
-    except ValueError:
-        raise ValueError(f"expected {what} like '{prefix}0', got {token!r}") from None
-    if value < 0:
-        raise ValueError(f"{what} must be non-negative, got {token!r}")
-    return value
-
-
-def _parse_angle(token: str, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValueError(f"expected {what} in radians, got {token!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {token!r}")
-    return value
-
-
-def _parse_optional_transistor(tokens: list[str]) -> int:
-    if not tokens:
-        return 0
-    if len(tokens) > 1:
-        raise ValueError(f"unexpected trailing tokens {tokens[1:]}")
-    return _parse_operand(tokens[0], "t", "transistor id")
+def read_operand(prefix: str, token: str) -> int:
+    """The non-negative integer written after ``prefix`` (any case) in ``token``."""
+    digits = token[len(prefix):]
+    if token[:len(prefix)].lower() != prefix or not digits.isdecimal():
+        raise ValueError(f"expected an operand like '{prefix}0', got {token!r}")
+    return int(digits)
 
 
 def _parse_instruction(tokens: list[str]) -> Instruction:
     opcode = tokens[0].upper()
+    if opcode not in SYNTAX:
+        raise ValueError(f"unknown opcode {tokens[0]!r}")
+    operands = SYNTAX[opcode]
     args = tokens[1:]
-    if opcode == "INIT":
-        if len(args) != 2:
-            raise ValueError("INIT takes a memory address and a bit")
-        addr = _parse_operand(args[0], "m", "memory address")
-        if args[1] not in ("0", "1"):
-            raise ValueError(f"init bit must be 0 or 1, got {args[1]!r}")
-        return Instruction.init(addr, int(args[1]))
-    if opcode == "LOAD":
-        if len(args) != 2:
-            raise ValueError("LOAD takes a memory address and a cell")
-        return Instruction.load(_parse_operand(args[0], "m", "memory address"),
-                                _parse_operand(args[1], "c", "cell"))
-    if opcode == "SAVE":
-        if len(args) != 2:
-            raise ValueError("SAVE takes a cell and a memory address")
-        return Instruction.save(_parse_operand(args[0], "c", "cell"),
-                                _parse_operand(args[1], "m", "memory address"))
-    if opcode == "QET":
-        if not args:
-            raise ValueError("QET is missing parameter theta")
-        theta = _parse_angle(args[0], "theta")
-        return Instruction.qet(theta, _parse_optional_transistor(args[1:]))
-    if opcode == "PHASE":
-        if len(args) < 2:
-            raise ValueError("PHASE is missing parameters theta and phi")
-        theta = _parse_angle(args[0], "theta")
-        phi = _parse_angle(args[1], "phi")
-        return Instruction.phase(theta, phi, _parse_optional_transistor(args[2:]))
-    if opcode == "CQET":
-        return Instruction.cqet(_parse_optional_transistor(args))
-    if opcode == "MEASURE":
-        if len(args) != 1:
-            raise ValueError("MEASURE takes a memory address")
-        return Instruction.measure(_parse_operand(args[0], "m", "memory address"))
-    raise ValueError(f"unknown opcode {tokens[0]!r}")
+    if len(args) == len(operands) - 1 and operands[-1][1] == "transistor":
+        args.append("t0")
+    if len(args) < len(operands):
+        raise ValueError(f"{opcode} is missing parameter {operands[len(args)][0]}")
+    if len(args) > len(operands):
+        raise ValueError(f"unexpected trailing tokens {args[len(operands):]}")
+    values = {}
+    for (name, kind), token in zip(operands, args):
+        prefix = _KINDS[kind][0]
+        try:
+            values[name] = (float(token) if kind == "angle"
+                            else read_operand(prefix, token))
+        except ValueError:
+            raise ValueError(f"expected {name} like '{prefix}0', "
+                             f"got {token!r}") from None
+    return Instruction(opcode, **values)
+
+
+def token_lines(text: str):
+    """Yield ``(line number, tokens)`` of every line with text before its ``#``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
+def read_lines(text: str, keyword: str, field: str,
+               issues: list) -> tuple[int, list[tuple[int, list[str]]]]:
+    """The header value and the ``(line number, tokens)`` body of program text.
+
+    The first line must read ``<keyword> <field>=<int>`` with a
+    non-negative value.  Each problem is appended to ``issues`` as
+    ``(line number, message)`` and the value then reads 0; a first line
+    that is not a header is kept in the body.
+    """
+    body = list(token_lines(text))
+    header = f"expected header '{keyword} {field}=<int>'"
+    if not body:
+        issues.append((1, f"empty program: {header}"))
+        return 0, body
+    lineno, tokens = body[0]
+    if (tokens[0].upper() != keyword or len(tokens) != 2
+            or not tokens[1].lower().startswith(field + "=")):
+        issues.append((lineno, header))
+        return 0, body
+    try:
+        value = int(tokens[1][len(field) + 1:])
+    except ValueError:
+        value = -1
+    if value < 0:
+        issues.append((lineno, f"bad header {tokens[1]!r}: {field} must be a "
+                               "non-negative integer"))
+    return max(value, 0), body[1:]
 
 
 def parse_program_with_lines(text: str) -> tuple[QuantumProgram, tuple[int, ...]]:
@@ -201,35 +203,13 @@ def parse_program_with_lines(text: str) -> tuple[QuantumProgram, tuple[int, ...]
     issues: list[tuple[int, str]] = []
     instructions: list[Instruction] = []
     lines_of: list[int] = []
-    s: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if s is None:
-            head = tokens[0].upper()
-            if head == "QPU" and len(tokens) == 2 and tokens[1].lower().startswith("s="):
-                try:
-                    s = int(tokens[1][2:])
-                except ValueError:
-                    issues.append((lineno, f"bad memory size {tokens[1]!r}"))
-                    s = 0
-                else:
-                    if s < 0:
-                        issues.append((lineno, "memory size must be non-negative"))
-                        s = 0
-                continue
-            issues.append((lineno, "expected header 'QPU s=<int>'"))
-            s = 0
+    s, body = read_lines(text, "QPU", "s", issues)
+    for lineno, tokens in body:
         try:
             instructions.append(_parse_instruction(tokens))
             lines_of.append(lineno)
         except ValueError as exc:
             issues.append((lineno, str(exc)))
-    if s is None:
-        issues.append((1, "empty program: expected header 'QPU s=<int>'"))
-        s = 0
     if issues:
         raise ProgramSyntaxError(issues)
     return QuantumProgram(s, tuple(instructions)), tuple(lines_of)
@@ -240,26 +220,58 @@ def parse_program(text: str) -> QuantumProgram:
 
 
 def format_instruction(instr: Instruction) -> str:
-    op = instr.opcode
-    if op == "INIT":
-        return f"INIT m{instr.memory_addr} {instr.init_value}"
-    if op == "LOAD":
-        return f"LOAD m{instr.memory_addr} c{instr.cell}"
-    if op == "SAVE":
-        return f"SAVE c{instr.cell} m{instr.memory_addr}"
-    if op == "QET":
-        return f"QET {instr.theta!r} t{instr.transistor_id}"
-    if op == "PHASE":
-        return f"PHASE {instr.theta!r} {instr.phi!r} t{instr.transistor_id}"
-    if op == "CQET":
-        return f"CQET t{instr.transistor_id}"
-    return f"MEASURE m{instr.memory_addr}"
+    operands = (f"{_KINDS[kind][0]}{getattr(instr, name)}"
+                for name, kind in SYNTAX[instr.opcode])
+    return " ".join((instr.opcode, *operands))
 
 
 def format_program(program: QuantumProgram) -> str:
     lines = [f"QPU s={program.s}"]
     lines.extend(format_instruction(i) for i in program.instructions)
     return "\n".join(lines) + "\n"
+
+
+def _occupancy_problem(name: str, needed: bool) -> str:
+    return f"{name} {'unoccupied' if needed else 'already occupied'}"
+
+
+def occupancy_step(instr: Instruction, s: int, mem: list[bool],
+                   cells: list[bool]) -> list[str]:
+    """Apply ``instr`` to the slot and cell occupancy, returning what it violates.
+
+    ``mem`` and ``cells`` are updated in place.  A gate needs its cells
+    occupied; every other instruction needs the slot and the cell it
+    names in the opposite of the state it leaves them in, so it flips
+    them.  The list is empty when every precondition holds.
+    """
+    problems = []
+    if instr.transistor_id:
+        problems.append(f"transistor t{instr.transistor_id} does not exist "
+                        "(single transistor machine)")
+    op = instr.opcode
+    if op in ("QET", "PHASE"):
+        if not (cells[1] and cells[2]):
+            problems.append("transistor cells c1, c2 unoccupied")
+        return problems
+    if op == "CQET":
+        if not all(cells):
+            problems.append("transistor cells c0, c1, c2 unoccupied")
+        return problems
+    addr = instr.memory_addr
+    needed = op in ("LOAD", "MEASURE")
+    if not 0 <= addr < s:
+        problems.append(f"address m{addr} out of range [0, {s})")
+    else:
+        if mem[addr] != needed:
+            problems.append(_occupancy_problem(f"slot m{addr}", needed))
+        mem[addr] = not needed
+    if op in ("LOAD", "SAVE"):
+        cell = instr.cell
+        needed = op == "SAVE"
+        if cells[cell] != needed:
+            problems.append(_occupancy_problem(f"cell c{cell}", needed))
+        cells[cell] = not needed
+    return problems
 
 
 def validate_program(program: QuantumProgram) -> list[tuple[int, str]]:
@@ -271,49 +283,7 @@ def validate_program(program: QuantumProgram) -> list[tuple[int, str]]:
     issues: list[tuple[int, str]] = []
     mem = [False] * program.s
     cells = [False, False, False]
-
-    def addr_ok(index: int, addr: int) -> bool:
-        if not 0 <= addr < program.s:
-            issues.append((index, f"address m{addr} out of range [0, {program.s})"))
-            return False
-        return True
-
     for index, instr in enumerate(program.instructions):
-        op = instr.opcode
-        if instr.transistor_id not in (None, 0):
-            issues.append((index,
-                           f"transistor t{instr.transistor_id} does not exist "
-                           "(single transistor machine)"))
-        if op == "INIT":
-            if addr_ok(index, instr.memory_addr):
-                if mem[instr.memory_addr]:
-                    issues.append((index, f"slot m{instr.memory_addr} already occupied"))
-                mem[instr.memory_addr] = True
-        elif op == "LOAD":
-            if addr_ok(index, instr.memory_addr):
-                if not mem[instr.memory_addr]:
-                    issues.append((index, f"slot m{instr.memory_addr} unoccupied"))
-                mem[instr.memory_addr] = False
-            if cells[instr.cell]:
-                issues.append((index, f"cell c{instr.cell} already occupied"))
-            cells[instr.cell] = True
-        elif op == "SAVE":
-            if not cells[instr.cell]:
-                issues.append((index, f"cell c{instr.cell} unoccupied"))
-            cells[instr.cell] = False
-            if addr_ok(index, instr.memory_addr):
-                if mem[instr.memory_addr]:
-                    issues.append((index, f"slot m{instr.memory_addr} already occupied"))
-                mem[instr.memory_addr] = True
-        elif op in ("QET", "PHASE"):
-            if not (cells[1] and cells[2]):
-                issues.append((index, "transistor cells c1, c2 unoccupied"))
-        elif op == "CQET":
-            if not all(cells):
-                issues.append((index, "transistor cells c0, c1, c2 unoccupied"))
-        elif op == "MEASURE":
-            if addr_ok(index, instr.memory_addr):
-                if not mem[instr.memory_addr]:
-                    issues.append((index, f"slot m{instr.memory_addr} unoccupied"))
-                mem[instr.memory_addr] = False
+        issues.extend((index, problem) for problem
+                      in occupancy_step(instr, program.s, mem, cells))
     return issues

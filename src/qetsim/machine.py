@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, MeasurementError, QpuRuntimeError
 from .gates import cqet_matrix, phase_matrix, qet_matrix
-from .isa import Instruction, QuantumProgram
+from .isa import Instruction, QuantumProgram, occupancy_step
 from .statevector import (NORM_TOL, LocalUnitary, RandomSource, StateVector,
                           SubsystemShape)
 
@@ -89,11 +89,6 @@ def fresh_machine(s: int) -> MachineState:
                         (False,) * s, (False, False, False), ())
 
 
-def _require(condition: bool, index: int, opcode: str, message: str):
-    if not condition:
-        raise QpuRuntimeError(index, opcode, message)
-
-
 def _finite(amps: np.ndarray) -> np.ndarray:
     if not np.isfinite(amps).all():
         raise DimensionError("non-finite amplitude")
@@ -147,56 +142,29 @@ def execute_instruction(machine: MachineState, instr: Instruction,
     s = machine.s
     mem = list(machine.memory_occupied)
     cells = list(machine.cell_occupied)
+    problems = occupancy_step(instr, s, mem, cells)
+    if problems:
+        raise QpuRuntimeError(index, op, problems[0])
     indices, amps = machine.indices, machine.amps
     results = machine.classical_results
     outcome = None
 
-    if instr.transistor_id not in (None, 0):
-        raise QpuRuntimeError(index, op,
-                              f"transistor t{instr.transistor_id} does not exist")
-
     # memory slot m<k> is bit s + 2 - k, cell c<j> is bit 2 - j
     if op == "INIT":
-        addr = instr.memory_addr
-        _require(0 <= addr < s, index, op, f"address m{addr} out of range [0, {s})")
-        _require(not mem[addr], index, op, f"slot m{addr} already occupied")
         if instr.init_value == 1:
-            indices = indices ^ (1 << (s + 2 - addr))
-        mem[addr] = True
-    elif op == "LOAD":
-        addr, cell = instr.memory_addr, instr.cell
-        _require(0 <= addr < s, index, op, f"address m{addr} out of range [0, {s})")
-        _require(mem[addr], index, op, f"slot m{addr} unoccupied")
-        _require(not cells[cell], index, op, f"cell c{cell} already occupied")
-        indices = _swap_bits(indices, s + 2 - addr, 2 - cell)
-        mem[addr] = False
-        cells[cell] = True
-    elif op == "SAVE":
-        addr, cell = instr.memory_addr, instr.cell
-        _require(0 <= addr < s, index, op, f"address m{addr} out of range [0, {s})")
-        _require(cells[cell], index, op, f"cell c{cell} unoccupied")
-        _require(not mem[addr], index, op, f"slot m{addr} already occupied")
-        indices = _swap_bits(indices, s + 2 - addr, 2 - cell)
-        mem[addr] = True
-        cells[cell] = False
+            indices = indices ^ (1 << (s + 2 - instr.memory_addr))
+    elif op in ("LOAD", "SAVE"):
+        indices = _swap_bits(indices, s + 2 - instr.memory_addr, 2 - instr.cell)
     elif op in ("QET", "PHASE"):
-        _require(cells[1] and cells[2], index, op,
-                 "transistor cells c1, c2 unoccupied")
         gate = (qet_matrix(instr.theta) if op == "QET"
                 else phase_matrix(instr.theta, instr.phi))
         indices, amps = _apply_to_cells(indices, amps, gate)
     elif op == "CQET":
-        _require(all(cells), index, op, "transistor cells c0, c1, c2 unoccupied")
         indices, amps = _apply_to_cells(indices, amps, cqet_matrix())
-    elif op == "MEASURE":
+    else:
         addr = instr.memory_addr
-        _require(0 <= addr < s, index, op, f"address m{addr} out of range [0, {s})")
-        _require(mem[addr], index, op, f"slot m{addr} unoccupied")
         outcome, indices, amps = _measure(indices, amps, s + 2 - addr, addr, rng)
-        mem[addr] = False
         results = results + ((addr, outcome),)
-    else:  # pragma: no cover - Instruction validates opcodes
-        raise QpuRuntimeError(index, op, "unknown opcode")
 
     new = MachineState(indices, amps, tuple(mem), tuple(cells), results)
     record = TraceRecord(index, op, instr, new.memory_occupied,

@@ -31,6 +31,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
+from .compiler import bracket, controlled_transfer, readout
 from .errors import QetSimError, ServiceError
 from .isa import Instruction, QuantumProgram
 from .machine import ExecutionTrace, run_program
@@ -58,8 +59,6 @@ class PhysicalAddress:
     """Per-segment address metadata handed out by the dispatcher."""
 
     index: int
-    frequency: float
-    recording_time: int
 
 
 @dataclass
@@ -117,9 +116,6 @@ class AddressTable:
         self._next_logical = 0
         self._next_physical = 0
 
-    def knows(self, client_id: str, local: int) -> bool:
-        return local in self._locals.get(client_id, {})
-
     def ensure(self, client_id: str, local: int) -> tuple[int, tuple[int, int]]:
         """Global logical address and physical pair, allocating on first use."""
         table = self._locals.setdefault(client_id, {})
@@ -132,6 +128,17 @@ class AddressTable:
             self._pairs[glob] = pair
         glob = table[local]
         return glob, self._pairs[glob]
+
+    def checkpoint(self) -> tuple[int, int]:
+        """The next free addresses, to hand to :meth:`rollback`."""
+        return self._next_logical, self._next_physical
+
+    def rollback(self, client_id: str, mark: tuple[int, int]):
+        """Forget every address ``client_id`` was given since ``mark``."""
+        table = self._locals[client_id]
+        for local in [local for local, glob in table.items() if glob >= mark[0]]:
+            del self._pairs[table.pop(local)]
+        self._next_logical, self._next_physical = mark
 
     def pair_of(self, client_id: str, local: int) -> tuple[int, int]:
         return self._pairs[self._locals[client_id][local]]
@@ -252,34 +259,18 @@ def transform(ops: list[ClientOp], table: AddressTable, client_id: str,
 
     for op in ops:
         if op.op == "QET":
-            first, second = pair(op.qubits[0])
-            instructions += [Instruction.load(first, 1),
-                             Instruction.load(second, 2),
-                             Instruction.qet(op.theta),
-                             Instruction.save(1, first),
-                             Instruction.save(2, second)]
+            instructions += bracket(pair(op.qubits[0]),
+                                    [Instruction.qet(op.theta)])
         elif op.op == "PHASE":
-            first, second = pair(op.qubits[0])
-            instructions += [Instruction.load(first, 1),
-                             Instruction.load(second, 2),
-                             Instruction.phase(op.theta,
-                                               0.0 if op.phi is None else op.phi),
-                             Instruction.save(1, first),
-                             Instruction.save(2, second)]
+            phi = 0.0 if op.phi is None else op.phi
+            instructions += bracket(pair(op.qubits[0]),
+                                    [Instruction.phase(op.theta, phi)])
         elif op.op == "CQET":
-            ctrl = pair(op.qubits[0])
-            tgt = pair(op.qubits[1])
-            instructions += [Instruction.load(ctrl[0], 0),
-                             Instruction.load(tgt[0], 1),
-                             Instruction.load(tgt[1], 2),
-                             Instruction.cqet(),
-                             Instruction.save(0, ctrl[0]),
-                             Instruction.save(1, tgt[0]),
-                             Instruction.save(2, tgt[1])]
+            instructions += controlled_transfer(pair(op.qubits[0]),
+                                                pair(op.qubits[1]))
         else:
             first, second = pair(op.qubits[0])
-            instructions += [Instruction.measure(first),
-                             Instruction.measure(second)]
+            instructions += readout((first, second))
             measures.append((op.qubits[0], first, second))
     return Segment(client_id, request_id, instructions, init_bits, measures)
 
@@ -312,36 +303,23 @@ class EmulatorBackend:
 def _concretize(segment: Segment, clock: int):
     """Assign machine slots to global addresses and insert INIT commands."""
     slots: dict[int, int] = {}
-    addresses: dict[int, PhysicalAddress] = {}
     resident: set[int] = set()
     concrete: list[Instruction] = []
-
-    def slot_of(gpa: int) -> int:
-        if gpa not in slots:
-            slots[gpa] = len(slots)
-            addresses[gpa] = PhysicalAddress(
-                index=slots[gpa],
-                frequency=1.0e9 + 1.0e6 * slots[gpa],
-                recording_time=clock)
-        return slots[gpa]
-
     for instr in segment.instructions:
         if instr.memory_addr is None:
             concrete.append(instr)
             continue
         gpa = instr.memory_addr
-        slot = slot_of(gpa)
+        slot = slots.setdefault(gpa, len(slots))
         if gpa not in resident:
             concrete.append(Instruction.init(slot, segment.init_bits.get(gpa, 0)))
             resident.add(gpa)
         if instr.opcode == "MEASURE":
             resident.discard(gpa)
-        concrete.append(Instruction(
-            instr.opcode, memory_addr=slot, cell=instr.cell,
-            theta=instr.theta, phi=instr.phi,
-            transistor_id=instr.transistor_id, init_value=instr.init_value))
+        concrete.append(Instruction(**{**vars(instr), "memory_addr": slot}))
     program = QuantumProgram(max(len(slots), 1), tuple(concrete))
     slot_to_gpa = {slot: gpa for gpa, slot in slots.items()}
+    addresses = {gpa: PhysicalAddress(slot) for gpa, slot in slots.items()}
     return program, slot_to_gpa, addresses
 
 
@@ -352,12 +330,13 @@ def dispatch(batch: ExecutionBatch, backend) -> DispatchResult:
         program, slot_to_gpa, addresses = _concretize(segment, clock)
         try:
             results, trace = backend.run(program)
-        except QetSimError as exc:
-            logger.warning("segment %s/%s failed: %s",
-                           segment.client_id, segment.request_id, exc)
+        except Exception as exc:  # whatever fails stays with its segment
+            known = isinstance(exc, QetSimError)
+            logger.warning("segment %s/%s failed: %r", segment.client_id,
+                           segment.request_id, exc, exc_info=not known)
             outcomes.append(SegmentOutcome(
                 segment.client_id, segment.request_id, list(segment.measures),
-                [], addresses, None, str(exc)))
+                [], addresses, None, str(exc) if known else repr(exc)))
             continue
         records = [(slot_to_gpa[slot], bit) for slot, bit in results]
         outcomes.append(SegmentOutcome(
@@ -450,12 +429,14 @@ class QpfService:
             with self._state_lock:
                 analyze(ops, self.table, client_id, self.qubit_budget)
                 request_id = self._next_request
-                self._next_request += 1
+                mark = self.table.checkpoint()
                 segment = transform(ops, self.table, client_id, request_id)
                 if segment.command_count > self.capacity():
+                    self.table.rollback(client_id, mark)
                     raise ServiceError(
                         [(0, f"request needs {segment.command_count} commands; "
                              f"controller capacity is {self.capacity()}")])
+                self._next_request += 1
                 pending = _Pending()
                 self._pending[(client_id, request_id)] = pending
                 self._queue.append(segment)

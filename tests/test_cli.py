@@ -159,6 +159,18 @@ def test_protocol_verify_rejects_zero_samples():
         main(["protocol-verify", "--samples", "0"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "tests/golden/bell.lq"],
+    ["serve", "--transport", "stdio"],
+    ["protocol-verify"],
+], ids=["run", "serve", "protocol-verify"])
+def test_negative_seed_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "-1"])
+    assert info.value.code == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_serve_stdio_one_shot(monkeypatch, capsys):
     fake_in = io.StringIO(
         '{"type":"submit","client":"a","ops":[{"op":"MEASURE","qubits":[0]}]}\n')

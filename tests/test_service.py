@@ -300,6 +300,32 @@ def test_service_rejects_oversized_request():
     response = service.submit_request("a", BELL_OPS)
     assert response["type"] == "error"
     assert "capacity" in response["errors"][0]["message"]
+    assert service.table.locals_of("a") == {}
+    assert service._next_request == 0
+
+
+class _RaisingBackend(EmulatorBackend):
+    """A backend whose run fails with an error outside the emulator's own."""
+
+    def run(self, program):
+        raise RuntimeError("backend fell over")
+
+
+def test_backend_crash_is_error_reply_and_leaves_nothing_pending():
+    service = QpfService(backend=_RaisingBackend())
+    reply = json.loads(service.handle_line(
+        '{"type":"submit","client":"a","ops":[{"op":"MEASURE","qubits":[0]}]}'))
+    assert reply["type"] == "error"
+    assert "backend fell over" in reply["errors"][0]["message"]
+    assert service._pending == {}
+    # every other segment of a failing batch is answered, not left waiting
+    table = AddressTable()
+    segments = [_segment(client, [{"op": "MEASURE", "qubits": [0]}], table,
+                         request_id)[0]
+                for request_id, client in enumerate(("a", "b"))]
+    result = dispatch(ExecutionBatch(segments), _RaisingBackend())
+    assert [outcome.error is not None for outcome in result.outcomes] == [
+        True, True]
 
 
 def test_capacity_query_and_malformed_line():
