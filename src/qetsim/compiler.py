@@ -349,9 +349,6 @@ def parse_logical_program(text: str) -> LogicalProgram:
     gates: list[LogicalGate] = []
     measured: list[int] = []
 
-    def qubit(token: str) -> int:
-        return read_operand("q", token)
-
     n, body = read_lines(text, "LQ", "n", issues)
     for lineno, tokens in body:
         op = tokens[0].upper()
@@ -359,13 +356,13 @@ def parse_logical_program(text: str) -> LogicalProgram:
             if op in ("RX", "RZ"):
                 if len(tokens) != 3:
                     raise ValueError(f"{op} takes an angle and a qubit")
-                gates.append(LogicalGate(op, (qubit(tokens[2]),),
+                gates.append(LogicalGate(op, (read_operand("q", tokens[2]),),
                                          theta=float(tokens[1])))
             elif op == "CNOT":
                 if len(tokens) != 3:
                     raise ValueError("CNOT takes two qubits")
-                gates.append(LogicalGate("CNOT", (qubit(tokens[1]),
-                                                  qubit(tokens[2]))))
+                gates.append(LogicalGate("CNOT", (read_operand("q", tokens[1]),
+                                                  read_operand("q", tokens[2]))))
             elif op == "SU2":
                 if len(tokens) != 10:
                     raise ValueError("SU2 takes a qubit and 8 matrix entries")
@@ -373,12 +370,12 @@ def parse_logical_program(text: str) -> LogicalProgram:
                 matrix = np.array(
                     [[complex(reals[0], reals[1]), complex(reals[2], reals[3])],
                      [complex(reals[4], reals[5]), complex(reals[6], reals[7])]])
-                gates.append(LogicalGate("SU2", (qubit(tokens[1]),),
+                gates.append(LogicalGate("SU2", (read_operand("q", tokens[1]),),
                                          matrix=matrix))
             elif op == "MEASURE":
                 if len(tokens) != 2:
                     raise ValueError("MEASURE takes a qubit")
-                measured.append(qubit(tokens[1]))
+                measured.append(read_operand("q", tokens[1]))
             else:
                 raise ValueError(f"unknown logical operation {tokens[0]!r}")
         except (ValueError, SynthesisError) as exc:

@@ -12,7 +12,9 @@ per line.  Opcodes are case-insensitive and ``#`` starts a comment.
     MEASURE m<k>
 
 Angles are decimal radians.  A program over ``s`` memory slots with
-``t`` instructions has space cost ``s`` and time cost ``t``.
+``t`` instructions has space cost ``s`` and time cost ``t``.  The table
+``SYNTAX`` below is the one definition of these operands: the field
+check of ``Instruction``, the parser and the formatter all read it.
 """
 
 from __future__ import annotations
@@ -43,10 +45,13 @@ _KINDS = {
     "bit": ("", "0 or 1", lambda v: v in (0, 1)),
     "angle": ("", "finite", math.isfinite),
 }
-# Opcode -> (field, the values it allows, a test for them) per operand.
+# Opcode -> (field, the values it allows, a test for them) per operand,
+# flattened once so that checking each new Instruction costs one lookup.
 _CHECKS = {op: tuple((name,) + _KINDS[kind][1:] for name, kind in operands)
            for op, operands in SYNTAX.items()}
 OPCODES = tuple(SYNTAX)
+# A slot or cell not in the occupancy an instruction needs, by that need.
+_WRONG = {True: "unoccupied", False: "already occupied"}
 
 
 @dataclass(frozen=True)
@@ -231,10 +236,6 @@ def format_program(program: QuantumProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _occupancy_problem(name: str, needed: bool) -> str:
-    return f"{name} {'unoccupied' if needed else 'already occupied'}"
-
-
 def occupancy_step(instr: Instruction, s: int, mem: list[bool],
                    cells: list[bool]) -> list[str]:
     """Apply ``instr`` to the slot and cell occupancy, returning what it violates.
@@ -263,13 +264,13 @@ def occupancy_step(instr: Instruction, s: int, mem: list[bool],
         problems.append(f"address m{addr} out of range [0, {s})")
     else:
         if mem[addr] != needed:
-            problems.append(_occupancy_problem(f"slot m{addr}", needed))
+            problems.append(f"slot m{addr} {_WRONG[needed]}")
         mem[addr] = not needed
     if op in ("LOAD", "SAVE"):
         cell = instr.cell
         needed = op == "SAVE"
         if cells[cell] != needed:
-            problems.append(_occupancy_problem(f"cell c{cell}", needed))
+            problems.append(f"cell c{cell} {_WRONG[needed]}")
         cells[cell] = not needed
     return problems
 

@@ -316,6 +316,7 @@ def _concretize(segment: Segment, clock: int):
             resident.add(gpa)
         if instr.opcode == "MEASURE":
             resident.discard(gpa)
+        # the same instruction on its slot (faster than dataclasses.replace)
         concrete.append(Instruction(**{**vars(instr), "memory_addr": slot}))
     program = QuantumProgram(max(len(slots), 1), tuple(concrete))
     slot_to_gpa = {slot: gpa for gpa, slot in slots.items()}
