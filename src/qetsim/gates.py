@@ -12,19 +12,31 @@ import numpy as np
 from .statevector import LocalUnitary
 
 
+def exact_turns(theta: float) -> int | None:
+    """``theta / pi`` where the transfer matrix is exact, else None.
+
+    The exact values cover one period of the matrix either side of 0
+    (``|theta| <= 4 pi``), where an integer quotient ``theta / pi`` puts
+    ``theta`` within rounding of ``k * pi``.  A transfer at such an angle
+    maps each basis state to one basis state, so it never grows the
+    support of a sparse register.
+    """
+    turns = theta / math.pi
+    if turns.is_integer() and abs(turns) <= 4:
+        return int(turns)
+    return None
+
+
 def _half_angle(theta: float) -> tuple[float, float]:
     """``cos(theta/2)``, ``sin(theta/2)``, exact at whole multiples of pi.
 
     ``cos(math.pi / 2)`` is 6e-17, not 0: without exact values a full
     transfer would leave that much amplitude behind, and a sparse
     register would carry every such remnant as one more nonzero entry.
-    The exact values cover one period of the matrix either side of 0
-    (``|theta| <= 4 pi``), where an integer quotient ``theta / pi`` puts
-    ``theta`` within rounding of ``k * pi``.
     """
-    turns = theta / math.pi
-    if turns.is_integer() and abs(turns) <= 4:
-        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[int(turns) % 4]
+    turns = exact_turns(theta)
+    if turns is not None:
+        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[turns % 4]
     return np.cos(theta / 2), np.sin(theta / 2)
 
 

@@ -7,6 +7,12 @@ shared address tables, capacity-bounded batching of whole segments,
 dispatch onto a backend, and demultiplexing of measurement results back
 to local addresses.
 
+``transform`` lowers each request once, straight onto the machine slots
+of its segment: slots are numbered in order of first use and every
+``INIT`` is placed as the segment is built, so the dispatcher only runs
+the program and maps measured slots back to global addresses.  The TCP
+transport serves every connection from one selector thread.
+
 Wire protocol (newline-delimited JSON, UTF-8):
 
     {"type": "submit", "client": "<id>", "ops": [{"op": "QET",
@@ -25,14 +31,16 @@ from __future__ import annotations
 import json
 import logging
 import math
+import selectors
 import socket
-import socketserver
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .compiler import bracket, controlled_transfer, readout
 from .errors import QetSimError, ServiceError
+from .gates import exact_turns
 from .isa import Instruction, QuantumProgram
 from .machine import ExecutionTrace, run_program
 from .statevector import RandomSource
@@ -42,6 +50,7 @@ logger = logging.getLogger(__name__)
 VALID_OPS = ("QET", "PHASE", "CQET", "MEASURE")
 DEFAULT_CAPACITY = 1024
 DEFAULT_QUBIT_BUDGET = 256
+DEFAULT_SUPPORT_BUDGET = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -67,13 +76,14 @@ class Segment:
 
     client_id: str
     request_id: int
-    instructions: list  # Instruction over global physical addresses
-    init_bits: dict  # global physical address -> encoded basis bit
+    instructions: list  # Instruction over machine slots, INITs included
+    slots: dict  # global physical address -> machine slot
     measures: list  # (local logical address, first gpa, second gpa)
 
-    @property
+    @cached_property
     def command_count(self) -> int:
-        return len(self.instructions)
+        """Commands the request asked for; the INITs the lowering adds are free."""
+        return sum(instr.opcode != "INIT" for instr in self.instructions)
 
 
 @dataclass
@@ -203,9 +213,24 @@ def parse_client_ops(raw_ops) -> list[ClientOp]:
     return ops
 
 
+def support_exponent(ops: list[ClientOp]) -> int:
+    """``log2`` of a sound bound on the machine support the request can reach.
+
+    Only a ``QET`` at an angle without an exact matrix splits a basis
+    state in two; ``PHASE``, ``CQET``, exact transfers, the slot moves
+    and ``MEASURE`` never add an entry.  Nor can the support exceed the
+    basis of the request's ``2 q + 3`` positions.
+    """
+    splits = sum(1 for op in ops
+                 if op.op == "QET" and exact_turns(op.theta) is None)
+    qubits = {q for op in ops for q in op.qubits}
+    return min(splits, 2 * len(qubits) + 3)
+
+
 def analyze(ops: list[ClientOp], table: AddressTable, client_id: str,
-            qubit_budget: int = DEFAULT_QUBIT_BUDGET) -> list[ClientOp]:
-    """The three request checks: structure, parameters, addresses.
+            qubit_budget: int = DEFAULT_QUBIT_BUDGET,
+            support_budget: int = DEFAULT_SUPPORT_BUDGET) -> list[ClientOp]:
+    """The request checks: structure, parameters, addresses, support size.
 
     Returns the ops unchanged when everything passes; otherwise raises
     with one diagnostic per offending operation and nothing is enqueued.
@@ -233,46 +258,84 @@ def analyze(ops: list[ClientOp], table: AddressTable, client_id: str,
     if not any(op.op == "MEASURE" for op in ops):
         errors.append((len(ops), "request contains no MEASURE; results would "
                                  "be unreturnable"))
+    exponent = 0 if errors else support_exponent(ops)
+    if 2 ** exponent > support_budget:
+        errors.append((0, f"request may hold 2^{exponent} register entries; "
+                          f"support budget is {support_budget}"))
     if errors:
         raise ServiceError(errors)
     return ops
 
 
+# Each client op lowered once by the compiler's emitters over placeholder
+# addresses: 0 and 1 stand for the first qubit's pair, 2 and 3 for the
+# second's, and None for the op's own gate.
+_LOWERING = {
+    "QET": bracket((0, 1), [None]),
+    "PHASE": bracket((0, 1), [None]),
+    "CQET": controlled_transfer((0, 1), (2, 3)),
+    "MEASURE": readout((0, 1)),
+}
+# INIT of a pair's first and second placeholder: every pair starts as
+# logical 0, which is |01>.
+_INIT = (Instruction.init(0, 0), Instruction.init(1, 1))
+# Slot-only instructions, shared by every request: a slot below 61 and a
+# cell or bit below 3 bound the keys to 61 * 9.  Angles are never cached.
+_SLOT_LIMIT = 61
+_ON_SLOT: dict[tuple, Instruction] = {}
+
+
+def _on_slot(template: Instruction, slot: int) -> Instruction:
+    """``template`` (INIT, LOAD, SAVE or MEASURE) with its address set to ``slot``."""
+    key = (template.opcode, template.cell, template.init_value, slot)
+    instr = _ON_SLOT.get(key)
+    if instr is None:
+        # the same instruction on its slot (faster than dataclasses.replace)
+        instr = Instruction(**{**vars(template), "memory_addr": slot})
+        if slot < _SLOT_LIMIT:
+            _ON_SLOT[key] = instr
+    return instr
+
+
 def transform(ops: list[ClientOp], table: AddressTable, client_id: str,
               request_id: int = 0) -> Segment:
-    """Rewrite validated logical ops into a physical segment.
+    """Lower validated logical ops onto the machine slots of one segment.
 
-    Allocates global addresses for first-seen locals, splits each
-    logical qubit onto its physical pair and lowers each universal-basis
-    operation; initialization bits for the dispatcher encode every pair
-    as logical 0.
+    Allocates global addresses for first-seen locals and splits each
+    logical qubit onto its physical pair.  Each physical address takes
+    the next free slot at its first use, and an INIT to its encoded bit
+    goes right before that use and before its first use after a MEASURE.
     """
     instructions: list[Instruction] = []
-    init_bits: dict[int, int] = {}
+    slots: dict[int, int] = {}
+    live: set[int] = set()  # slots initialized and not measured since
     measures = []
-
-    def pair(local: int) -> tuple[int, int]:
-        _, (first, second) = table.ensure(client_id, local)
-        init_bits.setdefault(first, 0)
-        init_bits.setdefault(second, 1)
-        return first, second
-
     for op in ops:
+        addresses = [addr for q in op.qubits
+                     for addr in table.ensure(client_id, q)[1]]
+        gate = None  # the op's own gate: built per request, never shared
         if op.op == "QET":
-            instructions += bracket(pair(op.qubits[0]),
-                                    [Instruction.qet(op.theta)])
+            gate = Instruction.qet(op.theta)
         elif op.op == "PHASE":
-            phi = 0.0 if op.phi is None else op.phi
-            instructions += bracket(pair(op.qubits[0]),
-                                    [Instruction.phase(op.theta, phi)])
-        elif op.op == "CQET":
-            instructions += controlled_transfer(pair(op.qubits[0]),
-                                                pair(op.qubits[1]))
-        else:
-            first, second = pair(op.qubits[0])
-            instructions += readout((first, second))
-            measures.append((op.qubits[0], first, second))
-    return Segment(client_id, request_id, instructions, init_bits, measures)
+            gate = Instruction.phase(op.theta, 0.0 if op.phi is None else op.phi)
+        for template in _LOWERING[op.op]:
+            if template is None:
+                instructions.append(gate)
+                continue
+            placeholder = template.memory_addr
+            if placeholder is None:  # CQET acts on the cells only
+                instructions.append(template)
+                continue
+            slot = slots.setdefault(addresses[placeholder], len(slots))
+            if slot not in live:
+                instructions.append(_on_slot(_INIT[placeholder % 2], slot))
+                live.add(slot)
+            if template.opcode == "MEASURE":
+                live.discard(slot)
+            instructions.append(_on_slot(template, slot))
+        if op.op == "MEASURE":
+            measures.append((op.qubits[0], *addresses))
+    return Segment(client_id, request_id, instructions, slots, measures)
 
 
 def buffer_and_batch(queue: deque, capacity: int) -> ExecutionBatch:
@@ -301,26 +364,10 @@ class EmulatorBackend:
 
 
 def _concretize(segment: Segment, clock: int):
-    """Assign machine slots to global addresses and insert INIT commands."""
-    slots: dict[int, int] = {}
-    resident: set[int] = set()
-    concrete: list[Instruction] = []
-    for instr in segment.instructions:
-        if instr.memory_addr is None:
-            concrete.append(instr)
-            continue
-        gpa = instr.memory_addr
-        slot = slots.setdefault(gpa, len(slots))
-        if gpa not in resident:
-            concrete.append(Instruction.init(slot, segment.init_bits.get(gpa, 0)))
-            resident.add(gpa)
-        if instr.opcode == "MEASURE":
-            resident.discard(gpa)
-        # the same instruction on its slot (faster than dataclasses.replace)
-        concrete.append(Instruction(**{**vars(instr), "memory_addr": slot}))
-    program = QuantumProgram(max(len(slots), 1), tuple(concrete))
-    slot_to_gpa = {slot: gpa for gpa, slot in slots.items()}
-    addresses = {gpa: PhysicalAddress(slot) for gpa, slot in slots.items()}
+    """The segment's machine program and its slot maps (``clock`` is unused)."""
+    program = QuantumProgram(max(len(segment.slots), 1), segment.instructions)
+    slot_to_gpa = {slot: gpa for gpa, slot in segment.slots.items()}
+    addresses = {gpa: PhysicalAddress(slot) for gpa, slot in segment.slots.items()}
     return program, slot_to_gpa, addresses
 
 
@@ -410,10 +457,12 @@ class QpfService:
     """
 
     def __init__(self, seed: int = 0, capacity: int = DEFAULT_CAPACITY,
-                 backend=None, qubit_budget: int = DEFAULT_QUBIT_BUDGET):
+                 backend=None, qubit_budget: int = DEFAULT_QUBIT_BUDGET,
+                 support_budget: int = DEFAULT_SUPPORT_BUDGET):
         self.backend = backend or EmulatorBackend(seed, capacity)
         self.table = AddressTable()
         self.qubit_budget = qubit_budget
+        self.support_budget = support_budget
         self._queue: deque = deque()
         self._pending: dict[tuple[str, int], _Pending] = {}
         self._state_lock = threading.Lock()
@@ -428,7 +477,8 @@ class QpfService:
         try:
             ops = parse_client_ops(raw_ops)
             with self._state_lock:
-                analyze(ops, self.table, client_id, self.qubit_budget)
+                analyze(ops, self.table, client_id, self.qubit_budget,
+                        self.support_budget)
                 request_id = self._next_request
                 mark = self.table.checkpoint()
                 segment = transform(ops, self.table, client_id, request_id)
@@ -488,15 +538,19 @@ class QpfService:
                 raise ValueError("message must be an object")
         except (ValueError, RecursionError) as exc:
             # RecursionError: the decoder recurses once per nesting level
-            return encode_message(
-                {"type": "error",
-                 "errors": [{"index": -1, "message": f"malformed message: {exc}"}]})
+            return malformed_reply(exc)
         return encode_message(self.handle_message(message))
 
 
 def encode_message(obj: dict) -> str:
     """Canonical one-line encoding used by both transports and the CLI."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def malformed_reply(reason) -> str:
+    """The reply to a line that is not a message."""
+    return encode_message({"type": "error", "errors": [
+        {"index": -1, "message": f"malformed message: {reason}"}]})
 
 
 def serve_stdio(service: QpfService, stdin, stdout):
@@ -509,46 +563,165 @@ def serve_stdio(service: QpfService, stdin, stdout):
         stdout.flush()
 
 
-class _LineHandler(socketserver.StreamRequestHandler):
-    def handle(self):
-        while True:
-            line = self.rfile.readline()
-            if not line:
-                return
-            text = line.decode("utf-8").strip()
-            if not text:
-                continue
-            reply = self.server.service.handle_line(text)
-            self.wfile.write(reply.encode("utf-8") + b"\n")
+MAX_LINE_BYTES = 1 << 20  # a longer line is refused and its connection closed
+RECV_BYTES = 4096  # one read from a socket
+MAX_UNSENT_BYTES = 1 << 16  # unsent reply bytes past which a socket is not read
 
 
-class ServiceServer(socketserver.ThreadingTCPServer):
-    """TCP transport for the line protocol; one thread per connection."""
+class _Connection:
+    """One client socket, its unanswered input and its unsent replies."""
 
-    allow_reuse_address = True
-    daemon_threads = True
+    def __init__(self, sock: socket.socket, peer):
+        self.sock = sock
+        self.peer = peer
+        self.inbox = bytearray()
+        self.outbox = bytearray()
+        self.reading = True  # false once the client has sent all it will
+        # after a refused line: input is dropped, and once the refusal is
+        # sent the server's side is shut so that the client closes
+        self.refused = False
+        self.shut = False
+
+
+class ServiceServer:
+    """TCP transport for the line protocol; one thread serves every connection.
+
+    The thread waits on a selector, reads each socket in small chunks,
+    answers every complete line in arrival order and sends the replies
+    without blocking.  A connection whose replies pile up unsent is not
+    read until they drain, so a client that never reads stalls only
+    itself, and a connection that fails is closed while the others are
+    served on.
+    """
 
     def __init__(self, service: QpfService, host: str = "127.0.0.1",
                  port: int = 0):
-        super().__init__((host, port), _LineHandler)
         self.service = service
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_recv, selectors.EVENT_READ)
+        self._stopping = False
         self._thread: threading.Thread | None = None
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.server_address
+        return self._listener.getsockname()[:2]
 
     def start(self):
-        self._thread = threading.Thread(target=self.serve_forever,
+        self._thread = threading.Thread(target=self._serve,
                                         name="qpf-service", daemon=True)
         self._thread.start()
-        logger.info("service listening on %s:%d", *self.server_address)
+        logger.info("service listening on %s:%d", *self.address)
 
     def stop(self):
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        if self._stopping:
+            return
+        self._stopping = True
+        if self._thread is None:
+            self._close_all()
+            return
+        self._wake_send.send(b"\0")
+        self._thread.join(timeout=5)
+
+    def _serve(self):
+        try:
+            while not self._stopping:
+                for key, events in self._selector.select():
+                    if key.fileobj is self._listener:
+                        self._accept()
+                    elif key.data is not None:
+                        self._serve_connection(key.data, events)
+        finally:
+            self._close_all()
+
+    def _accept(self):
+        try:
+            sock, peer = self._listener.accept()
+        except OSError as exc:  # the client left before it was accepted
+            logger.info("accept failed: %r", exc)
+            return
+        sock.setblocking(False)
+        self._selector.register(sock, selectors.EVENT_READ,
+                                _Connection(sock, peer))
+
+    def _serve_connection(self, conn: _Connection, events: int):
+        try:
+            if events & selectors.EVENT_READ:
+                data = conn.sock.recv(RECV_BYTES)
+                conn.reading = bool(data)
+                if not conn.refused:
+                    # a last line without a newline is answered too
+                    conn.inbox += data or b"\n"
+            while True:
+                stalled = self._answer(conn)
+                if not (self._send(conn) and stalled):
+                    break
+            self._watch(conn)
+        except Exception as exc:  # one connection's failure ends it alone
+            logger.warning("closing connection from %s: %r", conn.peer, exc,
+                           exc_info=not isinstance(exc, OSError))
+            self._close(conn)
+
+    def _answer(self, conn: _Connection) -> bool:
+        """Reply to each complete line; true when stopped by unsent replies."""
+        while len(conn.outbox) <= MAX_UNSENT_BYTES:
+            end = conn.inbox.find(b"\n", 0, MAX_LINE_BYTES + 1)
+            if end < 0:
+                if len(conn.inbox) > MAX_LINE_BYTES:
+                    conn.outbox += malformed_reply(
+                        f"line longer than {MAX_LINE_BYTES} bytes").encode() + b"\n"
+                    conn.inbox.clear()
+                    conn.refused = True
+                return False
+            line = bytes(conn.inbox[:end])
+            del conn.inbox[:end + 1]
+            try:
+                text = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                conn.outbox += malformed_reply(exc).encode() + b"\n"
+                continue
+            if text:
+                conn.outbox += self.service.handle_line(text).encode() + b"\n"
+        return True
+
+    def _send(self, conn: _Connection) -> bool:
+        """Send what the socket takes; true when the unsent replies are few."""
+        if conn.outbox:
+            try:
+                del conn.outbox[:conn.sock.send(conn.outbox)]
+            except BlockingIOError:
+                pass
+        return len(conn.outbox) <= MAX_UNSENT_BYTES
+
+    def _watch(self, conn: _Connection):
+        """Wait for what the connection needs next, or close it when done."""
+        if not conn.outbox:
+            if not conn.reading:
+                self._close(conn)
+                return
+            if conn.refused and not conn.shut:
+                # closing now could reset the connection before the client
+                # has read the refusal, if some of its input is still unread
+                conn.sock.shutdown(socket.SHUT_WR)
+                conn.shut = True
+        events = selectors.EVENT_WRITE if conn.outbox else 0
+        if conn.reading and len(conn.outbox) <= MAX_UNSENT_BYTES:
+            events |= selectors.EVENT_READ
+        if events != self._selector.get_key(conn.sock).events:
+            self._selector.modify(conn.sock, events, conn)
+
+    def _close(self, conn: _Connection):
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+    def _close_all(self):
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._wake_send.close()
+        self._selector.close()
 
 
 def request_over_socket(address: tuple[str, int], message: dict,

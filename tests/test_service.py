@@ -1,17 +1,19 @@
 import json
 import math
+import random
 import threading
 from collections import deque
 
 import pytest
 
 from qetsim.errors import ServiceError
-from qetsim.isa import Instruction
+from qetsim.isa import Instruction, QuantumProgram, format_program
 from qetsim.service import (AddressTable, EmulatorBackend, ExecutionBatch,
                             QpfService, Segment, ServiceServer, analyze,
                             buffer_and_batch, demux_results, dispatch,
-                            encode_message, parse_client_ops,
-                            request_over_socket, serve_stdio, transform)
+                            _concretize, encode_message, parse_client_ops,
+                            request_over_socket, serve_stdio,
+                            support_exponent, transform)
 
 BELL_OPS = [
     {"op": "QET", "qubits": [0], "theta": -math.pi / 2},
@@ -92,7 +94,10 @@ def test_transform_allocates_pair_per_logical_qubit():
     segment, table = _segment("alice", [{"op": "MEASURE", "qubits": [0]}])
     assert table.locals_of("alice") == {0: 0}
     assert table.pair_of("alice", 0) == (0, 1)
-    assert segment.init_bits == {0: 0, 1: 1}
+    assert segment.slots == {0: 0, 1: 1}
+    # each slot is initialized to its encoded bit (logical 0 is |01>)
+    assert format_program(QuantumProgram(2, segment.instructions)).splitlines()[1:] == [
+        "INIT m0 0", "MEASURE m0", "INIT m1 1", "MEASURE m1"]
     assert segment.measures == [(0, 0, 1)]
 
 
@@ -111,6 +116,83 @@ def test_transform_is_idempotent_per_local_address():
     first = table.pair_of("alice", 0)
     _segment("alice", [{"op": "MEASURE", "qubits": [0]}], table, request_id=1)
     assert table.pair_of("alice", 0) == first
+
+
+# Recorded from the earlier two-pass lowering (global addresses first, then
+# slots and INITs in _concretize).  Client "a" comes after one other
+# client's qubit, so q2 and q0 sit on global pairs (2, 3) and (4, 5).  q0 is
+# the CQET control: its second slot is first used at its readout, and both
+# qubits are measured, then used again.
+LOWERED_OPS = [{"op": "QET", "qubits": [2], "theta": 0.25},
+               {"op": "CQET", "qubits": [0, 2]},
+               {"op": "PHASE", "qubits": [2], "theta": 0.5, "phi": 1.5},
+               {"op": "MEASURE", "qubits": [2]},
+               {"op": "MEASURE", "qubits": [0]},
+               {"op": "QET", "qubits": [0], "theta": 0.75},
+               {"op": "CQET", "qubits": [2, 0]},
+               {"op": "MEASURE", "qubits": [0]},
+               {"op": "MEASURE", "qubits": [2]}]
+LOWERED = """QPU s=4
+INIT m0 0
+LOAD m0 c1
+INIT m1 1
+LOAD m1 c2
+QET 0.25 t0
+SAVE c1 m0
+SAVE c2 m1
+INIT m2 0
+LOAD m2 c0
+LOAD m0 c1
+LOAD m1 c2
+CQET t0
+SAVE c0 m2
+SAVE c1 m0
+SAVE c2 m1
+LOAD m0 c1
+LOAD m1 c2
+PHASE 0.5 1.5 t0
+SAVE c1 m0
+SAVE c2 m1
+MEASURE m0
+MEASURE m1
+MEASURE m2
+INIT m3 1
+MEASURE m3
+INIT m2 0
+LOAD m2 c1
+INIT m3 1
+LOAD m3 c2
+QET 0.75 t0
+SAVE c1 m2
+SAVE c2 m3
+INIT m0 0
+LOAD m0 c0
+LOAD m2 c1
+LOAD m3 c2
+CQET t0
+SAVE c0 m0
+SAVE c1 m2
+SAVE c2 m3
+MEASURE m2
+MEASURE m3
+MEASURE m0
+INIT m1 1
+MEASURE m1
+"""
+
+
+def test_transform_lowers_onto_slots_with_inits_where_they_were():
+    table = AddressTable()
+    table.ensure("other", 0)
+    segment, _ = _segment("a", LOWERED_OPS, table)
+    program, slot_to_gpa, addresses = _concretize(segment, 0)
+    assert format_program(program) == LOWERED
+    assert slot_to_gpa == {0: 2, 1: 3, 2: 4, 3: 5}
+    assert {gpa: address.index for gpa, address in addresses.items()} == {
+        2: 0, 3: 1, 4: 2, 5: 3}
+    assert segment.measures == [(2, 2, 3), (0, 4, 5), (0, 4, 5), (2, 2, 3)]
+    # capacity counts the commands the client asked for, not the INITs
+    assert segment.command_count == LOWERED.count("\n") - 1 - LOWERED.count("INIT")
 
 
 # -- buffering ---------------------------------------------------------------
@@ -302,6 +384,37 @@ def test_service_rejects_oversized_request():
     assert "capacity" in response["errors"][0]["message"]
     assert service.table.locals_of("a") == {}
     assert service._next_request == 0
+
+
+def test_support_exponent_counts_only_splitting_transfers():
+    ops = _ops([{"op": "QET", "qubits": [0], "theta": math.pi},
+                {"op": "QET", "qubits": [0], "theta": -4 * math.pi},
+                {"op": "PHASE", "qubits": [0], "theta": 0.3, "phi": 0.1},
+                {"op": "CQET", "qubits": [0, 1]},
+                {"op": "QET", "qubits": [1], "theta": 0.3},
+                {"op": "QET", "qubits": [1], "theta": 5 * math.pi},
+                {"op": "MEASURE", "qubits": [0]}])
+    assert support_exponent(ops) == 2
+    # never more than the basis of 2 q + 3 positions
+    assert support_exponent(ops * 10) == 7
+
+
+def test_support_budget_rejects_before_anything_is_committed():
+    rng = random.Random(5)
+    angles = [rng.uniform(0.1, 3.0) for _ in range(21)]
+    measures = [{"op": "MEASURE", "qubits": [q]} for q in range(10)]
+    spread = [{"op": "QET", "qubits": [k % 10], "theta": theta}
+              for k, theta in enumerate(angles)] + measures
+    service = QpfService(seed=0)
+    assert service.submit_request("a", spread) == {"type": "error", "errors": [
+        {"index": 0, "message": "request may hold 2^21 register entries; "
+                                "support budget is 1048576"}]}
+    assert service.table.locals_of("a") == {}
+    assert service._next_request == 0
+    # on one qubit the same transfers reach at most 2^5 entries
+    narrow = [{**op, "qubits": [0]} for op in spread[:21]] + measures[:1]
+    assert service.submit_request("a", narrow)["type"] == "result"
+    assert service._next_request == 1
 
 
 class _RaisingBackend(EmulatorBackend):
