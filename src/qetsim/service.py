@@ -36,7 +36,6 @@ import socket
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .compiler import bracket, controlled_transfer, readout
 from .errors import QetSimError, ServiceError
@@ -50,7 +49,7 @@ logger = logging.getLogger(__name__)
 VALID_OPS = ("QET", "PHASE", "CQET", "MEASURE")
 DEFAULT_CAPACITY = 1024
 DEFAULT_QUBIT_BUDGET = 256
-DEFAULT_SUPPORT_BUDGET = 2 ** 20
+SUPPORT_BUDGET = 2 ** 20  # register entries a request may reach
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class Segment:
     slots: dict  # global physical address -> machine slot
     measures: list  # (local logical address, first gpa, second gpa)
 
-    @cached_property
+    @property
     def command_count(self) -> int:
         """Commands the request asked for; the INITs the lowering adds are free."""
         return sum(instr.opcode != "INIT" for instr in self.instructions)
@@ -216,20 +215,22 @@ def parse_client_ops(raw_ops) -> list[ClientOp]:
 def support_exponent(ops: list[ClientOp]) -> int:
     """``log2`` of a sound bound on the machine support the request can reach.
 
-    Only a ``QET`` at an angle without an exact matrix splits a basis
-    state in two; ``PHASE``, ``CQET``, exact transfers, the slot moves
-    and ``MEASURE`` never add an entry.  Nor can the support exceed the
-    basis of the request's ``2 q + 3`` positions.
+    Each pair holds one excitation from its INIT until it is measured:
+    a ``QET`` or ``CQET`` moves it only between the two slots of one
+    pair, and the slot moves relabel positions alike in every basis
+    state.  So each qubit adds at most one bit of support, and only a
+    ``QET`` at an angle without an exact matrix splits a basis state in
+    two; ``PHASE``, ``CQET``, exact transfers, the slot moves and
+    ``MEASURE`` never add an entry.
     """
     splits = sum(1 for op in ops
                  if op.op == "QET" and exact_turns(op.theta) is None)
     qubits = {q for op in ops for q in op.qubits}
-    return min(splits, 2 * len(qubits) + 3)
+    return min(splits, len(qubits))
 
 
 def analyze(ops: list[ClientOp], table: AddressTable, client_id: str,
-            qubit_budget: int = DEFAULT_QUBIT_BUDGET,
-            support_budget: int = DEFAULT_SUPPORT_BUDGET) -> list[ClientOp]:
+            qubit_budget: int = DEFAULT_QUBIT_BUDGET) -> list[ClientOp]:
     """The request checks: structure, parameters, addresses, support size.
 
     Returns the ops unchanged when everything passes; otherwise raises
@@ -259,9 +260,9 @@ def analyze(ops: list[ClientOp], table: AddressTable, client_id: str,
         errors.append((len(ops), "request contains no MEASURE; results would "
                                  "be unreturnable"))
     exponent = 0 if errors else support_exponent(ops)
-    if 2 ** exponent > support_budget:
+    if 2 ** exponent > SUPPORT_BUDGET:
         errors.append((0, f"request may hold 2^{exponent} register entries; "
-                          f"support budget is {support_budget}"))
+                          f"support budget is {SUPPORT_BUDGET}"))
     if errors:
         raise ServiceError(errors)
     return ops
@@ -457,12 +458,10 @@ class QpfService:
     """
 
     def __init__(self, seed: int = 0, capacity: int = DEFAULT_CAPACITY,
-                 backend=None, qubit_budget: int = DEFAULT_QUBIT_BUDGET,
-                 support_budget: int = DEFAULT_SUPPORT_BUDGET):
+                 backend=None, qubit_budget: int = DEFAULT_QUBIT_BUDGET):
         self.backend = backend or EmulatorBackend(seed, capacity)
         self.table = AddressTable()
         self.qubit_budget = qubit_budget
-        self.support_budget = support_budget
         self._queue: deque = deque()
         self._pending: dict[tuple[str, int], _Pending] = {}
         self._state_lock = threading.Lock()
@@ -477,8 +476,7 @@ class QpfService:
         try:
             ops = parse_client_ops(raw_ops)
             with self._state_lock:
-                analyze(ops, self.table, client_id, self.qubit_budget,
-                        self.support_budget)
+                analyze(ops, self.table, client_id, self.qubit_budget)
                 request_id = self._next_request
                 mark = self.table.checkpoint()
                 segment = transform(ops, self.table, client_id, request_id)

@@ -5,15 +5,20 @@ import threading
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetsim.errors import ServiceError
 from qetsim.isa import Instruction, QuantumProgram, format_program
-from qetsim.service import (AddressTable, EmulatorBackend, ExecutionBatch,
-                            QpfService, Segment, ServiceServer, analyze,
+from qetsim.machine import execute_instruction, fresh_machine
+from qetsim.service import (SUPPORT_BUDGET, AddressTable, EmulatorBackend,
+                            ExecutionBatch, QpfService, Segment,
+                            ServiceServer, analyze,
                             buffer_and_batch, demux_results, dispatch,
                             _concretize, encode_message, parse_client_ops,
                             request_over_socket, serve_stdio,
                             support_exponent, transform)
+from qetsim.statevector import RandomSource
 
 BELL_OPS = [
     {"op": "QET", "qubits": [0], "theta": -math.pi / 2},
@@ -395,25 +400,55 @@ def test_support_exponent_counts_only_splitting_transfers():
                 {"op": "QET", "qubits": [1], "theta": 5 * math.pi},
                 {"op": "MEASURE", "qubits": [0]}])
     assert support_exponent(ops) == 2
-    # never more than the basis of 2 q + 3 positions
-    assert support_exponent(ops * 10) == 7
+    # never more than one bit per qubit: each pair holds one excitation
+    assert support_exponent(ops * 10) == 2
+
+
+_ANGLES = st.sampled_from([0.3, -1.1, 2.0, math.pi, -math.pi / 2, 2 * math.pi])
+_CLIENT_OP = st.one_of(
+    st.builds(lambda q, t: {"op": "QET", "qubits": [q], "theta": t},
+              st.integers(0, 3), _ANGLES),
+    st.builds(lambda q, t: {"op": "PHASE", "qubits": [q], "theta": t,
+                            "phi": 0.7},
+              st.integers(0, 3), _ANGLES),
+    st.builds(lambda qs: {"op": "CQET", "qubits": qs},
+              st.lists(st.integers(0, 3), min_size=2, max_size=2,
+                       unique=True)),
+    st.builds(lambda q: {"op": "MEASURE", "qubits": [q]}, st.integers(0, 3)))
+
+
+@settings(max_examples=200)
+@given(st.lists(_CLIENT_OP, min_size=1, max_size=12), st.integers(0, 2 ** 32))
+def test_machine_support_stays_within_the_bound(raw, seed):
+    ops = analyze(_ops(raw + [{"op": "MEASURE", "qubits": [0]}]),
+                  AddressTable(), "a")
+    program = _concretize(transform(ops, AddressTable(), "a"), 0)[0]
+    machine, rng = fresh_machine(program.s), RandomSource(seed)
+    bound = 2 ** support_exponent(ops)
+    for instr in program.instructions:
+        machine = execute_instruction(machine, instr, rng)[0]
+        assert len(machine.indices) <= bound
 
 
 def test_support_budget_rejects_before_anything_is_committed():
     rng = random.Random(5)
     angles = [rng.uniform(0.1, 3.0) for _ in range(21)]
-    measures = [{"op": "MEASURE", "qubits": [q]} for q in range(10)]
-    spread = [{"op": "QET", "qubits": [k % 10], "theta": theta}
-              for k, theta in enumerate(angles)] + measures
+
+    def request(width):
+        return ([{"op": "QET", "qubits": [k % width], "theta": theta}
+                 for k, theta in enumerate(angles)]
+                + [{"op": "MEASURE", "qubits": [q]} for q in range(width)])
+
     service = QpfService(seed=0)
-    assert service.submit_request("a", spread) == {"type": "error", "errors": [
-        {"index": 0, "message": "request may hold 2^21 register entries; "
-                                "support budget is 1048576"}]}
+    assert service.submit_request("a", request(21)) == {
+        "type": "error", "errors": [
+            {"index": 0, "message": "request may hold 2^21 register entries; "
+                                    f"support budget is {SUPPORT_BUDGET}"}]}
+    assert SUPPORT_BUDGET == 2 ** 20
     assert service.table.locals_of("a") == {}
     assert service._next_request == 0
-    # on one qubit the same transfers reach at most 2^5 entries
-    narrow = [{**op, "qubits": [0]} for op in spread[:21]] + measures[:1]
-    assert service.submit_request("a", narrow)["type"] == "result"
+    # on 10 qubits the same transfers reach at most 2^10 entries
+    assert service.submit_request("a", request(10))["type"] == "result"
     assert service._next_request == 1
 
 

@@ -119,6 +119,10 @@ def test_client_that_never_reads_stalls_only_itself(server, clients):
     # that the replies the client leaves unread pile up in the server
     server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
     good, stuck = clients(), clients(receive_buffer=4096)
+    # once both are answered both are registered, so the selector map
+    # polled below no longer changes size
+    assert good.ask(FLIP) == FLIPPED
+    assert stuck.ask({**FLIP, "client": "stuck"}) == FLIPPED
     burst = (encode_message({**FLIP, "client": "stuck"}).encode() + b"\n") * 2000
     sender = threading.Thread(target=stuck.send, args=(burst,), daemon=True)
     sender.start()
