@@ -24,9 +24,9 @@ from .machine import (MachineState, TraceRecord, execute_instruction,
                       fresh_machine, run_program)
 from .protocol import (ElementaryOp, ProtocolInput, elementary_unitary,
                        protocol_sequence, run_protocol, verify_against_cqet)
-from .service import (AddressTable, EmulatorBackend, ExecutionBatch,
-                      QpfService, ServiceServer, analyze, buffer_and_batch,
-                      demux_results, dispatch, transform)
+from .service import (EmulatorBackend, ExecutionBatch, QpfService,
+                      ServiceServer, analyze, buffer_and_batch, demux_results,
+                      dispatch, transform)
 from .statevector import (LocalUnitary, RandomSource, StateVector,
                           SubsystemShape, apply_local, basis_state, fidelity,
                           is_unitary, measure_subsystem)

@@ -35,6 +35,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError("must be an integer in 0..65535")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qetsim",
@@ -66,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transport", choices=("stdio", "socket"), default="stdio")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
+    p.add_argument("--port", type=_port, default=0)
     return parser
 
 
@@ -212,7 +219,7 @@ def cmd_serve(args) -> int:
                         format="%(asctime)s %(name)s %(message)s")
     service = QpfService(seed=args.seed, capacity=args.capacity)
     if args.transport == "stdio":
-        serve_stdio(service, sys.stdin, sys.stdout)
+        serve_stdio(service, sys.stdin.buffer, sys.stdout)
         return 0
     server = ServiceServer(service, args.host, args.port)
     server.start()

@@ -2,16 +2,18 @@
 
 Requests carry universal-basis operations on logical qubits addressed by
 client-local integers.  The pipeline mirrors the layer structure of the
-framework: request analysis, logical-to-physical transformation against
-shared address tables, capacity-bounded batching of whole segments,
-dispatch onto a backend, and demultiplexing of measurement results back
-to local addresses.
+framework: request analysis, transformation of each request onto the
+machine slots of its own segment, capacity-bounded batching of whole
+segments, dispatch onto a backend, and demultiplexing of measurement
+results back to local addresses.
 
 ``transform`` lowers each request once, straight onto the machine slots
-of its segment: slots are numbered in order of first use and every
-``INIT`` is placed as the segment is built, so the dispatcher only runs
-the program and maps measured slots back to global addresses.  The TCP
-transport serves every connection from one selector thread.
+of its segment: each half of a local qubit's pair takes the next slot at
+its first use and every ``INIT`` is placed as the segment is built, so
+the dispatcher only runs the program and the demultiplexer reads the
+measured slots.  Every segment runs as its own program on a fresh
+machine, so no address outlives its request.  The TCP transport serves
+every connection from one selector thread.
 
 Wire protocol (newline-delimited JSON, UTF-8):
 
@@ -62,13 +64,6 @@ class ClientOp:
     phi: float | None = None
 
 
-@dataclass(frozen=True)
-class PhysicalAddress:
-    """Per-segment address metadata handed out by the dispatcher."""
-
-    index: int
-
-
 @dataclass
 class Segment:
     """One client's physical command run, ending at its measure group."""
@@ -76,8 +71,8 @@ class Segment:
     client_id: str
     request_id: int
     instructions: list  # Instruction over machine slots, INITs included
-    slots: dict  # global physical address -> machine slot
-    measures: list  # (local logical address, first gpa, second gpa)
+    slots: dict  # (local logical address, half of its pair) -> machine slot
+    measures: list  # (local logical address, first slot, second slot)
 
     @property
     def command_count(self) -> int:
@@ -100,68 +95,10 @@ class SegmentOutcome:
 
     client_id: str
     request_id: int
-    measures: list
-    records: list  # (global physical address, bit)
-    addresses: dict  # global physical address -> PhysicalAddress
+    measures: list  # (local logical address, first slot, second slot)
+    records: list  # (machine slot, bit)
     trace: ExecutionTrace | None = None
     error: str | None = None
-
-
-@dataclass
-class DispatchResult:
-    outcomes: list
-
-
-class AddressTable:
-    """Local-to-global logical addresses and their physical pairs.
-
-    Per client the local mapping is a bijection; physical pairs are
-    globally disjoint because global addresses are never recycled.
-    """
-
-    def __init__(self):
-        self._locals: dict[str, dict[int, int]] = {}
-        self._pairs: dict[int, tuple[int, int]] = {}
-        self._next_logical = 0
-        self._next_physical = 0
-
-    def ensure(self, client_id: str, local: int) -> tuple[int, tuple[int, int]]:
-        """Global logical address and physical pair, allocating on first use."""
-        table = self._locals.setdefault(client_id, {})
-        if local not in table:
-            glob = self._next_logical
-            self._next_logical += 1
-            pair = (self._next_physical, self._next_physical + 1)
-            self._next_physical += 2
-            table[local] = glob
-            self._pairs[glob] = pair
-        glob = table[local]
-        return glob, self._pairs[glob]
-
-    def checkpoint(self) -> tuple[int, int]:
-        """The next free addresses, to hand to :meth:`rollback`."""
-        return self._next_logical, self._next_physical
-
-    def rollback(self, client_id: str, mark: tuple[int, int]):
-        """Forget every address ``client_id`` was given since ``mark``."""
-        table = self._locals[client_id]
-        for local in [local for local, glob in table.items() if glob >= mark[0]]:
-            del self._pairs[table.pop(local)]
-        self._next_logical, self._next_physical = mark
-
-    def pair_of(self, client_id: str, local: int) -> tuple[int, int]:
-        return self._pairs[self._locals[client_id][local]]
-
-    def locals_of(self, client_id: str) -> dict[int, int]:
-        return dict(self._locals.get(client_id, {}))
-
-    def check_consistency(self):
-        for client, table in self._locals.items():
-            if len(set(table.values())) != len(table):
-                raise ServiceError([(0, f"duplicate global address for {client}")])
-        used = [addr for pair in self._pairs.values() for addr in pair]
-        if len(set(used)) != len(used):
-            raise ServiceError([(0, "physical pairs are not disjoint")])
 
 
 def _finite_float(value: int | float) -> float | None:
@@ -229,7 +166,7 @@ def support_exponent(ops: list[ClientOp]) -> int:
     return min(splits, len(qubits))
 
 
-def analyze(ops: list[ClientOp], table: AddressTable, client_id: str,
+def analyze(ops: list[ClientOp],
             qubit_budget: int = DEFAULT_QUBIT_BUDGET) -> list[ClientOp]:
     """The request checks: structure, parameters, addresses, support size.
 
@@ -298,22 +235,20 @@ def _on_slot(template: Instruction, slot: int) -> Instruction:
     return instr
 
 
-def transform(ops: list[ClientOp], table: AddressTable, client_id: str,
+def transform(ops: list[ClientOp], client_id: str,
               request_id: int = 0) -> Segment:
     """Lower validated logical ops onto the machine slots of one segment.
 
-    Allocates global addresses for first-seen locals and splits each
-    logical qubit onto its physical pair.  Each physical address takes
-    the next free slot at its first use, and an INIT to its encoded bit
-    goes right before that use and before its first use after a MEASURE.
+    Splits each logical qubit onto a physical pair.  Each half of a pair
+    takes the next free slot at its first use, and an INIT to its encoded
+    bit goes right before that use and before its first use after a
+    MEASURE.  The segment depends on the ops alone.
     """
     instructions: list[Instruction] = []
-    slots: dict[int, int] = {}
+    slots: dict[tuple[int, int], int] = {}
     live: set[int] = set()  # slots initialized and not measured since
     measures = []
     for op in ops:
-        addresses = [addr for q in op.qubits
-                     for addr in table.ensure(client_id, q)[1]]
         gate = None  # the op's own gate: built per request, never shared
         if op.op == "QET":
             gate = Instruction.qet(op.theta)
@@ -327,15 +262,18 @@ def transform(ops: list[ClientOp], table: AddressTable, client_id: str,
             if placeholder is None:  # CQET acts on the cells only
                 instructions.append(template)
                 continue
-            slot = slots.setdefault(addresses[placeholder], len(slots))
+            half = placeholder % 2
+            slot = slots.setdefault((op.qubits[placeholder // 2], half),
+                                    len(slots))
             if slot not in live:
-                instructions.append(_on_slot(_INIT[placeholder % 2], slot))
+                instructions.append(_on_slot(_INIT[half], slot))
                 live.add(slot)
             if template.opcode == "MEASURE":
                 live.discard(slot)
             instructions.append(_on_slot(template, slot))
         if op.op == "MEASURE":
-            measures.append((op.qubits[0], *addresses))
+            q = op.qubits[0]
+            measures.append((q, slots[q, 0], slots[q, 1]))
     return Segment(client_id, request_id, instructions, slots, measures)
 
 
@@ -364,39 +302,35 @@ class EmulatorBackend:
         return run_program(program, self._rng)
 
 
-def _concretize(segment: Segment, clock: int):
-    """The segment's machine program and its slot maps (``clock`` is unused)."""
-    program = QuantumProgram(max(len(segment.slots), 1), segment.instructions)
-    slot_to_gpa = {slot: gpa for gpa, slot in segment.slots.items()}
-    addresses = {gpa: PhysicalAddress(slot) for gpa, slot in segment.slots.items()}
-    return program, slot_to_gpa, addresses
+def _concretize(segment: Segment, clock: int) -> QuantumProgram:
+    """The segment's machine program (``clock`` is unused)."""
+    return QuantumProgram(max(len(segment.slots), 1), segment.instructions)
 
 
-def dispatch(batch: ExecutionBatch, backend) -> DispatchResult:
+def dispatch(batch: ExecutionBatch, backend) -> list[SegmentOutcome]:
     """Run every segment of a batch; a failing segment hurts only itself."""
     outcomes = []
     for clock, segment in enumerate(batch.segments):
-        program, slot_to_gpa, addresses = _concretize(segment, clock)
+        program = _concretize(segment, clock)
         try:
-            results, trace = backend.run(program)
+            records, trace = backend.run(program)
         except Exception as exc:  # whatever fails stays with its segment
             known = isinstance(exc, QetSimError)
             logger.warning("segment %s/%s failed: %r", segment.client_id,
                            segment.request_id, exc, exc_info=not known)
             outcomes.append(SegmentOutcome(
-                segment.client_id, segment.request_id, list(segment.measures),
-                [], addresses, None, str(exc) if known else repr(exc)))
+                segment.client_id, segment.request_id, segment.measures,
+                [], None, str(exc) if known else repr(exc)))
             continue
-        records = [(slot_to_gpa[slot], bit) for slot, bit in results]
         outcomes.append(SegmentOutcome(
-            segment.client_id, segment.request_id, list(segment.measures),
-            records, addresses, trace))
+            segment.client_id, segment.request_id, segment.measures,
+            records, trace))
     logger.info("dispatched batch: %d segment(s), %d command(s)",
                 len(batch.segments), batch.command_count)
-    return DispatchResult(outcomes)
+    return outcomes
 
 
-def demux_results(result: DispatchResult, table: AddressTable) -> dict:
+def demux_results(outcomes: list[SegmentOutcome]) -> dict:
     """Per-request responses keyed by ``(client_id, request_id)``.
 
     Each logical readout takes the first physical bit; a pair with equal
@@ -404,7 +338,7 @@ def demux_results(result: DispatchResult, table: AddressTable) -> dict:
     decode error rather than being resolved silently.
     """
     responses = {}
-    for outcome in result.outcomes:
+    for outcome in outcomes:
         key = (outcome.client_id, outcome.request_id)
         if outcome.error is not None:
             responses[key] = {"type": "error",
@@ -453,14 +387,13 @@ class _Pending:
 class QpfService:
     """The framework front end: accepts requests, batches, dispatches.
 
-    Thread-safe: the tables and queue form one critical section, and at
-    most one batch is in flight on the backend at a time.
+    Thread-safe: the request counter and queue form one critical
+    section, and at most one batch is in flight on the backend at a time.
     """
 
     def __init__(self, seed: int = 0, capacity: int = DEFAULT_CAPACITY,
                  backend=None, qubit_budget: int = DEFAULT_QUBIT_BUDGET):
         self.backend = backend or EmulatorBackend(seed, capacity)
-        self.table = AddressTable()
         self.qubit_budget = qubit_budget
         self._queue: deque = deque()
         self._pending: dict[tuple[str, int], _Pending] = {}
@@ -474,14 +407,11 @@ class QpfService:
     def submit_request(self, client_id: str, raw_ops) -> dict:
         """Full pipeline for one request; blocks until its batch ran."""
         try:
-            ops = parse_client_ops(raw_ops)
+            ops = analyze(parse_client_ops(raw_ops), self.qubit_budget)
             with self._state_lock:
-                analyze(ops, self.table, client_id, self.qubit_budget)
                 request_id = self._next_request
-                mark = self.table.checkpoint()
-                segment = transform(ops, self.table, client_id, request_id)
+                segment = transform(ops, client_id, request_id)
                 if segment.command_count > self.capacity():
-                    self.table.rollback(client_id, mark)
                     raise ServiceError(
                         [(0, f"request needs {segment.command_count} commands; "
                              f"controller capacity is {self.capacity()}")])
@@ -504,8 +434,7 @@ class QpfService:
                     batch = buffer_and_batch(self._queue, self.capacity())
                 if not batch.segments:
                     return
-                result = dispatch(batch, self.backend)
-                responses = demux_results(result, self.table)
+                responses = demux_results(dispatch(batch, self.backend))
             with self._state_lock:
                 for key, response in responses.items():
                     pending = self._pending.pop(key, None)
@@ -539,6 +468,14 @@ class QpfService:
             return malformed_reply(exc)
         return encode_message(self.handle_message(message))
 
+    def handle_bytes(self, line: bytes) -> str | None:
+        """The reply to one raw line of either transport; None for a blank line."""
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            return malformed_reply(exc)
+        return self.handle_line(text) if text else None
+
 
 def encode_message(obj: dict) -> str:
     """Canonical one-line encoding used by both transports and the CLI."""
@@ -552,13 +489,12 @@ def malformed_reply(reason) -> str:
 
 
 def serve_stdio(service: QpfService, stdin, stdout):
-    """Serve the line protocol on a pair of text streams until EOF."""
+    """Serve the line protocol from a binary input to a text output until EOF."""
     for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        stdout.write(service.handle_line(line) + "\n")
-        stdout.flush()
+        reply = service.handle_bytes(line)
+        if reply is not None:
+            stdout.write(reply + "\n")
+            stdout.flush()
 
 
 MAX_LINE_BYTES = 1 << 20  # a longer line is refused and its connection closed
@@ -674,15 +610,10 @@ class ServiceServer:
                     conn.inbox.clear()
                     conn.refused = True
                 return False
-            line = bytes(conn.inbox[:end])
+            reply = self.service.handle_bytes(bytes(conn.inbox[:end]))
             del conn.inbox[:end + 1]
-            try:
-                text = line.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                conn.outbox += malformed_reply(exc).encode() + b"\n"
-                continue
-            if text:
-                conn.outbox += self.service.handle_line(text).encode() + b"\n"
+            if reply is not None:
+                conn.outbox += reply.encode() + b"\n"
         return True
 
     def _send(self, conn: _Connection) -> bool:

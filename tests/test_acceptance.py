@@ -21,10 +21,9 @@ from qetsim.isa import Instruction
 from qetsim.machine import execute_instruction, fresh_machine, run_program
 from qetsim.protocol import (ProtocolInput, assemble_state, run_protocol,
                              step_term_trace, verify_against_cqet)
-from qetsim.service import (AddressTable, EmulatorBackend, ExecutionBatch,
-                            QpfService, Segment, analyze, dispatch,
-                            demux_results, encode_message, parse_client_ops,
-                            transform)
+from qetsim.service import (EmulatorBackend, ExecutionBatch, QpfService,
+                            Segment, analyze, dispatch, demux_results,
+                            encode_message, parse_client_ops, transform)
 from qetsim.statevector import RandomSource, fidelity, is_unitary
 from reference_tables import (LINEAGES, PHYSICAL_STEPS, REFERENCE_STEPS,
                               semantic_config)
@@ -313,18 +312,17 @@ def test_criterion_7_service_end_to_end():
     for thread in threads:
         thread.join()
     assert failures == []
-    service.table.check_consistency()
+    assert service._pending == {} and not service._queue
 
     # trace-level isolation: live slots inside each segment belong to
     # exactly one client's addresses, and nothing stays live at the end
-    table = AddressTable()
     segments = []
     for request_id, (name, (raw, _)) in enumerate(programs.items()):
-        ops = analyze(parse_client_ops(raw), table, name)
-        segments.append(transform(ops, table, name, request_id))
-    result = dispatch(ExecutionBatch(segments), EmulatorBackend(seed=7))
-    for segment, outcome in zip(segments, result.outcomes):
-        owned_slots = {addr.index for addr in outcome.addresses.values()}
+        ops = analyze(parse_client_ops(raw))
+        segments.append(transform(ops, name, request_id))
+    outcomes = dispatch(ExecutionBatch(segments), EmulatorBackend(seed=7))
+    for segment, outcome in zip(segments, outcomes):
+        owned_slots = set(segment.slots.values())
         for record in outcome.trace:
             live = {slot for slot, occupied
                     in enumerate(record.memory_occupied) if occupied}
@@ -342,16 +340,14 @@ def test_criterion_7_service_end_to_end():
     assert transcript() == transcript()
 
     # a failing segment does not poison its siblings
-    table = AddressTable()
-    ops_a = analyze(parse_client_ops(programs["a"][0]), table, "a")
-    seg_a = transform(ops_a, table, "a", 0)
+    ops_a = analyze(parse_client_ops(programs["a"][0]))
+    seg_a = transform(ops_a, "a", 0)
     broken = Segment("x", 1, [Instruction.qet(1.0), Instruction.measure(0)],
                      {0: 0}, [(0, 0, 1)])
-    ops_c = analyze(parse_client_ops(programs["a"][0]), table, "c")
-    seg_c = transform(ops_c, table, "c", 2)
-    result = dispatch(ExecutionBatch([seg_a, broken, seg_c]),
-                      EmulatorBackend(seed=3))
-    responses = demux_results(result, table)
+    seg_c = transform(ops_a, "c", 2)
+    outcomes = dispatch(ExecutionBatch([seg_a, broken, seg_c]),
+                        EmulatorBackend(seed=3))
+    responses = demux_results(outcomes)
     assert responses[("a", 0)]["type"] == "result"
     assert responses[("x", 1)]["type"] == "error"
     assert responses[("c", 2)]["type"] == "result"

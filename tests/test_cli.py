@@ -1,11 +1,17 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qetsim
 from qetsim.cli import main
 from qetsim.isa import parse_program
+from qetsim.service import QpfService
 
 PHYSICAL_OK = ("QPU s=2\n"
                "INIT m0 0\nINIT m1 1\n"
@@ -171,9 +177,37 @@ def test_negative_seed_is_usage_error(argv, capsys):
     assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", ["70000", "-5"])
+def test_port_out_of_range_is_usage_error(port, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["serve", "--transport", "socket", "--port", port])
+    assert info.value.code == 2
+    assert "--port: must be an integer in 0..65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("locale_env", [
+    {"PYTHONIOENCODING": "utf-8"},
+    {"LC_ALL": "C"},
+], ids=["utf-8", "c-locale"])
+def test_serve_stdio_answers_non_utf8_line_like_tcp(locale_env):
+    # the reply TCP gives to the same bytes, then the service serves on
+    expected = QpfService().handle_bytes(b"\xff")
+    assert expected.startswith('{"errors":[{"index":-1,"message":"malformed')
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONIOENCODING", "LC_ALL")}
+    env.update(locale_env, PYTHONPATH=str(Path(qetsim.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qetsim.cli", "serve", "--capacity", "64"],
+        input=b'\xff\n{"type":"capacity"}\n', capture_output=True, env=env,
+        timeout=60)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert done.stdout.decode().splitlines() == [
+        expected, '{"capacity":64,"type":"capacity"}']
+
+
 def test_serve_stdio_one_shot(monkeypatch, capsys):
-    fake_in = io.StringIO(
-        '{"type":"submit","client":"a","ops":[{"op":"MEASURE","qubits":[0]}]}\n')
+    fake_in = io.TextIOWrapper(io.BytesIO(
+        b'{"type":"submit","client":"a","ops":[{"op":"MEASURE","qubits":[0]}]}\n'))
     monkeypatch.setattr("sys.stdin", fake_in)
     assert main(["serve", "--transport", "stdio", "--seed", "4"]) == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]

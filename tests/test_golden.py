@@ -40,6 +40,6 @@ def test_seeded_service_transcript_is_byte_identical():
     # valid requests from several clients, every kind of rejection, a
     # backend failure (65 positions) and malformed or unknown messages
     out = io.StringIO()
-    with open(GOLDEN / "service_requests.jsonl", encoding="utf-8") as requests:
+    with open(GOLDEN / "service_requests.jsonl", "rb") as requests:
         serve_stdio(QpfService(seed=7, capacity=64), requests, out)
     assert out.getvalue() == (GOLDEN / "service_seed7.jsonl").read_text()

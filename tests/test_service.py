@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import random
 import threading
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 from qetsim.errors import ServiceError
 from qetsim.isa import Instruction, QuantumProgram, format_program
 from qetsim.machine import execute_instruction, fresh_machine
-from qetsim.service import (SUPPORT_BUDGET, AddressTable, EmulatorBackend,
+from qetsim.service import (SUPPORT_BUDGET, EmulatorBackend,
                             ExecutionBatch, QpfService, Segment,
-                            ServiceServer, analyze,
+                            SegmentOutcome, ServiceServer, analyze,
                             buffer_and_batch, demux_results, dispatch,
                             _concretize, encode_message, parse_client_ops,
                             request_over_socket, serve_stdio,
@@ -36,10 +38,8 @@ def _ops(raw):
     return parse_client_ops(raw)
 
 
-def _segment(client, raw, table=None, request_id=0):
-    table = table if table is not None else AddressTable()
-    ops = analyze(_ops(raw), table, client)
-    return transform(ops, table, client, request_id), table
+def _segment(client, raw, request_id=0):
+    return transform(analyze(_ops(raw)), client, request_id)
 
 
 # -- analysis ----------------------------------------------------------------
@@ -48,8 +48,7 @@ def _segment(client, raw, table=None, request_id=0):
 def test_analyze_missing_theta_names_op_index():
     with pytest.raises(ServiceError) as info:
         analyze(_ops([{"op": "QET", "qubits": [0]},
-                      {"op": "MEASURE", "qubits": [0]}]),
-                AddressTable(), "c")
+                      {"op": "MEASURE", "qubits": [0]}]))
     assert info.value.errors[0][0] == 0
     assert "missing parameter" in info.value.errors[0][1]
 
@@ -58,8 +57,7 @@ def test_analyze_accepts_two_qubit_request():
     ops = analyze(_ops([{"op": "QET", "qubits": [0], "theta": 0.3},
                         {"op": "CQET", "qubits": [0, 1]},
                         {"op": "MEASURE", "qubits": [0]},
-                        {"op": "MEASURE", "qubits": [1]}]),
-                  AddressTable(), "c")
+                        {"op": "MEASURE", "qubits": [1]}]))
     assert len(ops) == 4
 
 
@@ -67,20 +65,18 @@ def test_analyze_rejects_address_beyond_budget():
     with pytest.raises(ServiceError) as info:
         analyze(_ops([{"op": "CQET", "qubits": [0, 99999]},
                       {"op": "MEASURE", "qubits": [0]}]),
-                AddressTable(), "c", qubit_budget=256)
+                qubit_budget=256)
     assert "outside declared range" in info.value.errors[0][1]
 
 
 def test_analyze_rejects_measure_free_request():
     with pytest.raises(ServiceError, match="no MEASURE"):
-        analyze(_ops([{"op": "QET", "qubits": [0], "theta": 1.0}]),
-                AddressTable(), "c")
+        analyze(_ops([{"op": "QET", "qubits": [0], "theta": 1.0}]))
 
 
 def test_analyze_rejects_stray_parameters():
     with pytest.raises(ServiceError, match="no angle"):
-        analyze(_ops([{"op": "MEASURE", "qubits": [0], "theta": 1.0}]),
-                AddressTable(), "c")
+        analyze(_ops([{"op": "MEASURE", "qubits": [0], "theta": 1.0}]))
 
 
 def test_parse_rejects_malformed_descriptors():
@@ -96,38 +92,18 @@ def test_parse_rejects_malformed_descriptors():
 
 
 def test_transform_allocates_pair_per_logical_qubit():
-    segment, table = _segment("alice", [{"op": "MEASURE", "qubits": [0]}])
-    assert table.locals_of("alice") == {0: 0}
-    assert table.pair_of("alice", 0) == (0, 1)
-    assert segment.slots == {0: 0, 1: 1}
+    segment = _segment("alice", [{"op": "MEASURE", "qubits": [0]}])
+    assert segment.slots == {(0, 0): 0, (0, 1): 1}
     # each slot is initialized to its encoded bit (logical 0 is |01>)
     assert format_program(QuantumProgram(2, segment.instructions)).splitlines()[1:] == [
         "INIT m0 0", "MEASURE m0", "INIT m1 1", "MEASURE m1"]
     assert segment.measures == [(0, 0, 1)]
 
 
-def test_transform_distinct_globals_for_overlapping_locals():
-    table = AddressTable()
-    _segment("alice", [{"op": "MEASURE", "qubits": [0]}], table)
-    _segment("bob", [{"op": "MEASURE", "qubits": [0]}], table)
-    assert table.pair_of("alice", 0) != table.pair_of("bob", 0)
-    table.check_consistency()
-
-
-def test_transform_is_idempotent_per_local_address():
-    table = AddressTable()
-    _segment("alice", [{"op": "QET", "qubits": [0], "theta": 1.0},
-                       {"op": "MEASURE", "qubits": [0]}], table)
-    first = table.pair_of("alice", 0)
-    _segment("alice", [{"op": "MEASURE", "qubits": [0]}], table, request_id=1)
-    assert table.pair_of("alice", 0) == first
-
-
 # Recorded from the earlier two-pass lowering (global addresses first, then
-# slots and INITs in _concretize).  Client "a" comes after one other
-# client's qubit, so q2 and q0 sit on global pairs (2, 3) and (4, 5).  q0 is
-# the CQET control: its second slot is first used at its readout, and both
-# qubits are measured, then used again.
+# slots and INITs in _concretize).  q0 is the CQET control: its second slot
+# is first used at its readout, and both qubits are measured, then used
+# again.
 LOWERED_OPS = [{"op": "QET", "qubits": [2], "theta": 0.25},
                {"op": "CQET", "qubits": [0, 2]},
                {"op": "PHASE", "qubits": [2], "theta": 0.5, "phi": 1.5},
@@ -187,17 +163,42 @@ MEASURE m1
 
 
 def test_transform_lowers_onto_slots_with_inits_where_they_were():
-    table = AddressTable()
-    table.ensure("other", 0)
-    segment, _ = _segment("a", LOWERED_OPS, table)
-    program, slot_to_gpa, addresses = _concretize(segment, 0)
-    assert format_program(program) == LOWERED
-    assert slot_to_gpa == {0: 2, 1: 3, 2: 4, 3: 5}
-    assert {gpa: address.index for gpa, address in addresses.items()} == {
-        2: 0, 3: 1, 4: 2, 5: 3}
-    assert segment.measures == [(2, 2, 3), (0, 4, 5), (0, 4, 5), (2, 2, 3)]
+    segment = _segment("a", LOWERED_OPS)
+    assert format_program(_concretize(segment, 0)) == LOWERED
+    assert segment.slots == {(2, 0): 0, (2, 1): 1, (0, 0): 2, (0, 1): 3}
+    assert segment.measures == [(2, 0, 1), (0, 2, 3), (0, 2, 3), (2, 0, 1)]
     # capacity counts the commands the client asked for, not the INITs
     assert segment.command_count == LOWERED.count("\n") - 1 - LOWERED.count("INIT")
+
+
+_ANGLES = st.sampled_from([0.3, -1.1, 2.0, math.pi, -math.pi / 2, 2 * math.pi])
+_CLIENT_OP = st.one_of(
+    st.builds(lambda q, t: {"op": "QET", "qubits": [q], "theta": t},
+              st.integers(0, 3), _ANGLES),
+    st.builds(lambda q, t: {"op": "PHASE", "qubits": [q], "theta": t,
+                            "phi": 0.7},
+              st.integers(0, 3), _ANGLES),
+    st.builds(lambda qs: {"op": "CQET", "qubits": qs},
+              st.lists(st.integers(0, 3), min_size=2, max_size=2,
+                       unique=True)),
+    st.builds(lambda q: {"op": "MEASURE", "qubits": [q]}, st.integers(0, 3)))
+_CLIENT_ID = st.text("abxyz", min_size=1, max_size=4)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(_CLIENT_ID, st.lists(_CLIENT_OP, max_size=6)),
+                max_size=4), _CLIENT_ID)
+def test_transform_depends_on_the_ops_alone(earlier, client):
+    reference = _segment("a", LOWERED_OPS)
+    service = QpfService(seed=0)
+    for request_id, (name, raw) in enumerate(earlier):
+        raw = raw + [{"op": "MEASURE", "qubits": [0]}]
+        assert service.submit_request(name, raw)["type"] == "result"
+        _segment(name, raw, request_id)
+    segment = _segment(client, LOWERED_OPS, request_id=len(earlier))
+    assert segment.instructions == reference.instructions
+    assert segment.slots == reference.slots
+    assert segment.measures == reference.measures
 
 
 # -- buffering ---------------------------------------------------------------
@@ -229,10 +230,9 @@ def test_batch_empty_queue():
 
 
 def test_dispatch_inserts_init_before_first_use():
-    segment, _ = _segment("alice", [{"op": "QET", "qubits": [0], "theta": 1.0},
-                                    {"op": "MEASURE", "qubits": [0]}])
-    result = dispatch(ExecutionBatch([segment]), EmulatorBackend(seed=0))
-    trace = result.outcomes[0].trace
+    segment = _segment("alice", [{"op": "QET", "qubits": [0], "theta": 1.0},
+                                 {"op": "MEASURE", "qubits": [0]}])
+    trace = dispatch(ExecutionBatch([segment]), EmulatorBackend(seed=0))[0].trace
     # every slot is initialized before its first non-INIT use
     first_use = {}
     first_init = {}
@@ -252,31 +252,27 @@ def test_dispatch_inserts_init_before_first_use():
 
 
 def test_dispatch_reuses_slots_across_segments():
-    table = AddressTable()
-    seg_a, _ = _segment("alice", [{"op": "MEASURE", "qubits": [0]}], table)
-    seg_b, _ = _segment("bob", [{"op": "MEASURE", "qubits": [0]}], table,
-                        request_id=1)
-    result = dispatch(ExecutionBatch([seg_a, seg_b]), EmulatorBackend(seed=0))
-    for outcome in result.outcomes:
-        assert sorted(addr.index for addr in outcome.addresses.values()) == [0, 1]
-    # but the global physical addresses stay disjoint
-    gpas = [set(outcome.addresses) for outcome in result.outcomes]
-    assert gpas[0].isdisjoint(gpas[1])
+    seg_a = _segment("alice", [{"op": "MEASURE", "qubits": [0]}])
+    seg_b = _segment("bob", [{"op": "MEASURE", "qubits": [0]}], request_id=1)
+    outcomes = dispatch(ExecutionBatch([seg_a, seg_b]), EmulatorBackend(seed=0))
+    # each segment runs on a fresh machine, so both use slots 0 and 1
+    for outcome in outcomes:
+        assert sorted(slot for slot, _ in outcome.records) == [0, 1]
+    assert demux_results(outcomes) == {
+        key: {"type": "result", "results": [{"qubit": 0, "bit": 0}]}
+        for key in (("alice", 0), ("bob", 1))}
 
 
 def test_dispatch_isolates_failing_segment():
-    table = AddressTable()
-    seg_a, _ = _segment("alice", [{"op": "MEASURE", "qubits": [0]}], table)
-    seg_c, _ = _segment("carol", [{"op": "MEASURE", "qubits": [0]}], table,
-                        request_id=2)
+    seg_a = _segment("alice", [{"op": "MEASURE", "qubits": [0]}])
+    seg_c = _segment("carol", [{"op": "MEASURE", "qubits": [0]}], request_id=2)
     broken = Segment("bob", 1, [Instruction.qet(1.0),
                                 Instruction.measure(0)], {0: 0}, [(0, 0, 1)])
-    result = dispatch(ExecutionBatch([seg_a, broken, seg_c]),
-                      EmulatorBackend(seed=0))
-    assert result.outcomes[0].error is None
-    assert result.outcomes[1].error is not None
-    assert result.outcomes[2].error is None
-    responses = demux_results(result, table)
+    outcomes = dispatch(ExecutionBatch([seg_a, broken, seg_c]),
+                        EmulatorBackend(seed=0))
+    assert [outcome.error is not None for outcome in outcomes] == [
+        False, True, False]
+    responses = demux_results(outcomes)
     assert responses[("alice", 0)]["type"] == "result"
     assert responses[("bob", 1)]["type"] == "error"
     assert responses[("carol", 2)]["type"] == "result"
@@ -286,32 +282,26 @@ def test_dispatch_isolates_failing_segment():
 
 
 def _outcome_with_bits(first_bit, second_bit):
-    from qetsim.service import DispatchResult, SegmentOutcome
-    outcome = SegmentOutcome("alice", 0, [(4, 10, 11)],
-                             [(10, first_bit), (11, second_bit)], {})
-    return DispatchResult([outcome])
+    return [SegmentOutcome("alice", 0, [(4, 10, 11)],
+                           [(10, first_bit), (11, second_bit)])]
 
 
 def test_demux_first_bit_rule():
-    table = AddressTable()
-    assert demux_results(_outcome_with_bits(0, 1), table)[("alice", 0)] == {
+    assert demux_results(_outcome_with_bits(0, 1))[("alice", 0)] == {
         "type": "result", "results": [{"qubit": 4, "bit": 0}]}
-    assert demux_results(_outcome_with_bits(1, 0), table)[("alice", 0)] == {
+    assert demux_results(_outcome_with_bits(1, 0))[("alice", 0)] == {
         "type": "result", "results": [{"qubit": 4, "bit": 1}]}
 
 
 def test_demux_equal_bits_is_leakage_error():
-    response = demux_results(_outcome_with_bits(1, 1),
-                             AddressTable())[("alice", 0)]
+    response = demux_results(_outcome_with_bits(1, 1))[("alice", 0)]
     assert response["type"] == "error"
     assert "leakage" in response["errors"][0]["message"]
 
 
 def test_demux_orphan_address():
-    from qetsim.service import DispatchResult, SegmentOutcome
-    outcome = SegmentOutcome("alice", 0, [(4, 10, 11)], [(10, 1)], {})
-    response = demux_results(DispatchResult([outcome]),
-                             AddressTable())[("alice", 0)]
+    outcome = SegmentOutcome("alice", 0, [(4, 10, 11)], [(10, 1)])
+    response = demux_results([outcome])[("alice", 0)]
     assert response["type"] == "error"
     assert "orphan" in response["errors"][0]["message"]
 
@@ -366,7 +356,7 @@ def test_service_results_per_client_under_concurrency():
     for thread in threads:
         thread.join()
     assert failures == []
-    service.table.check_consistency()
+    assert service._pending == {} and not service._queue
 
 
 def test_service_deterministic_for_fixed_arrival_order():
@@ -387,8 +377,35 @@ def test_service_rejects_oversized_request():
     response = service.submit_request("a", BELL_OPS)
     assert response["type"] == "error"
     assert "capacity" in response["errors"][0]["message"]
-    assert service.table.locals_of("a") == {}
     assert service._next_request == 0
+    assert service._pending == {} and not service._queue
+
+
+def test_service_keeps_nothing_per_request():
+    # every request lowers onto its own slots, so once the shared slot
+    # instructions are built, new clients and qubits leave nothing behind
+    service = QpfService(seed=0)
+    wide = ([{"op": "QET", "qubits": [q], "theta": math.pi} for q in range(8)]
+            + [{"op": "MEASURE", "qubits": [q]} for q in range(8)])
+
+    def serve(clients):
+        for k in clients:
+            assert service.submit_request(f"client-{k}", wide)["type"] == "result"
+
+    serve(range(50))
+    requests = 300
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        serve(range(50, 50 + requests))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # global address tables kept about 2 KB per request of this shape; what
+    # is left is numpy's bounded cache of small array buffers filling up
+    assert kept < 200 * requests
 
 
 def test_support_exponent_counts_only_splitting_transfers():
@@ -404,25 +421,11 @@ def test_support_exponent_counts_only_splitting_transfers():
     assert support_exponent(ops * 10) == 2
 
 
-_ANGLES = st.sampled_from([0.3, -1.1, 2.0, math.pi, -math.pi / 2, 2 * math.pi])
-_CLIENT_OP = st.one_of(
-    st.builds(lambda q, t: {"op": "QET", "qubits": [q], "theta": t},
-              st.integers(0, 3), _ANGLES),
-    st.builds(lambda q, t: {"op": "PHASE", "qubits": [q], "theta": t,
-                            "phi": 0.7},
-              st.integers(0, 3), _ANGLES),
-    st.builds(lambda qs: {"op": "CQET", "qubits": qs},
-              st.lists(st.integers(0, 3), min_size=2, max_size=2,
-                       unique=True)),
-    st.builds(lambda q: {"op": "MEASURE", "qubits": [q]}, st.integers(0, 3)))
-
-
 @settings(max_examples=200)
 @given(st.lists(_CLIENT_OP, min_size=1, max_size=12), st.integers(0, 2 ** 32))
 def test_machine_support_stays_within_the_bound(raw, seed):
-    ops = analyze(_ops(raw + [{"op": "MEASURE", "qubits": [0]}]),
-                  AddressTable(), "a")
-    program = _concretize(transform(ops, AddressTable(), "a"), 0)[0]
+    ops = analyze(_ops(raw + [{"op": "MEASURE", "qubits": [0]}]))
+    program = _concretize(transform(ops, "a"), 0)
     machine, rng = fresh_machine(program.s), RandomSource(seed)
     bound = 2 ** support_exponent(ops)
     for instr in program.instructions:
@@ -445,7 +448,6 @@ def test_support_budget_rejects_before_anything_is_committed():
             {"index": 0, "message": "request may hold 2^21 register entries; "
                                     f"support budget is {SUPPORT_BUDGET}"}]}
     assert SUPPORT_BUDGET == 2 ** 20
-    assert service.table.locals_of("a") == {}
     assert service._next_request == 0
     # on 10 qubits the same transfers reach at most 2^10 entries
     assert service.submit_request("a", request(10))["type"] == "result"
@@ -467,13 +469,10 @@ def test_backend_crash_is_error_reply_and_leaves_nothing_pending():
     assert "backend fell over" in reply["errors"][0]["message"]
     assert service._pending == {}
     # every other segment of a failing batch is answered, not left waiting
-    table = AddressTable()
-    segments = [_segment(client, [{"op": "MEASURE", "qubits": [0]}], table,
-                         request_id)[0]
+    segments = [_segment(client, [{"op": "MEASURE", "qubits": [0]}], request_id)
                 for request_id, client in enumerate(("a", "b"))]
-    result = dispatch(ExecutionBatch(segments), _RaisingBackend())
-    assert [outcome.error is not None for outcome in result.outcomes] == [
-        True, True]
+    outcomes = dispatch(ExecutionBatch(segments), _RaisingBackend())
+    assert [outcome.error is not None for outcome in outcomes] == [True, True]
 
 
 def test_capacity_query_and_malformed_line():
@@ -505,7 +504,6 @@ def test_non_finite_angle_rejected_before_anything_is_committed(op, message):
         '{"op":"MEASURE","qubits":[0]}]}' % op))
     assert reply == {"type": "error",
                      "errors": [{"index": 0, "message": message}]}
-    assert service.table.locals_of("a") == {}
     assert service._next_request == 0
 
 
@@ -525,9 +523,9 @@ def test_register_wider_than_index_is_error_reply():
 def test_serve_stdio_round_trip():
     import io
     service = QpfService(seed=0)
-    stdin = io.StringIO(
-        '{"type":"capacity"}\n'
-        '{"type":"submit","client":"a","ops":[{"op":"MEASURE","qubits":[0]}]}\n')
+    stdin = io.BytesIO(
+        b'{"type":"capacity"}\n'
+        b'{"type":"submit","client":"a","ops":[{"op":"MEASURE","qubits":[0]}]}\n')
     stdout = io.StringIO()
     serve_stdio(service, stdin, stdout)
     lines = stdout.getvalue().strip().splitlines()
