@@ -135,7 +135,7 @@ def cmd_run(args) -> int:
     counts: dict[str, int] = {}
     try:
         for shot in range(args.shots):
-            results, _ = run_program(program, rng)
+            results = run_program(program, rng)
             key = "".join(str(bit) for _, bit in results)
             counts[key] = counts.get(key, 0) + 1
             if args.output == "machine":

@@ -285,6 +285,6 @@ def validate_program(program: QuantumProgram) -> list[tuple[int, str]]:
     mem = [False] * program.s
     cells = [False, False, False]
     for index, instr in enumerate(program.instructions):
-        issues.extend((index, problem) for problem
-                      in occupancy_step(instr, program.s, mem, cells))
+        for problem in occupancy_step(instr, program.s, mem, cells):
+            issues.append((index, problem))
     return issues

@@ -3,22 +3,29 @@
 The machine has ``n = s + 3`` two-level positions: the ``s`` memory
 slots followed by the three transistor cells.  The register stores only
 its support, as two arrays: int64 basis indices and their complex
-amplitudes.  Position ``q`` is bit ``n - 1 - q`` of an index, the digit
-order of the dense row-major register, so the three cells are the three
-lowest bits.
+amplitudes.  Which index bit holds which position is itself part of the
+state, the tuple ``bits``: a fresh machine puts position ``q`` at bit
+``n - 1 - q``, the digit order of the dense row-major register.
 
 Every gate conserves excitation number, so the support stays as small
 as the entanglement of the program allows, whatever ``s`` is, and the
 cost of each instruction scales with the support, not with ``2^n``.
 LOAD and SAVE are swaps with an empty receiving position, which is the
 only unitary move semantics that keeps entanglement with spectator
-qubits intact; on the support each is a swap of two bits in every index,
-and no amplitude moves.  QET, PHASE and CQET map each entry through the
-nonzero entries of the gate on the cell bits, then sum the amplitudes
+qubits intact.  A swap of two positions is a relabelling: it exchanges
+the two entries of ``bits`` and touches no index and no amplitude.
+QET, PHASE and CQET map each entry through the nonzero entries of the
+gate on the bits that currently hold the cells, then sum the amplitudes
 of equal indices and drop those that are exactly 0 (full transfers are
-exact, see ``gates.qet_matrix``, so they leave no remnants).  Unoccupied
-positions are always ``|0>`` and unentangled, so measuring one yields 0
-with probability one.
+exact, see ``gates.qet_matrix``, so they leave no remnants).
+Unoccupied positions are always ``|0>`` and unentangled, so measuring
+one yields 0 with probability one.
+
+Both entry points share one kernel per instruction.  ``execute_instruction``
+checks one instruction's occupancy and returns a new ``MachineState``
+and a ``TraceRecord``; ``run_program`` checks the whole program's
+occupancy once, with ``validate_program``, and then runs the kernels on
+local arrays, building no state or record per instruction.
 
 An int64 index holds at most 63 positions, so ``s`` is at most 60.
 """
@@ -26,12 +33,13 @@ An int64 index holds at most 63 positions, so ``s`` is at most 60.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionError, MeasurementError, QpuRuntimeError
 from .gates import cqet_matrix, phase_matrix, qet_matrix
-from .isa import Instruction, QuantumProgram, occupancy_step
+from .isa import Instruction, QuantumProgram, occupancy_step, validate_program
 from .statevector import (NORM_TOL, LocalUnitary, RandomSource, StateVector,
                           SubsystemShape)
 
@@ -44,10 +52,12 @@ class MachineState:
 
     ``indices`` holds distinct basis indices and ``amps`` their nonzero
     amplitudes; every index absent from ``indices`` has amplitude 0.
+    ``bits[q]`` is the index bit that holds position ``q``.
     """
 
     indices: np.ndarray
     amps: np.ndarray
+    bits: tuple[int, ...]
     memory_occupied: tuple[bool, ...]
     cell_occupied: tuple[bool, bool, bool]
     classical_results: tuple[tuple[int, int], ...]
@@ -60,8 +70,11 @@ class MachineState:
     def register(self) -> StateVector:
         """The dense ``2^(s+3)``-amplitude register, built on each call."""
         n = self.s + 3
+        dense = np.zeros_like(self.indices)
+        for position, bit in enumerate(self.bits):
+            dense |= ((self.indices >> bit) & 1) << (n - 1 - position)
         amps = np.zeros(1 << n, dtype=complex)
-        amps[self.indices] = self.amps
+        amps[dense] = self.amps
         return StateVector(SubsystemShape((2,) * n), amps)
 
 
@@ -77,16 +90,15 @@ class TraceRecord:
     outcome: int | None = None
 
 
-ExecutionTrace = tuple[TraceRecord, ...]
-
-
 def fresh_machine(s: int) -> MachineState:
-    if s + 3 > MAX_POSITIONS:
+    n = s + 3
+    if n > MAX_POSITIONS:
         raise DimensionError(
-            f"a register of {s + 3} positions exceeds the {MAX_POSITIONS} "
+            f"a register of {n} positions exceeds the {MAX_POSITIONS} "
             f"an int64 basis index can hold")
     return MachineState(np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex),
-                        (False,) * s, (False, False, False), ())
+                        tuple(range(n - 1, -1, -1)), (False,) * s,
+                        (False, False, False), ())
 
 
 def _finite(amps: np.ndarray) -> np.ndarray:
@@ -95,20 +107,35 @@ def _finite(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _swap_bits(indices: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Exchange bits ``a`` and ``b`` of every index."""
-    differ = ((indices >> a) ^ (indices >> b)) & 1
-    return indices ^ ((differ << a) | (differ << b))
+@lru_cache(maxsize=1024)
+def _cell_layout(cell_bits: tuple[int, ...]):
+    """How a gate on the cells held by ``cell_bits`` reads and writes an index.
+
+    Returns the shifts and place values that gather the cell bits into
+    the gate's local index (``cell_bits[0]`` is its first digit), the
+    mask that clears them, and the cell bits that each gate row sets.
+    """
+    arity = len(cell_bits)
+    place = [1 << (arity - 1 - digit) for digit in range(arity)]
+    offsets = [sum(1 << bit for bit, value in zip(cell_bits, place)
+                   if row & value) for row in range(1 << arity)]
+    clear = ~sum(1 << bit for bit in cell_bits)
+    return (np.array(cell_bits, dtype=np.int64)[:, None],
+            np.array(place, dtype=np.int64), clear,
+            np.array(offsets, dtype=np.int64)[:, None])
 
 
-def _apply_to_cells(indices: np.ndarray, amps: np.ndarray,
-                    gate: LocalUnitary) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a gate on the lowest ``gate.arity`` bits (the last cells)."""
-    width = gate.entries.shape[0]
-    local = indices & (width - 1)
-    # column ``local`` of the gate maps an entry to the rows ``base + row``
+def _apply_to_cells(indices: np.ndarray, amps: np.ndarray, gate: LocalUnitary,
+                    cell_bits: tuple[int, ...]):
+    """Apply a gate on the cells held by ``cell_bits`` (its first digit first).
+
+    Returns the new indices and amplitudes.
+    """
+    shifts, place, clear, offsets = _cell_layout(cell_bits)
+    local = place @ ((indices >> shifts) & 1)
+    # column ``local`` of the gate maps an entry to the rows ``offsets``
     products = gate.entries[:, local] * amps
-    targets = (indices - local) + np.arange(width, dtype=np.int64)[:, None]
+    targets = (indices & clear) + offsets
     nonzero = products != 0
     support, slot = np.unique(targets[nonzero], return_inverse=True)
     summed = np.zeros(len(support), dtype=complex)
@@ -118,7 +145,7 @@ def _apply_to_cells(indices: np.ndarray, amps: np.ndarray,
 
 
 def _measure(indices: np.ndarray, amps: np.ndarray, bit: int, position: int,
-             rng: RandomSource) -> tuple[int, np.ndarray, np.ndarray]:
+             rng: RandomSource) -> tuple[np.ndarray, np.ndarray, int]:
     """Born-rule measurement of one position, then reset it to ``|0>``."""
     ones = ((indices >> bit) & 1).astype(bool)
     probabilities = np.abs(amps) ** 2
@@ -130,59 +157,82 @@ def _measure(indices: np.ndarray, amps: np.ndarray, bit: int, position: int,
     outcome = rng.choose(weights / total)
     kept = ones if outcome else ~ones
     # classical-conditional flip back to |0> so the slot can be reused
-    return (outcome, indices[kept] ^ (outcome << bit),
-            _finite(amps[kept] / np.sqrt(weights[outcome])))
+    return (indices[kept] ^ (outcome << bit),
+            _finite(amps[kept] / np.sqrt(weights[outcome])), outcome)
+
+
+def _step(instr: Instruction, s: int, indices: np.ndarray, amps: np.ndarray,
+          bits: list[int], rng: RandomSource):
+    """The kernel of one instruction whose preconditions hold.
+
+    Returns the new indices and amplitudes and the measured bit (None
+    unless the opcode is MEASURE); a slot move updates ``bits`` in place.
+    Memory slot ``m<k>`` is position ``k``, cell ``c<j>`` position ``s + j``.
+    """
+    op = instr.opcode
+    if op == "LOAD" or op == "SAVE":
+        slot, cell = instr.memory_addr, s + instr.cell
+        bits[slot], bits[cell] = bits[cell], bits[slot]
+    elif op == "INIT":
+        if instr.init_value == 1:
+            indices = indices ^ (1 << bits[instr.memory_addr])
+    elif op == "CQET":
+        indices, amps = _apply_to_cells(indices, amps, cqet_matrix(),
+                                        tuple(bits[s:]))
+    elif op == "MEASURE":
+        addr = instr.memory_addr
+        return _measure(indices, amps, bits[addr], addr, rng)
+    else:
+        gate = (qet_matrix(instr.theta) if op == "QET"
+                else phase_matrix(instr.theta, instr.phi))
+        indices, amps = _apply_to_cells(indices, amps, gate,
+                                        tuple(bits[s + 1:]))
+    return indices, amps, None
 
 
 def execute_instruction(machine: MachineState, instr: Instruction,
                         rng: RandomSource,
                         index: int = 0) -> tuple[MachineState, TraceRecord]:
     """Run one instruction, returning the new machine and a trace record."""
-    op = instr.opcode
-    s = machine.s
     mem = list(machine.memory_occupied)
     cells = list(machine.cell_occupied)
-    problems = occupancy_step(instr, s, mem, cells)
+    problems = occupancy_step(instr, machine.s, mem, cells)
     if problems:
-        raise QpuRuntimeError(index, op, problems[0])
-    indices, amps = machine.indices, machine.amps
+        raise QpuRuntimeError(index, instr.opcode, problems[0])
+    bits = list(machine.bits)
+    indices, amps, outcome = _step(instr, machine.s, machine.indices,
+                                   machine.amps, bits, rng)
     results = machine.classical_results
-    outcome = None
-
-    # memory slot m<k> is bit s + 2 - k, cell c<j> is bit 2 - j
-    if op == "INIT":
-        if instr.init_value == 1:
-            indices = indices ^ (1 << (s + 2 - instr.memory_addr))
-    elif op in ("LOAD", "SAVE"):
-        indices = _swap_bits(indices, s + 2 - instr.memory_addr, 2 - instr.cell)
-    elif op in ("QET", "PHASE"):
-        gate = (qet_matrix(instr.theta) if op == "QET"
-                else phase_matrix(instr.theta, instr.phi))
-        indices, amps = _apply_to_cells(indices, amps, gate)
-    elif op == "CQET":
-        indices, amps = _apply_to_cells(indices, amps, cqet_matrix())
-    else:
-        addr = instr.memory_addr
-        outcome, indices, amps = _measure(indices, amps, s + 2 - addr, addr, rng)
-        results = results + ((addr, outcome),)
-
-    new = MachineState(indices, amps, tuple(mem), tuple(cells), results)
-    record = TraceRecord(index, op, instr, new.memory_occupied,
+    if outcome is not None:
+        results += ((instr.memory_addr, outcome),)
+    new = MachineState(indices, amps, tuple(bits), tuple(mem), tuple(cells),
+                       results)
+    record = TraceRecord(index, instr.opcode, instr, new.memory_occupied,
                          new.cell_occupied, outcome)
     return new, record
 
 
 def run_program(program: QuantumProgram,
-                rng: RandomSource) -> tuple[list[tuple[int, int]], ExecutionTrace]:
+                rng: RandomSource) -> list[tuple[int, int]]:
     """Execute all instructions in order on a fresh machine.
 
-    Returns the classical results in measurement order and the full
-    trace.  The first runtime precondition failure aborts with the
-    offending instruction index.
+    Returns the classical results in measurement order.  Occupancy is
+    checked once for the whole program; the instructions before its
+    first issue run, and then that issue aborts with the offending
+    instruction index, as stepping ``execute_instruction`` would.
     """
     machine = fresh_machine(program.s)
-    trace = []
-    for index, instr in enumerate(program.instructions):
-        machine, record = execute_instruction(machine, instr, rng, index)
-        trace.append(record)
-    return list(machine.classical_results), tuple(trace)
+    issues = validate_program(program)
+    instructions = program.instructions
+    stop = issues[0][0] if issues else len(instructions)
+    s = program.s
+    indices, amps, bits = machine.indices, machine.amps, list(machine.bits)
+    results = []
+    for instr in instructions[:stop]:
+        indices, amps, outcome = _step(instr, s, indices, amps, bits, rng)
+        if outcome is not None:
+            results.append((instr.memory_addr, outcome))
+    if issues:
+        index, message = issues[0]
+        raise QpuRuntimeError(index, instructions[index].opcode, message)
+    return results

@@ -43,7 +43,7 @@ from .compiler import bracket, controlled_transfer, readout
 from .errors import QetSimError, ServiceError
 from .gates import exact_turns
 from .isa import Instruction, QuantumProgram
-from .machine import ExecutionTrace, run_program
+from .machine import run_program
 from .statevector import RandomSource
 
 logger = logging.getLogger(__name__)
@@ -97,7 +97,6 @@ class SegmentOutcome:
     request_id: int
     measures: list  # (local logical address, first slot, second slot)
     records: list  # (machine slot, bit)
-    trace: ExecutionTrace | None = None
     error: str | None = None
 
 
@@ -313,18 +312,18 @@ def dispatch(batch: ExecutionBatch, backend) -> list[SegmentOutcome]:
     for clock, segment in enumerate(batch.segments):
         program = _concretize(segment, clock)
         try:
-            records, trace = backend.run(program)
+            records = backend.run(program)
         except Exception as exc:  # whatever fails stays with its segment
             known = isinstance(exc, QetSimError)
             logger.warning("segment %s/%s failed: %r", segment.client_id,
                            segment.request_id, exc, exc_info=not known)
             outcomes.append(SegmentOutcome(
                 segment.client_id, segment.request_id, segment.measures,
-                [], None, str(exc) if known else repr(exc)))
+                [], str(exc) if known else repr(exc)))
             continue
         outcomes.append(SegmentOutcome(
             segment.client_id, segment.request_id, segment.measures,
-            records, trace))
+            records))
     logger.info("dispatched batch: %d segment(s), %d command(s)",
                 len(batch.segments), batch.command_count)
     return outcomes
@@ -488,16 +487,28 @@ def malformed_reply(reason) -> str:
         {"index": -1, "message": f"malformed message: {reason}"}]})
 
 
+MAX_LINE_BYTES = 1 << 20  # a longer line is refused
+_TOO_LONG_REPLY = malformed_reply(f"line longer than {MAX_LINE_BYTES} bytes")
+
+
 def serve_stdio(service: QpfService, stdin, stdout):
-    """Serve the line protocol from a binary input to a text output until EOF."""
-    for line in stdin:
-        reply = service.handle_bytes(line)
+    """Serve the line protocol from a binary input to a text output until EOF.
+
+    A line longer than ``MAX_LINE_BYTES`` gets the refusal TCP sends and
+    is read past in bounded pieces; serving goes on with the next line.
+    """
+    while line := stdin.readline(MAX_LINE_BYTES + 1):
+        if len(line) > MAX_LINE_BYTES and not line.endswith(b"\n"):
+            reply = _TOO_LONG_REPLY
+            while line and not line.endswith(b"\n"):
+                line = stdin.readline(MAX_LINE_BYTES + 1)
+        else:
+            reply = service.handle_bytes(line)
         if reply is not None:
             stdout.write(reply + "\n")
             stdout.flush()
 
 
-MAX_LINE_BYTES = 1 << 20  # a longer line is refused and its connection closed
 RECV_BYTES = 4096  # one read from a socket
 MAX_UNSENT_BYTES = 1 << 16  # unsent reply bytes past which a socket is not read
 
@@ -605,8 +616,7 @@ class ServiceServer:
             end = conn.inbox.find(b"\n", 0, MAX_LINE_BYTES + 1)
             if end < 0:
                 if len(conn.inbox) > MAX_LINE_BYTES:
-                    conn.outbox += malformed_reply(
-                        f"line longer than {MAX_LINE_BYTES} bytes").encode() + b"\n"
+                    conn.outbox += _TOO_LONG_REPLY.encode() + b"\n"
                     conn.inbox.clear()
                     conn.refused = True
                 return False

@@ -22,8 +22,9 @@ from qetsim.machine import execute_instruction, fresh_machine, run_program
 from qetsim.protocol import (ProtocolInput, assemble_state, run_protocol,
                              step_term_trace, verify_against_cqet)
 from qetsim.service import (EmulatorBackend, ExecutionBatch, QpfService,
-                            Segment, analyze, dispatch, demux_results,
-                            encode_message, parse_client_ops, transform)
+                            Segment, _concretize, analyze, dispatch,
+                            demux_results, encode_message, parse_client_ops,
+                            transform)
 from qetsim.statevector import RandomSource, fidelity, is_unitary
 from reference_tables import (LINEAGES, PHYSICAL_STEPS, REFERENCE_STEPS,
                               semantic_config)
@@ -262,7 +263,7 @@ def test_criterion_6_statistics():
     zeros = 0
     shots = 10000
     for _ in range(shots):
-        results, _ = run_program(program, rng)
+        results = run_program(program, rng)
         zeros += results[0][1] == 0
     assert 0.48 <= zeros / shots <= 0.52
 
@@ -272,7 +273,7 @@ def test_criterion_6_statistics():
     rng = RandomSource(206)
     equal = 0
     for _ in range(shots):
-        results, _ = run_program(program, rng)
+        results = run_program(program, rng)
         bits = dict(results)
         # logical bits read from the first slot of each pair
         equal += bits[0] == bits[2]
@@ -320,14 +321,17 @@ def test_criterion_7_service_end_to_end():
     for request_id, (name, (raw, _)) in enumerate(programs.items()):
         ops = analyze(parse_client_ops(raw))
         segments.append(transform(ops, name, request_id))
-    outcomes = dispatch(ExecutionBatch(segments), EmulatorBackend(seed=7))
-    for segment, outcome in zip(segments, outcomes):
+    rng = RandomSource(7)
+    for segment in segments:
         owned_slots = set(segment.slots.values())
-        for record in outcome.trace:
+        program = _concretize(segment, 0)
+        machine = fresh_machine(program.s)
+        for index, instr in enumerate(program.instructions):
+            machine, record = execute_instruction(machine, instr, rng, index)
             live = {slot for slot, occupied
                     in enumerate(record.memory_occupied) if occupied}
             assert live <= owned_slots
-        assert not any(outcome.trace[-1].memory_occupied)
+        assert not any(record.memory_occupied)
 
     # determinism: fixed seed and arrival order give identical bytes
     def transcript():

@@ -197,9 +197,7 @@ def test_ghz_ladder_support_stays_two():
 
 
 def test_run_program_empty():
-    results, trace = run_program(QuantumProgram(0, ()), RandomSource(0))
-    assert results == []
-    assert trace == ()
+    assert run_program(QuantumProgram(0, ()), RandomSource(0)) == []
 
 
 def test_run_program_measure_uninitialized_fails_with_index():
@@ -219,7 +217,7 @@ def test_run_program_deterministic_per_seed():
         "MEASURE m0\nMEASURE m1\n")
     runs = []
     for _ in range(2):
-        results = [run_program(program, RandomSource(77))[0]
+        results = [run_program(program, RandomSource(77))
                    for _ in range(50)]
         runs.append(results)
     assert runs[0] == runs[1]

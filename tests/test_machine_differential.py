@@ -5,20 +5,29 @@ logical circuits, run on both from the same seed; after every
 instruction the amplitudes must agree and the measurement outcomes must
 be the same.  The reference steps a dense ``2^(s+3)`` state vector with
 ``apply_local`` and ``measure_subsystem``.
+
+``run_program`` checks a program's occupancy once and relabels slots in
+place; stepping ``execute_instruction`` checks each instruction as it
+comes.  On the same programs, valid or broken, both must give the same
+results, the same error and the same use of the random stream.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qetsim.compiler import LogicalGate, LogicalProgram, transform_program
+from qetsim.errors import DimensionError, QetSimError
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
-from qetsim.isa import Instruction
-from qetsim.machine import execute_instruction, fresh_machine
+from qetsim.isa import Instruction, QuantumProgram
+from qetsim.machine import execute_instruction, fresh_machine, run_program
 from qetsim.statevector import (LocalUnitary, RandomSource, apply_local,
                                 basis_state, measure_subsystem)
+
+from test_isa_properties import random_instruction
 
 SWAP = LocalUnitary((2, 2), np.array(
     [[1, 0, 0, 0],
@@ -181,3 +190,52 @@ def test_sparse_machine_matches_dense_reference(program, seed):
         assert np.max(np.abs(machine.register.amps - dense.amps)) <= 1e-12
         assert np.all(machine.amps != 0)
         assert len(np.unique(machine.indices)) == len(machine.indices)
+
+
+@st.composite
+def any_programs(draw):
+    """Programs over at most 6 slots, valid or broken by one instruction."""
+    s, instructions = draw(st.one_of(machine_programs(), compiled_programs()))
+    s += draw(st.integers(0, 2))  # spare slots move every position's bit
+    if draw(st.booleans()):
+        where = draw(st.integers(0, len(instructions)))
+        instructions.insert(where, draw(random_instruction(s)))
+    return QuantumProgram(s, instructions)
+
+
+def _outcome(run):
+    """What ``run()`` returned, or the emulator error it raised."""
+    try:
+        return run()
+    except QetSimError as exc:
+        return exc
+
+
+def _stepped(program, rng):
+    machine = fresh_machine(program.s)
+    for index, instr in enumerate(program.instructions):
+        machine, _ = execute_instruction(machine, instr, rng, index)
+    return list(machine.classical_results)
+
+
+@settings(max_examples=300)
+@given(program=any_programs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_program_matches_stepping(program, seed):
+    run_rng, step_rng = RandomSource(seed), RandomSource(seed)
+    ran = _outcome(lambda: run_program(program, run_rng))
+    stepped = _outcome(lambda: _stepped(program, step_rng))
+    if isinstance(stepped, QetSimError):
+        assert type(ran) is type(stepped)
+        assert getattr(ran, "index", None) == getattr(stepped, "index", None)
+        assert str(ran) == str(stepped)
+    else:
+        assert ran == stepped
+    # both drew the same uniforms, so the next one is the same too
+    assert run_rng._gen.random() == step_rng._gen.random()
+
+
+def test_run_program_rejects_too_wide_register_first():
+    # the width is checked before occupancy: m0 is measured uninitialized
+    program = QuantumProgram(61, (Instruction.measure(0),))
+    with pytest.raises(DimensionError, match="64 positions"):
+        run_program(program, RandomSource(0))

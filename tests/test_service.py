@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qetsim.errors import ServiceError
 from qetsim.isa import Instruction, QuantumProgram, format_program
 from qetsim.machine import execute_instruction, fresh_machine
-from qetsim.service import (SUPPORT_BUDGET, EmulatorBackend,
+from qetsim.service import (MAX_LINE_BYTES, SUPPORT_BUDGET, EmulatorBackend,
                             ExecutionBatch, QpfService, Segment,
                             SegmentOutcome, ServiceServer, analyze,
                             buffer_and_batch, demux_results, dispatch,
@@ -229,10 +229,21 @@ def test_batch_empty_queue():
 # -- dispatch ----------------------------------------------------------------
 
 
+def _trace(segment, seed=0):
+    """The trace records of the segment's program, stepped one by one."""
+    program = _concretize(segment, 0)
+    machine, rng = fresh_machine(program.s), RandomSource(seed)
+    records = []
+    for index, instr in enumerate(program.instructions):
+        machine, record = execute_instruction(machine, instr, rng, index)
+        records.append(record)
+    return records
+
+
 def test_dispatch_inserts_init_before_first_use():
     segment = _segment("alice", [{"op": "QET", "qubits": [0], "theta": 1.0},
                                  {"op": "MEASURE", "qubits": [0]}])
-    trace = dispatch(ExecutionBatch([segment]), EmulatorBackend(seed=0))[0].trace
+    trace = _trace(segment)
     # every slot is initialized before its first non-INIT use
     first_use = {}
     first_init = {}
@@ -532,6 +543,23 @@ def test_serve_stdio_round_trip():
     assert json.loads(lines[0])["type"] == "capacity"
     assert json.loads(lines[1]) == {"type": "result",
                                     "results": [{"qubit": 0, "bit": 0}]}
+
+
+def test_serve_stdio_refuses_over_long_line_and_serves_on():
+    import io
+    submit = (b'{"type":"submit","client":"a",'
+              b'"ops":[{"op":"MEASURE","qubits":[0]}]}\n')
+    stdin = io.BytesIO(b"x" * (2 << 20) + b"\n" + submit
+                       + b"y" * MAX_LINE_BYTES + b"\n")
+    stdout = io.StringIO()
+    serve_stdio(QpfService(seed=0), stdin, stdout)
+    refused, answered, at_limit = map(json.loads, stdout.getvalue().splitlines())
+    assert refused["errors"][0]["message"] == (
+        f"malformed message: line longer than {MAX_LINE_BYTES} bytes")
+    assert answered == {"type": "result", "results": [{"qubit": 0, "bit": 0}]}
+    # a line of exactly the limit is read and decoded, not refused
+    assert at_limit["errors"][0]["message"].startswith("malformed message: "
+                                                       "Expecting value")
 
 
 def test_socket_transport_round_trip():
