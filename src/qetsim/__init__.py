@@ -8,10 +8,10 @@ the pairwise encoding, and a multi-client programming service with a
 dispatcher.
 """
 
-from .compiler import (LogicalGate, LogicalProgram, LogicalQubitMap,
-                       decompose_su2, encode_init, leakage_check, logical_rx,
-                       logical_rz, parse_logical_program,
-                       synthesize_logical_cnot, transform_program)
+from .compiler import (LogicalGate, LogicalProgram, decompose_su2, encode_init,
+                       leakage_check, logical_rx, logical_rz, pair,
+                       parse_logical_program, synthesize_logical_cnot,
+                       transform_program)
 from .dynamics import (CavityAtomParams, ZeemanParams, integrate_two_level,
                        rabi_coefficients, zeeman_phase)
 from .errors import (ConvergenceError, DimensionError, MeasurementError,
@@ -20,8 +20,8 @@ from .errors import (ConvergenceError, DimensionError, MeasurementError,
 from .gates import cqet_matrix, phase_matrix, qet_matrix
 from .isa import (Instruction, QuantumProgram, format_program, parse_program,
                   validate_program)
-from .machine import (MachineState, TraceRecord, execute_instruction,
-                      fresh_machine, run_program)
+from .machine import (MachineState, execute_instruction, fresh_machine,
+                      run_program)
 from .protocol import (ElementaryOp, ProtocolInput, elementary_unitary,
                        protocol_sequence, run_protocol, verify_against_cqet)
 from .service import (EmulatorBackend, ExecutionBatch, QpfService,

@@ -15,7 +15,8 @@ from .machine import run_program
 from .protocol import (ProtocolInput, assemble_state, initial_state,
                        protocol_sequence, run_protocol, step_term_trace,
                        verify_against_cqet)
-from .service import QpfService, ServiceServer, encode_message, serve_stdio
+from .service import (DEFAULT_CAPACITY, QpfService, ServiceServer,
+                      encode_message, serve_stdio)
 from .statevector import RandomSource, fidelity
 
 IDEAL_INFIDELITY_GATE = 1e-9
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("human", "machine"), default="human")
 
     p = sub.add_parser("serve", help="serve the multi-client framework protocol")
-    p.add_argument("--capacity", type=_positive_int, default=1024)
+    p.add_argument("--capacity", type=_positive_int, default=DEFAULT_CAPACITY)
     p.add_argument("--transport", choices=("stdio", "socket"), default="stdio")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--host", default="127.0.0.1")
@@ -246,7 +247,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

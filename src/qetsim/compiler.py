@@ -2,7 +2,8 @@
 
 A logical qubit lives on a pair of physical memory slots in the
 one-excitation subspace: logical 0 is ``|01>``, logical 1 is ``|10>``,
-and the logical basis is read from the first slot of the pair.  On that
+and the logical basis is read from the first slot of the pair.  Qubit
+``q`` always takes slots ``2q`` and ``2q + 1`` (see ``pair``).  On that
 subspace a transfer gate of angle ``theta`` acts as ``Rx(-theta)`` and
 the phase gate as ``Rz(theta)`` times ``e^{i phi / 2}``, which is all
 the compiler needs to realize arbitrary rotations.
@@ -48,42 +49,6 @@ def _rz(theta: float) -> np.ndarray:
 
 def _is_unitary_2x2(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(2))) <= tol)
-
-
-@dataclass(frozen=True)
-class LogicalQubitMap:
-    """Logical id to ordered, disjoint pair of physical memory slots."""
-
-    pairs: dict
-
-    def __post_init__(self):
-        seen = set()
-        for lid, (first, second) in self.pairs.items():
-            if first == second:
-                raise SynthesisError(f"q{lid} maps to a degenerate pair")
-            for addr in (first, second):
-                if addr < 0:
-                    raise SynthesisError(f"q{lid} uses negative address {addr}")
-                if addr in seen:
-                    raise SynthesisError(f"physical address {addr} assigned twice")
-                seen.add(addr)
-
-    @classmethod
-    def default(cls, n: int) -> "LogicalQubitMap":
-        return cls({i: (2 * i, 2 * i + 1) for i in range(n)})
-
-    def pair(self, logical_id: int) -> tuple[int, int]:
-        try:
-            return self.pairs[logical_id]
-        except KeyError:
-            raise SynthesisError(
-                f"logical qubit q{logical_id} has no assigned pair") from None
-
-    @property
-    def physical_span(self) -> int:
-        if not self.pairs:
-            return 0
-        return 1 + max(max(p) for p in self.pairs.values())
 
 
 @dataclass(frozen=True)
@@ -136,20 +101,24 @@ class LogicalProgram:
                 raise SynthesisError(f"measured q{q} out of range [0, {self.n})")
 
 
-def encode_init(lmap: LogicalQubitMap, logical_id: int,
-                basis_bit: int) -> list[Instruction]:
+def pair(logical_id: int) -> tuple[int, int]:
+    """The memory slots of logical qubit ``q``: ``2q`` and ``2q + 1``."""
+    return 2 * logical_id, 2 * logical_id + 1
+
+
+def encode_init(logical_id: int, basis_bit: int) -> list[Instruction]:
     """Prepare a pair in the encoded basis state ``basis_bit``."""
     if basis_bit not in (0, 1):
         raise SynthesisError(f"basis bit must be 0 or 1, got {basis_bit}")
-    first, second = lmap.pair(logical_id)
+    first, second = pair(logical_id)
     return [Instruction.init(first, basis_bit),
             Instruction.init(second, 1 - basis_bit)]
 
 
-def bracket(pair: tuple[int, int],
+def bracket(slots: tuple[int, int],
             inner: list[Instruction]) -> list[Instruction]:
-    """Run ``inner`` with the pair's slots in cells c1 and c2."""
-    first, second = pair
+    """Run ``inner`` with a pair's slots in cells c1 and c2."""
+    first, second = slots
     return ([Instruction.load(first, 1), Instruction.load(second, 2)]
             + inner
             + [Instruction.save(1, first), Instruction.save(2, second)])
@@ -167,29 +136,26 @@ def controlled_transfer(ctrl: tuple[int, int],
             Instruction.save(2, tgt[1])]
 
 
-def readout(pair: tuple[int, int]) -> list[Instruction]:
+def readout(slots: tuple[int, int]) -> list[Instruction]:
     """Measure a pair first slot first; both slots end free."""
-    return [Instruction.measure(pair[0]), Instruction.measure(pair[1])]
+    return [Instruction.measure(slots[0]), Instruction.measure(slots[1])]
 
 
-def logical_rx(lmap: LogicalQubitMap, logical_id: int,
-               theta: float) -> list[Instruction]:
+def logical_rx(logical_id: int, theta: float) -> list[Instruction]:
     """Rotation about x: a transfer of angle ``-theta`` on the pair.
 
     The transfer block carries ``+i sin``, which is ``Rx`` of the negated
     angle, hence the sign flip.
     """
-    return bracket(lmap.pair(logical_id), [Instruction.qet(-theta)])
+    return bracket(pair(logical_id), [Instruction.qet(-theta)])
 
 
-def logical_rz(lmap: LogicalQubitMap, logical_id: int,
-               theta: float) -> list[Instruction]:
+def logical_rz(logical_id: int, theta: float) -> list[Instruction]:
     """Rotation about z: a phase gate with ``phi = 0`` on the pair."""
-    return bracket(lmap.pair(logical_id), [Instruction.phase(theta, 0.0)])
+    return bracket(pair(logical_id), [Instruction.phase(theta, 0.0)])
 
 
-def synthesize_logical_cnot(lmap: LogicalQubitMap, ctrl_id: int,
-                            tgt_id: int) -> list[Instruction]:
+def synthesize_logical_cnot(ctrl_id: int, tgt_id: int) -> list[Instruction]:
     """Exact CNOT (control 1 flips target) from the controlled transfer.
 
     The control pair is conjugated by full transfers, the control's
@@ -199,8 +165,8 @@ def synthesize_logical_cnot(lmap: LogicalQubitMap, ctrl_id: int,
     """
     if ctrl_id == tgt_id:
         raise SynthesisError("CNOT control and target must differ")
-    ctrl = lmap.pair(ctrl_id)
-    tgt = lmap.pair(tgt_id)
+    ctrl = pair(ctrl_id)
+    tgt = pair(tgt_id)
     seq = bracket(ctrl, [Instruction.qet(math.pi)])
     seq += controlled_transfer(ctrl, tgt)
     seq += bracket(ctrl, [
@@ -281,59 +247,57 @@ def decompose_su2(u) -> tuple[float, float, float, float]:
     return result
 
 
-def _gate_instructions(lmap: LogicalQubitMap,
-                       gate: LogicalGate) -> list[Instruction]:
+def _gate_instructions(gate: LogicalGate) -> list[Instruction]:
     if gate.kind == "RX":
-        return logical_rx(lmap, gate.qubits[0], gate.theta)
+        return logical_rx(gate.qubits[0], gate.theta)
     if gate.kind == "RZ":
-        return logical_rz(lmap, gate.qubits[0], gate.theta)
+        return logical_rz(gate.qubits[0], gate.theta)
     if gate.kind == "CNOT":
-        return synthesize_logical_cnot(lmap, gate.qubits[0], gate.qubits[1])
+        return synthesize_logical_cnot(gate.qubits[0], gate.qubits[1])
     a, b, c, _ = decompose_su2(gate.matrix)
     q = gate.qubits[0]
     # temporal order is rightmost factor first; global phase is dropped
-    return (logical_rz(lmap, q, c)
-            + logical_rx(lmap, q, b)
-            + logical_rz(lmap, q, a))
+    return (logical_rz(q, c)
+            + logical_rx(q, b)
+            + logical_rz(q, a))
 
 
-def transform_program(lp: LogicalProgram,
-                      lmap: LogicalQubitMap | None = None) -> QuantumProgram:
+def transform_program(lp: LogicalProgram) -> QuantumProgram:
     """Lower a logical program to a validated physical program.
 
     Every logical qubit is encoded to logical 0 up front; measured pairs
     are read out first-slot-first, with the second slot measured too so
     both slots end free.
     """
-    if lmap is None:
-        lmap = LogicalQubitMap.default(lp.n)
     instructions: list[Instruction] = []
     for q in range(lp.n):
-        instructions += encode_init(lmap, q, 0)
+        instructions += encode_init(q, 0)
     for gate in lp.gates:
-        instructions += _gate_instructions(lmap, gate)
+        instructions += _gate_instructions(gate)
     for q in lp.measured:
-        instructions += readout(lmap.pair(q))
-    program = QuantumProgram(lmap.physical_span, tuple(instructions))
+        instructions += readout(pair(q))
+    program = QuantumProgram(2 * lp.n, tuple(instructions))
     issues = validate_program(program)
     if issues:  # pragma: no cover - synthesis always emits valid programs
         raise SynthesisError(f"emitted program fails validation: {issues}")
     return program
 
 
-def leakage_check(state: StateVector, lmap: LogicalQubitMap,
+def leakage_check(state: StateVector, logical_qubits: int,
                   tol: float = 1e-9) -> bool:
     """True when the state's mass sits in the per-pair one-excitation span.
 
-    Positions outside the mapped pairs are ignored, so the check works
-    on the full machine register as well as on a bare memory state.
+    Only the pairs of the first ``logical_qubits`` qubits are checked;
+    other positions are ignored, so the check works on the full machine
+    register as well as on a bare memory state.
     """
     n = state.shape.subsystems
     if any(d != 2 for d in state.shape.dims):
         raise SynthesisError("leakage check expects a qubit register")
     indices = np.arange(state.shape.dim)
     good = np.ones(state.shape.dim, dtype=bool)
-    for first, second in lmap.pairs.values():
+    for q in range(logical_qubits):
+        first, second = pair(q)
         bit_first = (indices >> (n - 1 - first)) & 1
         bit_second = (indices >> (n - 1 - second)) & 1
         good &= bit_first != bit_second

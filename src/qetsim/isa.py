@@ -20,6 +20,7 @@ check of ``Instruction``, the parser and the formatter all read it.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ProgramSyntaxError
@@ -282,7 +283,7 @@ def validate_program(program: QuantumProgram) -> list[tuple[int, str]]:
     occupancy is simulated best-effort so later issues are still found.
     """
     issues: list[tuple[int, str]] = []
-    mem = [False] * program.s
+    mem = defaultdict(bool)  # flags for the named slots only, not all s
     cells = [False, False, False]
     for index, instr in enumerate(program.instructions):
         for problem in occupancy_step(instr, program.s, mem, cells):

@@ -23,9 +23,9 @@ one yields 0 with probability one.
 
 Both entry points share one kernel per instruction.  ``execute_instruction``
 checks one instruction's occupancy and returns a new ``MachineState``
-and a ``TraceRecord``; ``run_program`` checks the whole program's
+and the measured bit, if any; ``run_program`` checks the whole program's
 occupancy once, with ``validate_program``, and then runs the kernels on
-local arrays, building no state or record per instruction.
+local arrays, building no state per instruction.
 
 An int64 index holds at most 63 positions, so ``s`` is at most 60.
 """
@@ -76,18 +76,6 @@ class MachineState:
         amps = np.zeros(1 << n, dtype=complex)
         amps[dense] = self.amps
         return StateVector(SubsystemShape((2,) * n), amps)
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """What one executed instruction did to the machine."""
-
-    index: int
-    opcode: str
-    instruction: Instruction
-    memory_occupied: tuple[bool, ...]
-    cell_occupied: tuple[bool, bool, bool]
-    outcome: int | None = None
 
 
 def fresh_machine(s: int) -> MachineState:
@@ -192,8 +180,8 @@ def _step(instr: Instruction, s: int, indices: np.ndarray, amps: np.ndarray,
 
 def execute_instruction(machine: MachineState, instr: Instruction,
                         rng: RandomSource,
-                        index: int = 0) -> tuple[MachineState, TraceRecord]:
-    """Run one instruction, returning the new machine and a trace record."""
+                        index: int = 0) -> tuple[MachineState, int | None]:
+    """Run one instruction, returning the new machine and the measured bit or None."""
     mem = list(machine.memory_occupied)
     cells = list(machine.cell_occupied)
     problems = occupancy_step(instr, machine.s, mem, cells)
@@ -207,9 +195,7 @@ def execute_instruction(machine: MachineState, instr: Instruction,
         results += ((instr.memory_addr, outcome),)
     new = MachineState(indices, amps, tuple(bits), tuple(mem), tuple(cells),
                        results)
-    record = TraceRecord(index, instr.opcode, instr, new.memory_occupied,
-                         new.cell_occupied, outcome)
-    return new, record
+    return new, outcome
 
 
 def run_program(program: QuantumProgram,

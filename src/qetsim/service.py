@@ -39,7 +39,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from .compiler import bracket, controlled_transfer, readout
+from .compiler import bracket, controlled_transfer, encode_init, pair, readout
 from .errors import QetSimError, ServiceError
 from .gates import exact_turns
 from .isa import Instruction, QuantumProgram
@@ -50,7 +50,7 @@ logger = logging.getLogger(__name__)
 
 VALID_OPS = ("QET", "PHASE", "CQET", "MEASURE")
 DEFAULT_CAPACITY = 1024
-DEFAULT_QUBIT_BUDGET = 256
+QUBIT_BUDGET = 256  # local qubit addresses a request may use
 SUPPORT_BUDGET = 2 ** 20  # register entries a request may reach
 
 
@@ -165,8 +165,7 @@ def support_exponent(ops: list[ClientOp]) -> int:
     return min(splits, len(qubits))
 
 
-def analyze(ops: list[ClientOp],
-            qubit_budget: int = DEFAULT_QUBIT_BUDGET) -> list[ClientOp]:
+def analyze(ops: list[ClientOp]) -> list[ClientOp]:
     """The request checks: structure, parameters, addresses, support size.
 
     Returns the ops unchanged when everything passes; otherwise raises
@@ -188,10 +187,10 @@ def analyze(ops: list[ClientOp],
         if op.op == "QET" and op.phi is not None:
             errors.append((index, "QET takes no phi parameter"))
         for q in op.qubits:
-            if q < 0 or q >= qubit_budget:
+            if q < 0 or q >= QUBIT_BUDGET:
                 errors.append(
                     (index, f"qubit address {q} outside declared range "
-                            f"[0, {qubit_budget})"))
+                            f"[0, {QUBIT_BUDGET})"))
     if not any(op.op == "MEASURE" for op in ops):
         errors.append((len(ops), "request contains no MEASURE; results would "
                                  "be unreturnable"))
@@ -205,17 +204,20 @@ def analyze(ops: list[ClientOp],
 
 
 # Each client op lowered once by the compiler's emitters over placeholder
-# addresses: 0 and 1 stand for the first qubit's pair, 2 and 3 for the
-# second's, and None for the op's own gate.
+# addresses: the compiler's pair of qubit 0 stands for the first qubit's
+# pair, that of qubit 1 for the second's, and None for the op's own gate.
 _LOWERING = {
-    "QET": bracket((0, 1), [None]),
-    "PHASE": bracket((0, 1), [None]),
-    "CQET": controlled_transfer((0, 1), (2, 3)),
-    "MEASURE": readout((0, 1)),
+    "QET": bracket(pair(0), [None]),
+    "PHASE": bracket(pair(0), [None]),
+    "CQET": controlled_transfer(pair(0), pair(1)),
+    "MEASURE": readout(pair(0)),
 }
+# placeholder address -> (index of the op's qubit, half of its pair)
+_OPERAND = {slot: (operand, half)
+            for operand in (0, 1) for half, slot in enumerate(pair(operand))}
 # INIT of a pair's first and second placeholder: every pair starts as
-# logical 0, which is |01>.
-_INIT = (Instruction.init(0, 0), Instruction.init(1, 1))
+# the compiler's logical 0.
+_INIT = tuple(encode_init(0, 0))
 # Slot-only instructions, shared by every request: a slot below 61 and a
 # cell or bit below 3 bound the keys to 61 * 9.  Angles are never cached.
 _SLOT_LIMIT = 61
@@ -261,9 +263,8 @@ def transform(ops: list[ClientOp], client_id: str,
             if placeholder is None:  # CQET acts on the cells only
                 instructions.append(template)
                 continue
-            half = placeholder % 2
-            slot = slots.setdefault((op.qubits[placeholder // 2], half),
-                                    len(slots))
+            operand, half = _OPERAND[placeholder]
+            slot = slots.setdefault((op.qubits[operand], half), len(slots))
             if slot not in live:
                 instructions.append(_on_slot(_INIT[half], slot))
                 live.add(slot)
@@ -290,12 +291,8 @@ def buffer_and_batch(queue: deque, capacity: int) -> ExecutionBatch:
 class EmulatorBackend:
     """In-process backend running physical programs on the emulator."""
 
-    def __init__(self, seed: int = 0, capacity: int = DEFAULT_CAPACITY):
-        self.capacity = int(capacity)
+    def __init__(self, seed: int = 0):
         self._rng = RandomSource(seed)
-
-    def max_commands(self) -> int:
-        return self.capacity
 
     def run(self, program: QuantumProgram):
         return run_program(program, self._rng)
@@ -391,9 +388,9 @@ class QpfService:
     """
 
     def __init__(self, seed: int = 0, capacity: int = DEFAULT_CAPACITY,
-                 backend=None, qubit_budget: int = DEFAULT_QUBIT_BUDGET):
-        self.backend = backend or EmulatorBackend(seed, capacity)
-        self.qubit_budget = qubit_budget
+                 backend=None):
+        self.backend = backend or EmulatorBackend(seed)
+        self._capacity = int(capacity)
         self._queue: deque = deque()
         self._pending: dict[tuple[str, int], _Pending] = {}
         self._state_lock = threading.Lock()
@@ -401,12 +398,12 @@ class QpfService:
         self._next_request = 0
 
     def capacity(self) -> int:
-        return self.backend.max_commands()
+        return self._capacity
 
     def submit_request(self, client_id: str, raw_ops) -> dict:
         """Full pipeline for one request; blocks until its batch ran."""
         try:
-            ops = analyze(parse_client_ops(raw_ops), self.qubit_budget)
+            ops = analyze(parse_client_ops(raw_ops))
             with self._state_lock:
                 request_id = self._next_request
                 segment = transform(ops, client_id, request_id)

@@ -11,9 +11,9 @@ from collections import deque
 
 import numpy as np
 
-from qetsim.compiler import (LogicalGate, LogicalProgram, LogicalQubitMap,
-                             decompose_su2, encode_init, leakage_check,
-                             logical_rx, logical_rz, synthesize_logical_cnot,
+from qetsim.compiler import (LogicalGate, LogicalProgram, decompose_su2,
+                             encode_init, leakage_check, logical_rx,
+                             logical_rz, pair, synthesize_logical_cnot,
                              transform_program)
 from qetsim.dynamics import CavityAtomParams, integrate_two_level, rabi_coefficients
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
@@ -154,7 +154,8 @@ def test_criterion_4_protocol_oracle():
     print(f"[PASS] criterion 4: protocol oracle ({elapsed:.2f}s)")
 
 
-def _logical_matrix(lmap, instructions, qubits, rng):
+def _logical_matrix(n, instructions, qubits, rng):
+    """Action on the encoded subspace of ``n`` logical qubits."""
     n_logical = len(qubits)
     dim = 2 ** n_logical
     matrix = np.zeros((dim, dim), dtype=complex)
@@ -162,9 +163,9 @@ def _logical_matrix(lmap, instructions, qubits, rng):
         bits = {q: (col >> (n_logical - 1 - k)) & 1
                 for k, q in enumerate(qubits)}
         prep = []
-        for q in sorted(lmap.pairs):
-            prep += encode_init(lmap, q, bits.get(q, 0))
-        machine = fresh_machine(lmap.physical_span)
+        for q in range(n):
+            prep += encode_init(q, bits.get(q, 0))
+        machine = fresh_machine(2 * n)
         for index, instr in enumerate(prep + list(instructions)):
             machine, _ = execute_instruction(machine, instr, rng, index)
         shape = machine.register.shape
@@ -172,11 +173,11 @@ def _logical_matrix(lmap, instructions, qubits, rng):
             levels = [0] * shape.subsystems
             for k, q in enumerate(qubits):
                 bit = (row >> (n_logical - 1 - k)) & 1
-                first, second = lmap.pair(q)
+                first, second = pair(q)
                 levels[first], levels[second] = bit, 1 - bit
-            for q in lmap.pairs:
+            for q in range(n):
                 if q not in qubits:
-                    first, second = lmap.pair(q)
+                    first, second = pair(q)
                     levels[first], levels[second] = 0, 1
             matrix[row, col] = machine.register.amps[shape.index_of(levels)]
     return matrix
@@ -185,7 +186,6 @@ def _logical_matrix(lmap, instructions, qubits, rng):
 def test_criterion_5_logical_layer():
     timer = _Timer(30.0)
     rng = RandomSource(105)
-    lmap1 = LogicalQubitMap.default(1)
 
     def rx(theta):
         c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -197,16 +197,12 @@ def test_criterion_5_logical_layer():
 
     draws = np.random.default_rng(105).uniform(-2 * math.pi, 2 * math.pi, 100)
     for theta in draws:
-        got = _logical_matrix(lmap1, logical_rx(lmap1, 0, float(theta)),
-                              (0,), rng)
+        got = _logical_matrix(1, logical_rx(0, float(theta)), (0,), rng)
         assert np.max(np.abs(got - rx(theta))) < 1e-12
-        got = _logical_matrix(lmap1, logical_rz(lmap1, 0, float(theta)),
-                              (0,), rng)
+        got = _logical_matrix(1, logical_rz(0, float(theta)), (0,), rng)
         assert np.max(np.abs(got - rz(theta))) < 1e-12
 
-    lmap2 = LogicalQubitMap.default(2)
-    got = _logical_matrix(lmap2, synthesize_logical_cnot(lmap2, 0, 1),
-                          (0, 1), rng)
+    got = _logical_matrix(2, synthesize_logical_cnot(0, 1), (0, 1), rng)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                      [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     phases = [got[int(np.argmax(np.abs(cnot[:, col]))), col]
@@ -225,12 +221,11 @@ def test_criterion_5_logical_layer():
     circuit_rng = np.random.default_rng(305)
     for _ in range(20):
         n = int(circuit_rng.integers(1, 4))
-        lmap = LogicalQubitMap.default(n)
         machine = fresh_machine(2 * n)
         index = 0
         prep = []
         for q in range(n):
-            prep += encode_init(lmap, q, int(circuit_rng.integers(0, 2)))
+            prep += encode_init(q, int(circuit_rng.integers(0, 2)))
         for instr in prep:
             machine, _ = execute_instruction(machine, instr, rng, index)
             index += 1
@@ -238,18 +233,18 @@ def test_criterion_5_logical_layer():
             kind = circuit_rng.choice(["RX", "RZ", "CNOT"] if n > 1
                                       else ["RX", "RZ"])
             if kind == "RX":
-                gate = logical_rx(lmap, int(circuit_rng.integers(0, n)),
+                gate = logical_rx(int(circuit_rng.integers(0, n)),
                                   float(circuit_rng.uniform(-3, 3)))
             elif kind == "RZ":
-                gate = logical_rz(lmap, int(circuit_rng.integers(0, n)),
+                gate = logical_rz(int(circuit_rng.integers(0, n)),
                                   float(circuit_rng.uniform(-3, 3)))
             else:
                 ctrl, tgt = circuit_rng.choice(n, size=2, replace=False)
-                gate = synthesize_logical_cnot(lmap, int(ctrl), int(tgt))
+                gate = synthesize_logical_cnot(int(ctrl), int(tgt))
             for instr in gate:
                 machine, _ = execute_instruction(machine, instr, rng, index)
                 index += 1
-            assert leakage_check(machine.register, lmap)
+            assert leakage_check(machine.register, n)
     elapsed = timer.check("criterion 5")
     print(f"[PASS] criterion 5: logical layer ({elapsed:.2f}s)")
 
@@ -327,11 +322,11 @@ def test_criterion_7_service_end_to_end():
         program = _concretize(segment, 0)
         machine = fresh_machine(program.s)
         for index, instr in enumerate(program.instructions):
-            machine, record = execute_instruction(machine, instr, rng, index)
+            machine, _ = execute_instruction(machine, instr, rng, index)
             live = {slot for slot, occupied
-                    in enumerate(record.memory_occupied) if occupied}
+                    in enumerate(machine.memory_occupied) if occupied}
             assert live <= owned_slots
-        assert not any(record.memory_occupied)
+        assert not any(machine.memory_occupied)
 
     # determinism: fixed seed and arrival order give identical bytes
     def transcript():

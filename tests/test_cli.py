@@ -64,6 +64,15 @@ def test_validate_unreadable_file(capsys):
     assert main(["validate", "/nonexistent/prog.qpu"]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "compile"])
+def test_non_utf8_file_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    path = tmp_path / "bad.qpu"
+    path.write_bytes(b"QPU s=1\n\xff\n")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "decode" in err
+
+
 def test_run_deterministic_zeros(tmp_path, capsys):
     path = _write(tmp_path, "init.qpu", "QPU s=1\nINIT m0 0\nMEASURE m0\n")
     assert main(["run", path, "--shots", "5", "--output", "machine"]) == 0

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qetsim.compiler import (CNOT_CORRECTION_PHI, CNOT_CORRECTION_THETA,
-                             LogicalGate, LogicalProgram, LogicalQubitMap,
-                             decompose_su2, derive_cnot_corrections,
-                             encode_init, format_logical_program,
-                             leakage_check, logical_rx, logical_rz,
+                             LogicalGate, LogicalProgram, decompose_su2,
+                             derive_cnot_corrections, encode_init,
+                             format_logical_program, leakage_check,
+                             logical_rx, logical_rz, pair,
                              parse_logical_program, synthesize_logical_cnot,
                              transform_program)
 from qetsim.errors import ProgramSyntaxError, SynthesisError
@@ -33,83 +33,77 @@ def _run(machine, instructions):
     return machine
 
 
-def _encoded_index(shape, lmap, bits):
+def _encoded_index(shape, bits):
     levels = [0] * shape.subsystems
     for qubit, bit in bits.items():
-        first, second = lmap.pair(qubit)
+        first, second = pair(qubit)
         levels[first], levels[second] = bit, 1 - bit
     return shape.index_of(levels)
 
 
-def _logical_matrix(lmap, instructions, qubits):
-    """Action on the encoded subspace, extracted by basis-state simulation."""
+def _logical_matrix(n, instructions, qubits):
+    """Action on the encoded subspace of ``n`` qubits, by basis-state simulation."""
     n_logical = len(qubits)
-    span = lmap.physical_span
     dim = 2 ** n_logical
     matrix = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
         bits = {q: (col >> (n_logical - 1 - k)) & 1
                 for k, q in enumerate(qubits)}
         prep = []
-        for q in sorted(lmap.pairs):
-            prep += encode_init(lmap, q, bits.get(q, 0))
-        machine = _run(fresh_machine(span), prep + list(instructions))
+        for q in range(n):
+            prep += encode_init(q, bits.get(q, 0))
+        machine = _run(fresh_machine(2 * n), prep + list(instructions))
         for row in range(dim):
             out_bits = {q: (row >> (n_logical - 1 - k)) & 1
                         for k, q in enumerate(qubits)}
             full = dict(out_bits)
-            for q in lmap.pairs:
+            for q in range(n):
                 full.setdefault(q, 0)
-            index = _encoded_index(machine.register.shape, lmap, full)
+            index = _encoded_index(machine.register.shape, full)
             matrix[row, col] = machine.register.amps[index]
     return matrix
 
 
+def test_pair_layout():
+    assert [pair(q) for q in range(3)] == [(0, 1), (2, 3), (4, 5)]
+    lp = LogicalProgram(3, (), (2,))
+    assert transform_program(lp).s == 6
+
+
 def test_encode_init_bits():
-    lmap = LogicalQubitMap.default(1)
-    assert encode_init(lmap, 0, 0) == [Instruction.init(0, 0),
-                                       Instruction.init(1, 1)]
-    assert encode_init(lmap, 0, 1) == [Instruction.init(0, 1),
-                                       Instruction.init(1, 0)]
-
-
-def test_encode_init_unassigned_id():
-    with pytest.raises(SynthesisError, match="q3"):
-        encode_init(LogicalQubitMap.default(2), 3, 0)
+    assert encode_init(0, 0) == [Instruction.init(0, 0),
+                                 Instruction.init(1, 1)]
+    assert encode_init(2, 1) == [Instruction.init(4, 1),
+                                 Instruction.init(5, 0)]
 
 
 def test_rx_restriction_matches_textbook_rotation():
-    lmap = LogicalQubitMap.default(1)
     rng = np.random.default_rng(23)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=100):
-        got = _logical_matrix(lmap, logical_rx(lmap, 0, float(theta)), (0,))
+        got = _logical_matrix(1, logical_rx(0, float(theta)), (0,))
         assert np.max(np.abs(got - _rx(theta))) < 1e-12
 
 
 def test_rx_pi_flips_with_global_phase():
-    lmap = LogicalQubitMap.default(1)
-    got = _logical_matrix(lmap, logical_rx(lmap, 0, math.pi), (0,))
+    got = _logical_matrix(1, logical_rx(0, math.pi), (0,))
     applied = got @ np.array([1, 0])
     assert np.max(np.abs(applied - np.array([0, -1j]))) < 1e-12
 
 
 def test_rx_zero_is_identity():
-    lmap = LogicalQubitMap.default(1)
-    got = _logical_matrix(lmap, logical_rx(lmap, 0, 0.0), (0,))
+    got = _logical_matrix(1, logical_rx(0, 0.0), (0,))
     assert np.max(np.abs(got - np.eye(2))) < 1e-12
 
 
 def test_rz_restriction_matches_textbook_rotation():
-    lmap = LogicalQubitMap.default(1)
     rng = np.random.default_rng(29)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=100):
-        got = _logical_matrix(lmap, logical_rz(lmap, 0, float(theta)), (0,))
+        got = _logical_matrix(1, logical_rz(0, float(theta)), (0,))
         assert np.max(np.abs(got - _rz(theta))) < 1e-12
 
 
 def test_rz_pi_maps_plus_to_minus():
-    lmap = LogicalQubitMap.default(1)
-    got = _logical_matrix(lmap, logical_rz(lmap, 0, math.pi), (0,))
+    got = _logical_matrix(1, logical_rz(0, math.pi), (0,))
     plus = np.array([1, 1]) / math.sqrt(2)
     minus = np.array([1, -1]) / math.sqrt(2)
     overlap = abs(np.vdot(minus, got @ plus))
@@ -117,8 +111,7 @@ def test_rz_pi_maps_plus_to_minus():
 
 
 def test_cnot_truth_table_with_single_phase():
-    lmap = LogicalQubitMap.default(2)
-    got = _logical_matrix(lmap, synthesize_logical_cnot(lmap, 0, 1), (0, 1))
+    got = _logical_matrix(2, synthesize_logical_cnot(0, 1), (0, 1))
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                      [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     phases = [got[np.argmax(np.abs(cnot[:, col])), col] for col in range(4)]
@@ -136,7 +129,7 @@ def test_cnot_corrections_rederive():
 
 def test_cnot_rejects_same_operand():
     with pytest.raises(SynthesisError):
-        synthesize_logical_cnot(LogicalQubitMap.default(2), 1, 1)
+        synthesize_logical_cnot(1, 1)
 
 
 def test_decompose_identity():
@@ -194,44 +187,40 @@ def test_transform_output_reparses_identically():
 
 
 def test_universality_smoke():
-    lmap = LogicalQubitMap.default(1)
     rng = np.random.default_rng(41)
     for _ in range(20):
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         target, _ = np.linalg.qr(raw)
         lp = LogicalProgram(1, (LogicalGate("SU2", (0,), matrix=target),), ())
-        program = transform_program(lp, lmap)
-        got = _logical_matrix(lmap, program.instructions[2:], (0,))
+        program = transform_program(lp)
+        got = _logical_matrix(1, program.instructions[2:], (0,))
         phase = np.vdot(target.reshape(-1), got.reshape(-1))
         phase /= abs(phase)
         assert np.max(np.abs(got - phase * target)) < 1e-9
 
 
 def test_leakage_check_fresh_encoding():
-    lmap = LogicalQubitMap.default(1)
-    machine = _run(fresh_machine(2), encode_init(lmap, 0, 0))
-    assert leakage_check(machine.register, lmap)
+    machine = _run(fresh_machine(2), encode_init(0, 0))
+    assert leakage_check(machine.register, 1)
 
 
 def test_leakage_check_raw_pair_fails():
-    lmap = LogicalQubitMap.default(1)
     machine = _run(fresh_machine(2), [Instruction.init(0, 0),
                                       Instruction.init(1, 0)])
-    assert not leakage_check(machine.register, lmap)
+    assert not leakage_check(machine.register, 1)
 
 
 def test_leakage_check_after_compiled_circuit():
-    lmap = LogicalQubitMap.default(2)
     rng = np.random.default_rng(47)
-    gates = [logical_rx(lmap, 0, rng.uniform(-3, 3)),
-             logical_rz(lmap, 1, rng.uniform(-3, 3)),
-             synthesize_logical_cnot(lmap, 0, 1),
-             logical_rx(lmap, 1, rng.uniform(-3, 3))]
+    gates = [logical_rx(0, rng.uniform(-3, 3)),
+             logical_rz(1, rng.uniform(-3, 3)),
+             synthesize_logical_cnot(0, 1),
+             logical_rx(1, rng.uniform(-3, 3))]
     machine = _run(fresh_machine(4),
-                   encode_init(lmap, 0, 0) + encode_init(lmap, 1, 1))
+                   encode_init(0, 0) + encode_init(1, 1))
     for gate in gates:
         machine = _run(machine, gate)
-        assert leakage_check(machine.register, lmap)
+        assert leakage_check(machine.register, 2)
 
 
 # -- logical program text ----------------------------------------------------
@@ -271,8 +260,3 @@ def test_logical_text_errors_with_lines():
 def test_logical_program_range_check():
     with pytest.raises(SynthesisError):
         LogicalProgram(1, (LogicalGate("RX", (1,), theta=0.1),), ())
-
-
-def test_qubit_map_rejects_overlap():
-    with pytest.raises(SynthesisError):
-        LogicalQubitMap({0: (0, 1), 1: (1, 2)})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,11 +36,11 @@ def _occupancy_violated(machine):
 
 def test_init_marks_slot_and_keeps_register():
     machine = fresh_machine(2)
-    machine, record = execute_instruction(machine, Instruction.init(0, 0),
-                                          RandomSource(0))
+    machine, outcome = execute_instruction(machine, Instruction.init(0, 0),
+                                           RandomSource(0))
     assert machine.memory_occupied == (True, False)
     assert machine.register.amps[0] == 1
-    assert record.opcode == "INIT"
+    assert outcome is None
 
 
 def test_init_one_prepares_excited_slot():
@@ -117,9 +119,9 @@ def test_transfer_pipeline_matches_dense_oracle():
     ], rng)
     assert np.max(np.abs(machine.register.amps - expected)) < 1e-12
 
-    machine, record = execute_instruction(machine, Instruction.measure(0),
-                                          rng, index=7)
-    assert record.outcome == 1
+    machine, outcome = execute_instruction(machine, Instruction.measure(0),
+                                           rng, index=7)
+    assert outcome == 1
     assert machine.classical_results == ((0, 1),)
 
 
@@ -270,6 +272,19 @@ def test_validate_collects_multiple_issues():
     ))
     issues = validate_program(program)
     assert [index for index, _ in issues] == [0, 1, 3]
+
+
+def test_validate_keeps_flags_only_for_named_slots():
+    # one flag per declared slot would take about 80 MB at this size
+    program = QuantumProgram(10 ** 7, (Instruction.init(0, 0),))
+    tracemalloc.start()
+    try:
+        issues = validate_program(program)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert issues == []
+    assert peak < 1 << 20
 
 
 def test_validate_unknown_transistor():

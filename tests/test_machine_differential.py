@@ -184,9 +184,10 @@ def test_sparse_machine_matches_dense_reference(program, seed):
     machine = fresh_machine(s)
     dense = basis_state((2,) * (s + 3), (0,) * (s + 3))
     for index, instr in enumerate(instructions):
-        machine, record = execute_instruction(machine, instr, sparse_rng, index)
-        dense, outcome = dense_step(dense, s, instr, dense_rng)
-        assert record.outcome == outcome
+        machine, outcome = execute_instruction(machine, instr, sparse_rng,
+                                               index)
+        dense, expected = dense_step(dense, s, instr, dense_rng)
+        assert outcome == expected
         assert np.max(np.abs(machine.register.amps - dense.amps)) <= 1e-12
         assert np.all(machine.amps != 0)
         assert len(np.unique(machine.indices)) == len(machine.indices)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from qetsim.errors import ServiceError
 from qetsim.isa import Instruction, QuantumProgram, format_program
 from qetsim.machine import execute_instruction, fresh_machine
-from qetsim.service import (MAX_LINE_BYTES, SUPPORT_BUDGET, EmulatorBackend,
-                            ExecutionBatch, QpfService, Segment,
+from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
+                            EmulatorBackend, ExecutionBatch, QpfService, Segment,
                             SegmentOutcome, ServiceServer, analyze,
                             buffer_and_batch, demux_results, dispatch,
                             _concretize, encode_message, parse_client_ops,
@@ -64,9 +64,10 @@ def test_analyze_accepts_two_qubit_request():
 def test_analyze_rejects_address_beyond_budget():
     with pytest.raises(ServiceError) as info:
         analyze(_ops([{"op": "CQET", "qubits": [0, 99999]},
-                      {"op": "MEASURE", "qubits": [0]}]),
-                qubit_budget=256)
-    assert "outside declared range" in info.value.errors[0][1]
+                      {"op": "MEASURE", "qubits": [0]}]))
+    assert info.value.errors[0][1] == ("qubit address 99999 outside declared "
+                                       f"range [0, {QUBIT_BUDGET})")
+    assert QUBIT_BUDGET == 256
 
 
 def test_analyze_rejects_measure_free_request():
@@ -230,14 +231,14 @@ def test_batch_empty_queue():
 
 
 def _trace(segment, seed=0):
-    """The trace records of the segment's program, stepped one by one."""
+    """The instructions of the segment's program, each stepped in turn."""
     program = _concretize(segment, 0)
     machine, rng = fresh_machine(program.s), RandomSource(seed)
-    records = []
+    stepped = []
     for index, instr in enumerate(program.instructions):
-        machine, record = execute_instruction(machine, instr, rng, index)
-        records.append(record)
-    return records
+        machine, _ = execute_instruction(machine, instr, rng, index)
+        stepped.append(instr)
+    return stepped
 
 
 def test_dispatch_inserts_init_before_first_use():
@@ -247,18 +248,17 @@ def test_dispatch_inserts_init_before_first_use():
     # every slot is initialized before its first non-INIT use
     first_use = {}
     first_init = {}
-    for position, record in enumerate(trace):
-        slot = record.instruction.memory_addr
+    for position, instr in enumerate(trace):
+        slot = instr.memory_addr
         if slot is None:
             continue
-        if record.opcode == "INIT":
+        if instr.opcode == "INIT":
             first_init.setdefault(slot, position)
         else:
             first_use.setdefault(slot, position)
     assert set(first_use) == set(first_init)
     assert all(first_init[slot] < first_use[slot] for slot in first_use)
-    init_bits = [record.instruction.init_value
-                 for record in trace if record.opcode == "INIT"]
+    init_bits = [instr.init_value for instr in trace if instr.opcode == "INIT"]
     assert sorted(init_bits) == [0, 1]
 
 
@@ -470,6 +470,35 @@ class _RaisingBackend(EmulatorBackend):
 
     def run(self, program):
         raise RuntimeError("backend fell over")
+
+
+class _RunOnlyBackend:
+    """All a backend needs: ``run``."""
+
+    def __init__(self):
+        self.runs = 0
+        self._emulator = EmulatorBackend(seed=0)
+
+    def run(self, program):
+        self.runs += 1
+        return self._emulator.run(program)
+
+
+def test_service_capacity_is_its_own_with_any_backend():
+    backend = _RunOnlyBackend()
+    service = QpfService(capacity=64, backend=backend)
+    assert service.handle_message({"type": "capacity"}) == {
+        "type": "capacity", "capacity": 64}
+    # a QET lowers to 5 commands and a MEASURE to 2; INITs are free
+    qet = {"op": "QET", "qubits": [0], "theta": math.pi}
+    measures = [{"op": "MEASURE", "qubits": [q]} for q in range(5)]
+    assert service.submit_request("a", [qet] * 12 + measures[:2])["type"] == (
+        "result")
+    assert service.submit_request("a", [qet] * 11 + measures) == {
+        "type": "error", "errors": [
+            {"index": 0, "message": "request needs 65 commands; "
+                                    "controller capacity is 64"}]}
+    assert service._next_request == 1 and backend.runs == 1
 
 
 def test_backend_crash_is_error_reply_and_leaves_nothing_pending():
