@@ -4,8 +4,11 @@ The run transcripts under ``golden/`` were recorded with the dense
 state-vector machine that preceded the sparse register; the compile
 output and the service transcript were recorded before the opcode
 table, the shared occupancy step and the shared lowering emitters
-replaced their duplicated predecessors.  A change that alters any of
-them changes the fixed-seed contract and must say so.
+replaced their duplicated predecessors.  The CLI error transcripts
+under ``golden/cli_errors/`` (stdout, stderr and exit code of each case
+in its ``cases.txt``) were recorded before the CLI reported every error
+from one place.  A change that alters any of them changes the
+fixed-seed contract and must say so.
 """
 
 import io
@@ -17,6 +20,7 @@ from qetsim.cli import main
 from qetsim.service import QpfService, serve_stdio
 
 GOLDEN = Path(__file__).parent / "golden"
+ERRORS = GOLDEN / "cli_errors"
 
 
 @pytest.mark.parametrize("program, shots, transcript", [
@@ -43,3 +47,21 @@ def test_seeded_service_transcript_is_byte_identical():
     with open(GOLDEN / "service_requests.jsonl", "rb") as requests:
         serve_stdio(QpfService(seed=7, capacity=64), requests, out)
     assert out.getvalue() == (GOLDEN / "service_seed7.jsonl").read_text()
+
+
+def _error_cases():
+    for line in (ERRORS / "cases.txt").read_text().splitlines():
+        name, *argv = line.split()
+        yield pytest.param(name, argv, id=name)
+
+
+@pytest.mark.parametrize("name, argv", _error_cases())
+def test_cli_error_transcript_is_byte_identical(name, argv, capsys,
+                                                monkeypatch):
+    # the paths in cases.txt, and so in the messages, are relative to the
+    # repository root
+    monkeypatch.chdir(GOLDEN.parents[1])
+    code = main(argv)
+    out, err = capsys.readouterr()
+    transcript = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+    assert transcript == (ERRORS / f"{name}.txt").read_text()
