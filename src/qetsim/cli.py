@@ -7,11 +7,12 @@ import logging
 import sys
 import time
 
-from .compiler import parse_logical_program, transform_program
+from .compiler import (LogicalProgram, memory_size, parse_logical_program,
+                       transform_program)
 from .errors import ProgramSyntaxError, QetSimError
 from .isa import (format_program, parse_program_with_lines, token_lines,
                   validate_program)
-from .machine import run_program
+from .machine import fresh_machine, run_program
 from .protocol import (ProtocolInput, assemble_state, initial_state,
                        protocol_sequence, run_protocol, step_term_trace,
                        verify_against_cqet)
@@ -83,73 +84,55 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _program_kind(text: str) -> str:
-    for _, tokens in token_lines(text):
-        return tokens[0].upper()
-    return ""
+def _load(path: str):
+    """The program in a file, parsed by its header.
 
-
-def _print_syntax_errors(exc: ProgramSyntaxError, out):
-    for lineno, message in exc.issues:
-        print(f"line {lineno}: {message}", file=out)
+    ``LQ`` text gives a ``LogicalProgram``; any other text is read as
+    machine text and gives the ``QuantumProgram`` and the source line of
+    each instruction.
+    """
+    text = _read(path)
+    kind = next((tokens[0].upper() for _, tokens in token_lines(text)), "")
+    if kind == "LQ":
+        return parse_logical_program(text)
+    return parse_program_with_lines(text)
 
 
 def cmd_validate(args) -> int:
-    text = _read(args.path)
-    kind = _program_kind(text)
-    if kind == "LQ":
-        try:
-            parse_logical_program(text)
-        except ProgramSyntaxError as exc:
-            _print_syntax_errors(exc, sys.stdout)
+    loaded = _load(args.path)
+    if not isinstance(loaded, LogicalProgram):
+        program, lines = loaded
+        issues = validate_program(program)
+        for index, message in issues:
+            print(f"line {lines[index]} (instruction {index}): {message}")
+        if issues:
             return 1
-        print("ok")
-        return 0
-    try:
-        program, lines = parse_program_with_lines(text)
-    except ProgramSyntaxError as exc:
-        _print_syntax_errors(exc, sys.stdout)
-        return 1
-    issues = validate_program(program)
-    for index, message in issues:
-        print(f"line {lines[index]} (instruction {index}): {message}")
-    if issues:
-        return 1
     print("ok")
     return 0
 
 
 def cmd_run(args) -> int:
-    text = _read(args.path)
-    try:
-        if _program_kind(text) == "LQ":
-            program = transform_program(parse_logical_program(text))
-        else:
-            program, _ = parse_program_with_lines(text)
-    except ProgramSyntaxError as exc:
-        _print_syntax_errors(exc, sys.stdout)
-        return 1
-    except QetSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    program = _load(args.path)
+    if isinstance(program, LogicalProgram):
+        # refuse a program wider than the machine before lowering every qubit
+        fresh_machine(memory_size(program.n))
+        program = transform_program(program)
+    else:
+        program = program[0]
     rng = RandomSource(args.seed)
     counts: dict[str, int] = {}
-    try:
-        for shot in range(args.shots):
-            results = run_program(program, rng)
-            key = "".join(str(bit) for _, bit in results)
-            counts[key] = counts.get(key, 0) + 1
-            if args.output == "machine":
-                print(encode_message(
-                    {"type": "shot", "shot": shot,
-                     "results": [{"qubit": addr, "bit": bit}
-                                 for addr, bit in results]}))
-            else:
-                readout = " ".join(f"m{addr}={bit}" for addr, bit in results)
-                print(f"shot {shot}: {readout or '(no measurements)'}")
-    except QetSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for shot in range(args.shots):
+        results = run_program(program, rng)
+        key = "".join(str(bit) for _, bit in results)
+        counts[key] = counts.get(key, 0) + 1
+        if args.output == "machine":
+            print(encode_message(
+                {"type": "shot", "shot": shot,
+                 "results": [{"qubit": addr, "bit": bit}
+                             for addr, bit in results]}))
+        else:
+            readout = " ".join(f"m{addr}={bit}" for addr, bit in results)
+            print(f"shot {shot}: {readout or '(no measurements)'}")
     if args.output == "machine":
         print(encode_message({"type": "aggregate", "shots": args.shots,
                               "counts": counts}))
@@ -162,16 +145,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    text = _read(args.path)
-    try:
-        logical = parse_logical_program(text)
-        program = transform_program(logical)
-    except ProgramSyntaxError as exc:
-        _print_syntax_errors(exc, sys.stdout)
-        return 1
-    except QetSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    program = transform_program(parse_logical_program(_read(args.path)))
     sys.stdout.write(format_program(program))
     return 0
 
@@ -247,9 +221,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, UnicodeDecodeError) as exc:
+    except ProgramSyntaxError as exc:
+        for lineno, message in exc.issues:
+            print(f"line {lineno}: {message}")
+    except (QetSimError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":

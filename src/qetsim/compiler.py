@@ -25,7 +25,7 @@ from .errors import ProgramSyntaxError, SynthesisError
 from .gates import cqet_matrix, qet_matrix
 from .isa import (Instruction, QuantumProgram, read_lines, read_operand,
                   validate_program)
-from .statevector import StateVector
+from .statevector import LocalUnitary, StateVector, is_unitary
 
 # Correction angles that turn the raw controlled transfer into an exact
 # CNOT: the controlled transfer fires on control |0> and adds a factor i,
@@ -45,10 +45,6 @@ def _rx(theta: float) -> np.ndarray:
 
 def _rz(theta: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]).astype(complex)
-
-
-def _is_unitary_2x2(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(2))) <= tol)
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,7 @@ class LogicalGate:
             if len(self.qubits) != 1 or self.matrix is None:
                 raise SynthesisError("SU2 takes one qubit and a matrix")
             m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (2, 2) or not _is_unitary_2x2(m):
+            if m.shape != (2, 2) or not is_unitary(LocalUnitary((2,), m)):
                 raise SynthesisError("SU2 matrix must be 2x2 unitary")
             object.__setattr__(self, "matrix", m)
 
@@ -104,6 +100,11 @@ class LogicalProgram:
 def pair(logical_id: int) -> tuple[int, int]:
     """The memory slots of logical qubit ``q``: ``2q`` and ``2q + 1``."""
     return 2 * logical_id, 2 * logical_id + 1
+
+
+def memory_size(n: int) -> int:
+    """The memory slots of ``n`` logical qubits: those below qubit ``n``'s pair."""
+    return pair(n)[0]
 
 
 def encode_init(logical_id: int, basis_bit: int) -> list[Instruction]:
@@ -212,7 +213,7 @@ def decompose_su2(u) -> tuple[float, float, float, float]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise SynthesisError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not _is_unitary_2x2(u):
+    if not is_unitary(LocalUnitary((2,), u)):
         raise SynthesisError("matrix is not unitary")
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     delta = 0.5 * cmath.phase(det)
@@ -276,7 +277,7 @@ def transform_program(lp: LogicalProgram) -> QuantumProgram:
         instructions += _gate_instructions(gate)
     for q in lp.measured:
         instructions += readout(pair(q))
-    program = QuantumProgram(2 * lp.n, tuple(instructions))
+    program = QuantumProgram(memory_size(lp.n), tuple(instructions))
     issues = validate_program(program)
     if issues:  # pragma: no cover - synthesis always emits valid programs
         raise SynthesisError(f"emitted program fails validation: {issues}")

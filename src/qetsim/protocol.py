@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ProtocolError
 from .gates import cqet_matrix
 from .statevector import (LocalUnitary, StateVector, SubsystemShape,
-                          apply_local, basis_state)
+                          apply_local)
 
 PROTOCOL_DIMS = (2, 4, 2, 3, 2, 4)
 PHOTON_A, MEM_A, PHOTON_B, DOT, PHOTON_C, MEM_C = range(6)

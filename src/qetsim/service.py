@@ -43,7 +43,7 @@ from .compiler import bracket, controlled_transfer, encode_init, pair, readout
 from .errors import QetSimError, ServiceError
 from .gates import exact_turns
 from .isa import Instruction, QuantumProgram
-from .machine import run_program
+from .machine import MAX_POSITIONS, run_program
 from .statevector import RandomSource
 
 logger = logging.getLogger(__name__)
@@ -218,9 +218,10 @@ _OPERAND = {slot: (operand, half)
 # INIT of a pair's first and second placeholder: every pair starts as
 # the compiler's logical 0.
 _INIT = tuple(encode_init(0, 0))
-# Slot-only instructions, shared by every request: a slot below 61 and a
-# cell or bit below 3 bound the keys to 61 * 9.  Angles are never cached.
-_SLOT_LIMIT = 61
+# Slot-only instructions, shared by every request: a slot the machine can
+# run (below MAX_POSITIONS - 3, the cells taking the other three) and a
+# cell or bit below 3 bound the keys to 60 * 9.  Angles are never cached.
+_SLOT_LIMIT = MAX_POSITIONS - 3
 _ON_SLOT: dict[tuple, Instruction] = {}
 
 
@@ -308,19 +309,18 @@ def dispatch(batch: ExecutionBatch, backend) -> list[SegmentOutcome]:
     outcomes = []
     for clock, segment in enumerate(batch.segments):
         program = _concretize(segment, clock)
+        error = None
         try:
             records = backend.run(program)
         except Exception as exc:  # whatever fails stays with its segment
             known = isinstance(exc, QetSimError)
             logger.warning("segment %s/%s failed: %r", segment.client_id,
                            segment.request_id, exc, exc_info=not known)
-            outcomes.append(SegmentOutcome(
-                segment.client_id, segment.request_id, segment.measures,
-                [], str(exc) if known else repr(exc)))
-            continue
+            records = []
+            error = str(exc) if known else repr(exc)
         outcomes.append(SegmentOutcome(
             segment.client_id, segment.request_id, segment.measures,
-            records))
+            records, error))
     logger.info("dispatched batch: %d segment(s), %d command(s)",
                 len(batch.segments), batch.command_count)
     return outcomes
@@ -337,27 +337,23 @@ def demux_results(outcomes: list[SegmentOutcome]) -> dict:
     for outcome in outcomes:
         key = (outcome.client_id, outcome.request_id)
         if outcome.error is not None:
-            responses[key] = {"type": "error",
-                              "errors": [{"index": -1,
-                                          "message": outcome.error}]}
+            responses[key] = error_reply([(-1, outcome.error)])
             continue
         bits = dict(outcome.records)
         results = []
         errors = []
         for position, (local, first, second) in enumerate(outcome.measures):
             if first not in bits or second not in bits:
-                errors.append({"index": position,
-                               "message": f"orphan physical address for q{local}"})
+                errors.append((position, f"orphan physical address for q{local}"))
                 continue
             if bits[first] == bits[second]:
-                errors.append({"index": position,
-                               "message": f"leakage decoding q{local}: physical "
-                                          f"pair read ({bits[first]}, "
-                                          f"{bits[second]})"})
+                errors.append((position, f"leakage decoding q{local}: physical "
+                                         f"pair read ({bits[first]}, "
+                                         f"{bits[second]})"))
                 continue
             results.append({"qubit": local, "bit": bits[first]})
         if errors:
-            responses[key] = {"type": "error", "errors": errors}
+            responses[key] = error_reply(errors)
         else:
             responses[key] = {"type": "result", "results": results}
     return responses
@@ -416,9 +412,7 @@ class QpfService:
                 self._pending[(client_id, request_id)] = pending
                 self._queue.append(segment)
         except ServiceError as exc:
-            return {"type": "error",
-                    "errors": [{"index": i, "message": m}
-                               for i, m in exc.errors]}
+            return error_reply(exc.errors)
         self._pump()
         return pending.wait()
 
@@ -446,13 +440,9 @@ class QpfService:
         if kind == "submit":
             client = message.get("client")
             if not isinstance(client, str) or not client:
-                return {"type": "error",
-                        "errors": [{"index": -1,
-                                    "message": "submit needs a client id"}]}
+                return error_reply([(-1, "submit needs a client id")])
             return self.submit_request(client, message.get("ops"))
-        return {"type": "error",
-                "errors": [{"index": -1,
-                            "message": f"unknown message type {kind!r}"}]}
+        return error_reply([(-1, f"unknown message type {kind!r}")])
 
     def handle_line(self, line: str) -> str:
         try:
@@ -478,10 +468,15 @@ def encode_message(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def error_reply(pairs) -> dict:
+    """The error message for ``(index, message)`` pairs; index -1 names no op."""
+    return {"type": "error",
+            "errors": [{"index": i, "message": m} for i, m in pairs]}
+
+
 def malformed_reply(reason) -> str:
     """The reply to a line that is not a message."""
-    return encode_message({"type": "error", "errors": [
-        {"index": -1, "message": f"malformed message: {reason}"}]})
+    return encode_message(error_reply([(-1, f"malformed message: {reason}")]))
 
 
 MAX_LINE_BYTES = 1 << 20  # a longer line is refused

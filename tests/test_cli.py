@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,24 @@ def test_run_runtime_error_reports_index(tmp_path, capsys):
     path = _write(tmp_path, "broken.qpu", "QPU s=1\nINIT m0 0\nINIT m0 0\n")
     assert main(["run", path]) == 1
     assert "instruction 1" in capsys.readouterr().err
+
+
+def test_run_refuses_too_wide_logical_program_before_lowering(tmp_path,
+                                                              capsys):
+    # lowering takes about 0.7 KB per declared qubit before the machine
+    # refuses the program, so 200000 qubits would peak near 130 MB
+    path = _write(tmp_path, "wide.lq", "LQ n=200000\nMEASURE q0\n")
+    tracemalloc.start()
+    try:
+        code = main(["run", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: a register of 400003 positions exceeds the 63 an int64 "
+        "basis index can hold\n")
+    assert peak < 1 << 20
 
 
 def test_compile_rx_program(tmp_path, capsys):
