@@ -12,6 +12,7 @@ fixed-seed contract and must say so.
 """
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,42 @@ def test_seeded_run_transcript_is_byte_identical(program, shots, transcript,
     assert main(["run", str(GOLDEN / program), "--seed", "5",
                  "--shots", str(shots), "--output", "machine"]) == 0
     assert capsys.readouterr().out == (GOLDEN / transcript).read_text()
+
+
+def test_seeded_human_run_transcript_is_byte_identical(capsys):
+    assert main(["run", str(GOLDEN / "bell.lq"), "--seed", "5",
+                 "--shots", "200"]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / "bell_seed5_human.txt").read_text()
+
+
+def _assert_records_match(got, want, tol=1e-12):
+    """Same structure, keys and strings; numbers within ``tol``."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want)
+        for key in want:
+            _assert_records_match(got[key], want[key], tol)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_records_match(g, w, tol)
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert abs(got - want) <= tol, (got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("convention", ["ideal", "physical"])
+def test_protocol_verify_records_match(convention, capsys):
+    # the ideal transfer infidelity is a last-bit value that depends on
+    # the BLAS summation order, so numbers are compared within 1e-12
+    # rather than byte for byte
+    assert main(["protocol-verify", "--samples", "20", "--output", "machine",
+                 "--convention", convention]) == 0
+    got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    path = GOLDEN / f"protocol_verify_{convention}.jsonl"
+    want = [json.loads(line) for line in path.read_text().splitlines()]
+    _assert_records_match(got, want)
 
 
 @pytest.mark.parametrize("name", ["bell", "ghz7", "mixed"])
