@@ -28,7 +28,7 @@ from .service import (EmulatorBackend, ExecutionBatch, QpfService,
                       ServiceServer, analyze, buffer_and_batch, demux_results,
                       dispatch, transform)
 from .statevector import (LocalUnitary, RandomSource, StateVector,
-                          SubsystemShape, apply_local, basis_state, fidelity,
-                          is_unitary, measure_subsystem)
+                          apply_local, basis_state, fidelity, is_unitary,
+                          measure_subsystem)
 
 __version__ = "0.1.0"

@@ -89,13 +89,18 @@ def _load(path: str):
 
     ``LQ`` text gives a ``LogicalProgram``; any other text is read as
     machine text and gives the ``QuantumProgram`` and the source line of
-    each instruction.
+    each instruction.  A program wider than the machine is refused here,
+    so ``validate`` and ``run`` agree and ``run`` never lowers it.
     """
     text = _read(path)
     kind = next((tokens[0].upper() for _, tokens in token_lines(text)), "")
     if kind == "LQ":
-        return parse_logical_program(text)
-    return parse_program_with_lines(text)
+        loaded = parse_logical_program(text)
+        fresh_machine(memory_size(loaded.n))
+    else:
+        loaded = parse_program_with_lines(text)
+        fresh_machine(loaded[0].s)
+    return loaded
 
 
 def cmd_validate(args) -> int:
@@ -114,8 +119,6 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     program = _load(args.path)
     if isinstance(program, LogicalProgram):
-        # refuse a program wider than the machine before lowering every qubit
-        fresh_machine(memory_size(program.n))
         program = transform_program(program)
     else:
         program = program[0]

@@ -292,11 +292,11 @@ def leakage_check(state: StateVector, logical_qubits: int,
     other positions are ignored, so the check works on the full machine
     register as well as on a bare memory state.
     """
-    n = state.shape.subsystems
-    if any(d != 2 for d in state.shape.dims):
+    n = len(state.shape)
+    if any(d != 2 for d in state.shape):
         raise SynthesisError("leakage check expects a qubit register")
-    indices = np.arange(state.shape.dim)
-    good = np.ones(state.shape.dim, dtype=bool)
+    indices = np.arange(1 << n)
+    good = np.ones(1 << n, dtype=bool)
     for q in range(logical_qubits):
         first, second = pair(q)
         bit_first = (indices >> (n - 1 - first)) & 1

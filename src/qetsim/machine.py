@@ -40,8 +40,7 @@ import numpy as np
 from .errors import DimensionError, MeasurementError, QpuRuntimeError
 from .gates import cqet_matrix, phase_matrix, qet_matrix
 from .isa import Instruction, QuantumProgram, occupancy_step, validate_program
-from .statevector import (NORM_TOL, LocalUnitary, RandomSource, StateVector,
-                          SubsystemShape)
+from .statevector import NORM_TOL, LocalUnitary, RandomSource, StateVector
 
 MAX_POSITIONS = 63
 
@@ -75,7 +74,7 @@ class MachineState:
             dense |= ((self.indices >> bit) & 1) << (n - 1 - position)
         amps = np.zeros(1 << n, dtype=complex)
         amps[dense] = self.amps
-        return StateVector(SubsystemShape((2,) * n), amps)
+        return StateVector((2,) * n, amps)
 
 
 def fresh_machine(s: int) -> MachineState:

@@ -37,8 +37,7 @@ import numpy as np
 
 from .errors import ProtocolError
 from .gates import cqet_matrix
-from .statevector import (LocalUnitary, StateVector, SubsystemShape,
-                          apply_local)
+from .statevector import LocalUnitary, StateVector, apply_local
 
 PROTOCOL_DIMS = (2, 4, 2, 3, 2, 4)
 PHOTON_A, MEM_A, PHOTON_B, DOT, PHOTON_C, MEM_C = range(6)
@@ -61,14 +60,11 @@ START_CONFIGS = {
 }
 
 
-def protocol_shape() -> SubsystemShape:
-    return SubsystemShape(PROTOCOL_DIMS)
-
-
 def config_index(config) -> int:
     """Flat index of a level tuple (dot levels run 1..3)."""
     pa, ma, pb, dot, pc, mc = config
-    return protocol_shape().index_of((pa, ma, pb, dot - 1, pc, mc))
+    return int(np.ravel_multi_index((pa, ma, pb, dot - 1, pc, mc),
+                                    PROTOCOL_DIMS))
 
 
 @dataclass(frozen=True)
@@ -210,10 +206,10 @@ def protocol_sequence(convention: str = "ideal") -> tuple[ProtocolStep, ...]:
 
 
 def initial_state(inp: ProtocolInput) -> StateVector:
-    amps = np.zeros(protocol_shape().dim, dtype=complex)
+    amps = np.zeros(math.prod(PROTOCOL_DIMS), dtype=complex)
     for lineage, coeff in zip(LINEAGES, inp.coefficients):
         amps[config_index(START_CONFIGS[lineage])] = coeff
-    return StateVector(protocol_shape(), amps)
+    return StateVector(PROTOCOL_DIMS, amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,11 +302,11 @@ def step_term_trace(convention: str = "ideal"):
 
 def assemble_state(terms, inp: ProtocolInput) -> StateVector:
     """State built from per-lineage configurations, phases and coefficients."""
-    amps = np.zeros(protocol_shape().dim, dtype=complex)
+    amps = np.zeros(math.prod(PROTOCOL_DIMS), dtype=complex)
     for lineage, coeff in zip(LINEAGES, inp.coefficients):
         config, phase = terms[lineage]
         amps[config_index(config)] += coeff * phase
-    return StateVector(protocol_shape(), amps)
+    return StateVector(PROTOCOL_DIMS, amps)
 
 
 # -- comparison against the three-qubit gate matrix --------------------------
@@ -334,8 +330,9 @@ def _frame_bits(config) -> tuple[int, int, int]:
 def frame_vector(state: StateVector, tol: float = 1e-12) -> np.ndarray:
     """Project a protocol state onto the 8-dim logical frame."""
     out = np.zeros(8, dtype=complex)
-    for index in np.nonzero(np.abs(state.amps) > tol)[0]:
-        levels = list(state.shape.levels_of(int(index)))
+    hits = np.nonzero(np.abs(state.amps) > tol)[0]
+    configs = np.transpose(np.unravel_index(hits, state.shape)).tolist()
+    for index, levels in zip(hits, configs):
         levels[DOT] += 1
         control, bit_a, bit_c = _frame_bits(tuple(levels))
         out[(control << 2) | (bit_a << 1) | bit_c] += state.amps[index]

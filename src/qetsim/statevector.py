@@ -1,14 +1,18 @@
 """Dense complex state vectors over composite discrete systems.
 
 Subsystems may have different dimensions (qubits, three-level dots,
-four-level memories).  Amplitudes are stored flat in row-major order,
-so the first listed subsystem is the most significant index digit.
+four-level memories).  A state's shape is the plain tuple of its
+per-subsystem dimensions.  Amplitudes are stored flat in row-major
+order, so the first listed subsystem is the most significant index
+digit; NumPy's ``ravel_multi_index`` and ``unravel_index`` convert
+between level tuples and flat indices.
 All operations are value-in, value-out; nothing here mutates shared
 state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,72 +25,30 @@ ALGEBRA_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class SubsystemShape:
-    """Ordered per-subsystem dimensions of a composite system."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not self.dims:
-            raise DimensionError("a composite system needs at least one subsystem")
-        if any(d < 2 for d in self.dims):
-            raise DimensionError(f"subsystem dimensions must be >= 2, got {self.dims}")
-
-    def __eq__(self, other):
-        return isinstance(other, SubsystemShape) and self.dims == other.dims
-
-    @property
-    def subsystems(self) -> int:
-        return len(self.dims)
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
-    def index_of(self, levels) -> int:
-        """Flat row-major index of a product basis configuration."""
-        levels = tuple(int(x) for x in levels)
-        if len(levels) != len(self.dims):
-            raise DimensionError(
-                f"expected {len(self.dims)} levels, got {len(levels)}")
-        for sub, (level, d) in enumerate(zip(levels, self.dims)):
-            if not 0 <= level < d:
-                raise DimensionError(
-                    f"level {level} out of range for subsystem {sub} "
-                    f"(dimension {d})")
-        index = 0
-        for level, d in zip(levels, self.dims):
-            index = index * d + level
-        return index
-
-    def levels_of(self, index: int) -> tuple[int, ...]:
-        """Inverse of :meth:`index_of`."""
-        out = []
-        for d in reversed(self.dims):
-            out.append(index % d)
-            index //= d
-        return tuple(reversed(out))
-
-
-@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized amplitudes of a composite system."""
+    """Normalized amplitudes of a composite system.
 
-    shape: SubsystemShape
+    ``shape`` is the ordered tuple of per-subsystem dimensions.
+    """
+
+    shape: tuple[int, ...]
     amps: np.ndarray
 
     def __post_init__(self):
+        shape = tuple(map(int, self.shape))
+        if not shape:
+            raise DimensionError("a composite system needs at least one subsystem")
+        if min(shape) < 2:
+            raise DimensionError(f"subsystem dimensions must be >= 2, got {shape}")
         amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (self.shape.dim,):
+        dim = math.prod(shape)
+        if amps.shape != (dim,):
             raise DimensionError(
                 f"amplitude array of length {amps.shape} does not match "
-                f"shape of dimension {self.shape.dim}")
+                f"shape of dimension {dim}")
         if not np.isfinite(amps).all():
             raise DimensionError("non-finite amplitude")
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "amps", amps)
 
     @property
@@ -104,9 +66,7 @@ class LocalUnitary:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         entries = np.asarray(self.entries, dtype=complex)
-        block = 1
-        for d in self.dims:
-            block *= d
+        block = math.prod(self.dims)
         if entries.shape != (block, block):
             raise DimensionError(
                 f"matrix shape {entries.shape} does not match dims {self.dims}")
@@ -143,16 +103,24 @@ class RandomSource:
 
 def basis_state(shape, levels) -> StateVector:
     """Product basis state with amplitude 1 on the given configuration."""
-    if not isinstance(shape, SubsystemShape):
-        shape = SubsystemShape(tuple(shape))
-    amps = np.zeros(shape.dim, dtype=complex)
-    amps[shape.index_of(levels)] = 1.0
+    shape = tuple(int(d) for d in shape)
+    levels = tuple(int(x) for x in levels)
+    if len(levels) != len(shape):
+        raise DimensionError(
+            f"expected {len(shape)} levels, got {len(levels)}")
+    for sub, (level, d) in enumerate(zip(levels, shape)):
+        if not 0 <= level < d:
+            raise DimensionError(
+                f"level {level} out of range for subsystem {sub} "
+                f"(dimension {d})")
+    amps = np.zeros(math.prod(shape), dtype=complex)
+    amps[np.ravel_multi_index(levels, shape)] = 1.0
     return StateVector(shape, amps)
 
 
 def apply_local(state: StateVector, u: LocalUnitary, targets) -> StateVector:
     """Apply ``u`` to the listed subsystems, identity elsewhere."""
-    dims = state.shape.dims
+    dims = state.shape
     n = len(dims)
     targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
@@ -166,10 +134,7 @@ def apply_local(state: StateVector, u: LocalUnitary, targets) -> StateVector:
     psi = state.amps.reshape(dims)
     psi = np.moveaxis(psi, targets, range(len(targets)))
     moved_shape = psi.shape
-    block = 1
-    for d in u.dims:
-        block *= d
-    flat = psi.reshape(block, -1)
+    flat = psi.reshape(math.prod(u.dims), -1)
     flat = u.entries @ flat
     psi = np.moveaxis(flat.reshape(moved_shape), range(len(targets)), targets)
     return StateVector(state.shape, psi.reshape(-1))
@@ -183,7 +148,7 @@ def measure_subsystem(state: StateVector, target: int,
     state.  A state with total probability below ``NORM_TOL`` is an
     error rather than being silently rescaled.
     """
-    dims = state.shape.dims
+    dims = state.shape
     if not 0 <= target < len(dims):
         raise DimensionError(f"no subsystem {target} in shape {dims}")
     moved = np.moveaxis(state.amps.reshape(dims), target, 0)
@@ -202,9 +167,9 @@ def measure_subsystem(state: StateVector, target: int,
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap of two states of identical shape."""
-    if a.shape.dims != b.shape.dims:
+    if a.shape != b.shape:
         raise DimensionError(
-            f"shape mismatch: {a.shape.dims} vs {b.shape.dims}")
+            f"shape mismatch: {a.shape} vs {b.shape}")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 

@@ -170,7 +170,7 @@ def _logical_matrix(n, instructions, qubits, rng):
             machine, _ = execute_instruction(machine, instr, rng, index)
         shape = machine.register.shape
         for row in range(dim):
-            levels = [0] * shape.subsystems
+            levels = [0] * len(shape)
             for k, q in enumerate(qubits):
                 bit = (row >> (n_logical - 1 - k)) & 1
                 first, second = pair(q)
@@ -179,7 +179,7 @@ def _logical_matrix(n, instructions, qubits, rng):
                 if q not in qubits:
                     first, second = pair(q)
                     levels[first], levels[second] = 0, 1
-            matrix[row, col] = machine.register.amps[shape.index_of(levels)]
+            matrix[row, col] = machine.register.amps[np.ravel_multi_index(levels, shape)]
     return matrix
 
 

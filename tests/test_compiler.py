@@ -34,11 +34,11 @@ def _run(machine, instructions):
 
 
 def _encoded_index(shape, bits):
-    levels = [0] * shape.subsystems
+    levels = [0] * len(shape)
     for qubit, bit in bits.items():
         first, second = pair(qubit)
         levels[first], levels[second] = bit, 1 - bit
-    return shape.index_of(levels)
+    return np.ravel_multi_index(levels, shape)
 
 
 def _logical_matrix(n, instructions, qubits):

@@ -7,8 +7,10 @@ table, the shared occupancy step and the shared lowering emitters
 replaced their duplicated predecessors.  The CLI error transcripts
 under ``golden/cli_errors/`` (stdout, stderr and exit code of each case
 in its ``cases.txt``) were recorded before the CLI reported every error
-from one place.  A change that alters any of them changes the
-fixed-seed contract and must say so.
+from one place, except ``validate_lq_too_wide`` and
+``validate_qpu_too_wide``, which were recorded when ``validate`` began
+to refuse a program wider than the machine.  A change that alters any
+of them changes the fixed-seed contract and must say so.
 """
 
 import io

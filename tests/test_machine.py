@@ -20,8 +20,7 @@ def _run_all(machine, instructions, rng):
 
 def _occupancy_violated(machine):
     """Probability mass on |1> at any unoccupied position."""
-    dims = machine.register.shape.dims
-    n = len(dims)
+    n = len(machine.register.shape)
     amps = machine.register.amps
     occupied = list(machine.memory_occupied) + list(machine.cell_occupied)
     for position, occ in enumerate(occupied):
@@ -47,7 +46,7 @@ def test_init_one_prepares_excited_slot():
     machine = fresh_machine(1)
     machine, _ = execute_instruction(machine, Instruction.init(0, 1),
                                      RandomSource(0))
-    index = machine.register.shape.index_of((1, 0, 0, 0))
+    index = np.ravel_multi_index((1, 0, 0, 0), machine.register.shape)
     assert machine.register.amps[index] == 1
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qetsim.errors import ProtocolError
-from qetsim.protocol import (DOT, MEM_A, PHOTON_A, ElementaryOp,
-                             ProtocolInput, assemble_state, config_index,
-                             elementary_unitary, frame_vector, initial_state,
-                             protocol_sequence, protocol_shape, run_protocol,
+from qetsim.protocol import (DOT, MEM_A, PHOTON_A, PROTOCOL_DIMS,
+                             ElementaryOp, ProtocolInput, assemble_state,
+                             config_index, elementary_unitary, frame_vector,
+                             initial_state, protocol_sequence, run_protocol,
                              step_term_trace, verify_against_cqet)
 from qetsim.statevector import StateVector, apply_local, fidelity, is_unitary
 from reference_tables import (LINEAGES, PHYSICAL_STEPS, REFERENCE_STEPS,
@@ -17,8 +17,9 @@ BALANCED = ProtocolInput(0.5, 0.5, 0.5, 0.5)
 
 
 def test_shape_dimension():
-    assert protocol_shape().dim == 384
-    assert protocol_shape().dims == (2, 4, 2, 3, 2, 4)
+    assert PROTOCOL_DIMS == (2, 4, 2, 3, 2, 4)
+    assert initial_state(BALANCED).shape == PROTOCOL_DIMS
+    assert initial_state(BALANCED).amps.shape == (384,)
 
 
 def test_sequence_structure():
@@ -51,17 +52,18 @@ def _excitation_class(levels):
 
 
 def test_elementary_ops_conserve_excitation():
-    shape = protocol_shape()
+    dim = math.prod(PROTOCOL_DIMS)
     ops = {(op.kind, op.system, op.levels): op
            for step in protocol_sequence("physical") for op in step.ops}
     for op in ops.values():
         u = elementary_unitary(op)
-        for index in range(shape.dim):
-            state = StateVector(shape, np.eye(shape.dim)[index])
+        for index in range(dim):
+            state = StateVector(PROTOCOL_DIMS, np.eye(dim)[index])
             out = apply_local(state, u, op.targets)
             for hit in np.nonzero(np.abs(out.amps) > 1e-12)[0]:
-                assert (_excitation_class(shape.levels_of(int(hit)))
-                        == _excitation_class(shape.levels_of(index)))
+                assert (_excitation_class(np.unravel_index(hit, PROTOCOL_DIMS))
+                        == _excitation_class(np.unravel_index(index,
+                                                              PROTOCOL_DIMS)))
 
 
 def test_readout_example_on_alpha_term():
@@ -75,10 +77,9 @@ def test_readout_example_on_alpha_term():
 
 
 def test_physical_photon_swap_carries_i():
-    shape = protocol_shape()
-    amps = np.zeros(shape.dim, dtype=complex)
+    amps = np.zeros(math.prod(PROTOCOL_DIMS), dtype=complex)
     amps[config_index((1, 1, 0, 1, 0, 1))] = 1
-    state = StateVector(shape, amps)
+    state = StateVector(PROTOCOL_DIMS, amps)
     op = ElementaryOp("Q", "ab", None, "physical")
     out = apply_local(state, elementary_unitary(op), op.targets)
     assert abs(out.amps[config_index((0, 1, 1, 1, 0, 1))] - 1j) < 1e-12
@@ -172,11 +173,10 @@ def test_input_norm_validated():
 
 
 def test_frame_rejects_transient_dot_level():
-    shape = protocol_shape()
-    amps = np.zeros(shape.dim, dtype=complex)
+    amps = np.zeros(math.prod(PROTOCOL_DIMS), dtype=complex)
     amps[config_index((0, 1, 0, 2, 0, 3))] = 1
     with pytest.raises(ProtocolError, match="transient"):
-        frame_vector(StateVector(shape, amps))
+        frame_vector(StateVector(PROTOCOL_DIMS, amps))
 
 
 def test_bad_elementary_ops_rejected():

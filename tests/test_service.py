@@ -547,6 +547,45 @@ def test_non_finite_angle_rejected_before_anything_is_committed(op, message):
     assert service._next_request == 0
 
 
+_MEASURE = '{"op":"MEASURE","qubits":[0]}'
+
+
+def _submit_line(op, client="a"):
+    return ('{"type":"submit","client":"%s","ops":[%s,%s]}'
+            % (client, op, _MEASURE))
+
+
+def _error_line(index, message):
+    return ('{"errors":[{"index":%d,"message":"%s"}],"type":"error"}'
+            % (index, message))
+
+
+@pytest.mark.parametrize("line, reply", [
+    ("[1]", _error_line(-1, "malformed message: message must be an object")),
+    (_submit_line(_MEASURE, client=""),
+     _error_line(-1, "submit needs a client id")),
+    (_submit_line("1"), _error_line(0, "operation must be an object")),
+    (_submit_line('{"op":"QET","qubits":[0],"theta":"1"}'),
+     _error_line(0, "theta must be a number")),
+    (_submit_line('{"op":"CQET","qubits":[0]}'),
+     _error_line(0, "CQET takes 2 qubit(s), got 1")),
+    (_submit_line('{"op":"CQET","qubits":[1,1]}'),
+     _error_line(0, "CQET control and target must differ")),
+    (_submit_line('{"op":"QET","qubits":[0],"theta":1.0,"phi":0.5}'),
+     _error_line(0, "QET takes no phi parameter")),
+], ids=["not-an-object", "empty-client", "op-not-object", "string-theta",
+        "cqet-one-qubit", "cqet-same-qubit", "qet-with-phi"])
+def test_rejection_reply_commits_nothing(line, reply):
+    service = QpfService(seed=0)
+    assert service.handle_line(line) == reply
+    assert service._next_request == 0
+    # the service still serves a valid request afterwards
+    ok = json.loads(service.handle_line(_submit_line(_MEASURE)))
+    assert ok == {"type": "result", "results": [{"qubit": 0, "bit": 0},
+                                                {"qubit": 0, "bit": 0}]}
+    assert service._next_request == 1
+
+
 def test_register_wider_than_index_is_error_reply():
     # 31 logical qubits are 62 memory slots plus 3 cells: 65 positions
     service = QpfService(seed=0)

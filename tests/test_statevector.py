@@ -4,8 +4,8 @@ import pytest
 from qetsim.errors import DimensionError, MeasurementError
 from qetsim.gates import qet_matrix
 from qetsim.statevector import (LocalUnitary, RandomSource, StateVector,
-                                SubsystemShape, apply_local, basis_state,
-                                fidelity, is_unitary, measure_subsystem)
+                                apply_local, basis_state, fidelity,
+                                is_unitary, measure_subsystem)
 
 
 def test_basis_state_ground_product():
@@ -34,13 +34,7 @@ def test_basis_state_level_out_of_range_names_subsystem():
 
 def test_shape_rejects_degenerate_dimensions():
     with pytest.raises(DimensionError):
-        SubsystemShape((2, 1))
-
-
-def test_index_levels_roundtrip():
-    shape = SubsystemShape((2, 4, 3))
-    for index in range(shape.dim):
-        assert shape.index_of(shape.levels_of(index)) == index
+        StateVector((2, 1), np.zeros(2, dtype=complex))
 
 
 def test_apply_local_identity_leaves_state():
@@ -54,7 +48,7 @@ def test_apply_local_permutation_moves_amplitude():
     state = basis_state((2, 2), (1, 0))
     swap_levels = LocalUnitary((2,), np.array([[0, 1], [1, 0]], dtype=complex))
     out = apply_local(state, swap_levels, (0,))
-    assert out.amps[state.shape.index_of((0, 0))] == 1
+    assert out.amps[0] == 1
 
 
 def test_apply_local_qet_pi_transfers_with_i():
@@ -68,7 +62,7 @@ def test_apply_local_norm_preserved():
     rng = np.random.default_rng(11)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     amps /= np.linalg.norm(amps)
-    state = StateVector(SubsystemShape((2, 4, 2)), amps)
+    state = StateVector((2, 4, 2), amps)
     out = apply_local(state, qet_matrix(0.37), (0, 2))
     assert abs(out.norm_sq - 1) < 1e-12
 
@@ -77,7 +71,7 @@ def test_apply_local_composition_matches_product():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    state = StateVector(SubsystemShape((2, 2, 2)), amps)
+    state = StateVector((2, 2, 2), amps)
     u = qet_matrix(0.9)
     v = qet_matrix(-1.7)
     one_by_one = apply_local(apply_local(state, u, (1, 2)), v, (1, 2))
@@ -96,8 +90,8 @@ def test_apply_local_respects_target_order():
     forward = apply_local(state, u, (0, 1))
     reverse = apply_local(state, u, (1, 0))
     # on targets (1, 0) the input configuration reads as |10> = index 2
-    assert forward.amps[state.shape.index_of((1, 1))] == 1
-    assert reverse.amps[state.shape.index_of((0, 0))] == 1
+    assert forward.amps[np.ravel_multi_index((1, 1), state.shape)] == 1
+    assert reverse.amps[np.ravel_multi_index((0, 0), state.shape)] == 1
 
 
 def test_apply_local_dimension_mismatch():
@@ -120,7 +114,7 @@ def test_measure_deterministic_zero():
 
 
 def test_measure_balanced_statistics():
-    shape = SubsystemShape((2,))
+    shape = (2,)
     plus = StateVector(shape, np.array([1, 1]) / np.sqrt(2))
     rng = RandomSource(2024)
     zeros = sum(measure_subsystem(plus, 0, rng)[0] == 0 for _ in range(10000))
@@ -128,7 +122,7 @@ def test_measure_balanced_statistics():
 
 
 def test_measure_entangled_collapse():
-    shape = SubsystemShape((2, 2))
+    shape = (2, 2)
     amps = np.zeros(4, dtype=complex)
     amps[1] = amps[2] = 1 / np.sqrt(2)
     state = StateVector(shape, amps)
@@ -142,7 +136,7 @@ def test_measure_entangled_collapse():
 
 
 def test_measure_zero_state_is_error():
-    state = StateVector(SubsystemShape((2,)), np.zeros(2, dtype=complex))
+    state = StateVector((2,), np.zeros(2, dtype=complex))
     with pytest.raises(MeasurementError):
         measure_subsystem(state, 0, RandomSource(0))
 
@@ -151,7 +145,7 @@ def test_measure_probabilities_sum_to_one():
     rng = np.random.default_rng(8)
     amps = rng.normal(size=12) + 1j * rng.normal(size=12)
     amps /= np.linalg.norm(amps)
-    state = StateVector(SubsystemShape((3, 4)), amps)
+    state = StateVector((3, 4), amps)
     flat = state.amps.reshape(3, 4)
     probs = np.sum(np.abs(flat) ** 2, axis=1)
     assert abs(probs.sum() - 1) < 1e-12
@@ -160,7 +154,7 @@ def test_measure_probabilities_sum_to_one():
 def test_random_source_determinism():
     a = RandomSource(99)
     b = RandomSource(99)
-    shape = SubsystemShape((2,))
+    shape = (2,)
     plus = StateVector(shape, np.array([1, 1]) / np.sqrt(2))
     seq_a = [measure_subsystem(plus, 0, a)[0] for _ in range(200)]
     seq_b = [measure_subsystem(plus, 0, b)[0] for _ in range(200)]
@@ -171,7 +165,7 @@ def test_fidelity_self_is_one():
     rng = np.random.default_rng(4)
     amps = rng.normal(size=6) + 1j * rng.normal(size=6)
     amps /= np.linalg.norm(amps)
-    state = StateVector(SubsystemShape((2, 3)), amps)
+    state = StateVector((2, 3), amps)
     assert abs(fidelity(state, state) - 1) < 1e-12
 
 
