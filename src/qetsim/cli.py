@@ -6,6 +6,7 @@ import argparse
 import logging
 import sys
 import time
+from pathlib import Path
 
 from .compiler import (LogicalProgram, memory_size, parse_logical_program,
                        transform_program)
@@ -79,9 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _logical(text: str) -> LogicalProgram:
+    """The logical program in ``text``, refused if wider than the machine."""
+    program = parse_logical_program(text)
+    fresh_machine(memory_size(program.n))
+    return program
 
 
 def _load(path: str):
@@ -92,11 +95,10 @@ def _load(path: str):
     each instruction.  A program wider than the machine is refused here,
     so ``validate`` and ``run`` agree and ``run`` never lowers it.
     """
-    text = _read(path)
+    text = Path(path).read_text(encoding="utf-8")
     kind = next((tokens[0].upper() for _, tokens in token_lines(text)), "")
     if kind == "LQ":
-        loaded = parse_logical_program(text)
-        fresh_machine(memory_size(loaded.n))
+        loaded = _logical(text)
     else:
         loaded = parse_program_with_lines(text)
         fresh_machine(loaded[0].s)
@@ -148,7 +150,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    program = transform_program(parse_logical_program(_read(args.path)))
+    text = Path(args.path).read_text(encoding="utf-8")
+    program = transform_program(_logical(text))
     sys.stdout.write(format_program(program))
     return 0
 

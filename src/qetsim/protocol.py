@@ -144,30 +144,22 @@ class ElementaryOp:
 
 def elementary_unitary(op: ElementaryOp) -> LocalUnitary:
     """Permutation (ideal) or i-phased permutation (physical) of the basis."""
-    swap = 1j if op.convention == "physical" else 1.0
-    if op.kind == "U":
+    if op.kind == "Q":
+        # |10>  <->  |01> on the two photon modes
+        dims, i, j = (2, 2), 1, 2
+    else:
         first, dim = _ATOM_LEVELS[op.system]
-        lo, hi = op.levels
-        i, j = lo - first, hi - first
-        m = np.eye(dim, dtype=complex)
-        m[i, i] = m[j, j] = 0
-        m[i, j] = m[j, i] = swap
-        return LocalUnitary((dim,), m)
-    if op.kind == "R":
-        first, dim = _ATOM_LEVELS[op.system]
-        lo, hi = op.levels
-        # photon-number-0 x upper level  <->  photon-number-1 x lower level;
-        # the second rung would need two photons and stays put
-        src = 0 * dim + (hi - first)
-        dst = 1 * dim + (lo - first)
-        m = np.eye(2 * dim, dtype=complex)
-        m[src, src] = m[dst, dst] = 0
-        m[src, dst] = m[dst, src] = swap
-        return LocalUnitary((2, dim), m)
-    m = np.eye(4, dtype=complex)
-    m[1, 1] = m[2, 2] = 0
-    m[1, 2] = m[2, 1] = swap
-    return LocalUnitary((2, 2), m)
+        lo, hi = op.levels[0] - first, op.levels[1] - first
+        if op.kind == "U":
+            dims, i, j = (dim,), lo, hi
+        else:
+            # photon-number-0 x upper level  <->  photon-number-1 x lower level;
+            # the second rung would need two photons and stays put
+            dims, i, j = (2, dim), hi, dim + lo
+    m = np.eye(math.prod(dims), dtype=complex)
+    m[i, i] = m[j, j] = 0
+    m[i, j] = m[j, i] = 1j if op.convention == "physical" else 1.0
+    return LocalUnitary(dims, m)
 
 
 @dataclass(frozen=True)
@@ -244,44 +236,34 @@ def run_protocol(inp: ProtocolInput,
 # Each lineage stays a single product configuration throughout, so the
 # trajectory can also be derived by rewriting level tuples directly.  This
 # lightweight second route backs the per-step fidelity report and the tests.
+# It reads each cavity's (photon, atom) positions off the ket order on its
+# own, never through ``ElementaryOp.targets`` or ``elementary_unitary``: a
+# wrong target map in the dense route then shows up as a disagreement
+# between the two routes instead of being shared by both.
+
+_KET_POSITIONS = {"a": (0, 1), "b": (2, 3), "c": (4, 5)}
 
 
 def _apply_op_to_config(op: ElementaryOp, config, phase):
-    pa, ma, pb, dot, pc, mc = config
-    atoms = {"a": ma, "b": dot, "c": mc}
-    photons = {"a": pa, "b": pb, "c": pc}
-    hit = False
-    if op.kind == "U":
-        lo, hi = op.levels
-        level = atoms[op.system]
-        if level == lo:
-            atoms[op.system] = hi
-            hit = True
-        elif level == hi:
-            atoms[op.system] = lo
-            hit = True
-    elif op.kind == "R":
-        lo, hi = op.levels
-        n, level = photons[op.system], atoms[op.system]
-        if n == 0 and level == hi:
-            photons[op.system], atoms[op.system] = 1, lo
-            hit = True
-        elif n == 1 and level == lo:
-            photons[op.system], atoms[op.system] = 0, hi
-            hit = True
+    photon, atom = _KET_POSITIONS[op.system[0]]
+    if op.kind == "Q":
+        where = (photon, _KET_POSITIONS[op.system[1]][0])
+        pair = ((1, 0), (0, 1))
     else:
-        x, y = op.system
-        if (photons[x], photons[y]) == (1, 0):
-            photons[x], photons[y] = 0, 1
-            hit = True
-        elif (photons[x], photons[y]) == (0, 1):
-            photons[x], photons[y] = 1, 0
-            hit = True
-    if hit and op.convention == "physical":
+        lo, hi = op.levels
+        if op.kind == "U":
+            where, pair = (atom,), ((lo,), (hi,))
+        else:
+            where, pair = (photon, atom), ((0, hi), (1, lo))
+    local = tuple(config[k] for k in where)
+    if local not in pair:
+        return config, phase
+    new = list(config)
+    for k, level in zip(where, pair[1] if local == pair[0] else pair[0]):
+        new[k] = level
+    if op.convention == "physical":
         phase = phase * 1j
-    new = (photons["a"], atoms["a"], photons["b"], atoms["b"],
-           photons["c"], atoms["c"])
-    return new, phase
+    return tuple(new), phase
 
 
 def step_term_trace(convention: str = "ideal"):

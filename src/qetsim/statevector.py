@@ -72,10 +72,6 @@ class LocalUnitary:
                 f"matrix shape {entries.shape} does not match dims {self.dims}")
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def arity(self) -> int:
-        return len(self.dims)
-
 
 class RandomSource:
     """Deterministic outcome sampler; a fixed seed fixes the whole sequence.
@@ -85,8 +81,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
-        self._gen = Pcg64(self.seed)
+        self._gen = Pcg64(int(seed))
 
     def choose(self, probabilities) -> int:
         """Sample an index by inverse CDF over one uniform draw."""

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetsim.dynamics import (CavityAtomParams, ZeemanParams,
                              integrate_two_level, rabi_coefficients,
                              zeeman_phase)
 from qetsim.errors import ConvergenceError
+from qetsim.gates import phase_matrix, qet_matrix
 
 
 def _random_state(rng):
@@ -124,3 +127,29 @@ def test_params_must_be_finite():
         CavityAtomParams(float("inf"), 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         ZeemanParams(0.0, float("nan"), 1.0, 1.0, 1.0)
+
+
+_ANGLE = st.floats(-4 * math.pi, 4 * math.pi)
+_TURN = st.floats(0.0, 2 * math.pi)
+
+
+@settings(max_examples=200)
+@given(theta=_ANGLE, phi=_ANGLE, mix=_TURN, phase_a=_TURN, phase_b=_TURN)
+def test_gate_blocks_follow_from_the_dynamics(theta, phi, mix, phase_a, phase_b):
+    # the chain from cavity physics to the ISA: on the single-excitation
+    # pair (|01>, |10>), QET(theta) is the resonant transfer with kappa = 1
+    # for t = theta / 2, and PHASE(theta, phi) is the Zeeman evolution with
+    # g mu B t = theta and omega_0 t = -phi / 2
+    alpha = math.cos(mix) * np.exp(1j * phase_a)
+    beta = math.sin(mix) * np.exp(1j * phase_b)
+    pair = np.array([alpha, beta])
+
+    transfer = qet_matrix(theta).entries[1:3, 1:3] @ pair
+    rabi = rabi_coefficients(alpha, beta, CavityAtomParams(
+        kappa=1.0, omega_a=0.0, omega_b=0.0, t=theta / 2))
+    assert np.max(np.abs(transfer - rabi)) < 1e-12
+
+    phased = phase_matrix(theta, phi).entries[1:3, 1:3] @ pair
+    zeeman = zeeman_phase(alpha, beta, ZeemanParams(
+        omega_0=-phi / 2, lande_g=1.0, mu=1.0, B=theta, t=1.0))
+    assert np.max(np.abs(phased - zeeman)) < 1e-12
