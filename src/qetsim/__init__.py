@@ -22,8 +22,8 @@ from .isa import (Instruction, QuantumProgram, format_program, parse_program,
                   validate_program)
 from .machine import (MachineState, execute_instruction, fresh_machine,
                       run_program)
-from .protocol import (ElementaryOp, ProtocolInput, elementary_unitary,
-                       protocol_sequence, run_protocol, verify_against_cqet)
+from .protocol import (PROTOCOL_SEQUENCE, ElementaryOp, ProtocolInput,
+                       elementary_unitary, run_protocol, verify_against_cqet)
 from .service import (EmulatorBackend, ExecutionBatch, QpfService,
                       ServiceServer, analyze, buffer_and_batch, demux_results,
                       dispatch, transform)

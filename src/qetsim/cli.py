@@ -14,9 +14,9 @@ from .errors import ProgramSyntaxError, QetSimError
 from .isa import (format_program, parse_program_with_lines, token_lines,
                   validate_program)
 from .machine import fresh_machine, run_program
-from .protocol import (ProtocolInput, assemble_state, initial_state,
-                       protocol_sequence, run_protocol, step_term_trace,
-                       verify_against_cqet)
+from .protocol import (PROTOCOL_SEQUENCE, SWAP_FACTOR, ProtocolInput,
+                       assemble_state, initial_state, run_protocol,
+                       step_term_trace, verify_against_cqet)
 from .service import (DEFAULT_CAPACITY, QpfService, ServiceServer,
                       encode_message, serve_stdio)
 from .statevector import RandomSource, fidelity
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("protocol-verify",
                        help="run the physics-level transfer protocol oracle")
     p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--convention", choices=("ideal", "physical"),
+    p.add_argument("--convention", choices=tuple(SWAP_FACTOR),
                    default="ideal")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", choices=("human", "machine"), default="human")
@@ -162,8 +162,8 @@ def cmd_protocol_verify(args) -> int:
     trace = step_term_trace(args.convention)
     rows = [("initial state", fidelity(initial_state(reference),
                                        initial_state(reference)))]
-    for step, terms, state in zip(protocol_sequence(args.convention),
-                                  trace, result.intermediates):
+    for step, terms, state in zip(PROTOCOL_SEQUENCE, trace,
+                                  result.intermediates):
         rows.append((step.name, fidelity(assemble_state(terms, reference),
                                          state)))
     comparison = verify_against_cqet(args.samples, args.convention, args.seed)

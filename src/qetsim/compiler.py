@@ -10,7 +10,9 @@ the compiler needs to realize arbitrary rotations.
 
 Logical program text: header ``LQ n=<int>``; lines ``RX <theta> q<i>``,
 ``RZ <theta> q<i>``, ``CNOT q<i> q<j>``, ``SU2 q<i> <8 reals>``
-(row-major re/im pairs) and ``MEASURE q<i>``.
+(row-major re/im pairs) and ``MEASURE q<i>``.  A qubit is measured at
+most once, and no line after its ``MEASURE`` may touch it, so moving
+every measurement to the end of the program changes nothing.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ class LogicalProgram:
         for q in self.measured:
             if not 0 <= q < self.n:
                 raise SynthesisError(f"measured q{q} out of range [0, {self.n})")
+        if len(set(self.measured)) < len(self.measured):
+            raise SynthesisError("a qubit is measured more than once")
 
 
 def pair(logical_id: int) -> tuple[int, int]:
@@ -312,7 +316,7 @@ def leakage_check(state: StateVector, logical_qubits: int,
 def parse_logical_program(text: str) -> LogicalProgram:
     issues: list[tuple[int, str]] = []
     gates: list[LogicalGate] = []
-    measured: list[int] = []
+    measured: dict[int, int] = {}  # each measured qubit and its MEASURE line
 
     n, body = read_lines(text, "LQ", "n", issues)
     for lineno, tokens in body:
@@ -340,9 +344,17 @@ def parse_logical_program(text: str) -> LogicalProgram:
             elif op == "MEASURE":
                 if len(tokens) != 2:
                     raise ValueError("MEASURE takes a qubit")
-                measured.append(read_operand("q", tokens[1]))
+                qubits = (read_operand("q", tokens[1]),)
             else:
                 raise ValueError(f"unknown logical operation {tokens[0]!r}")
+            # measurements run after every gate, so a qubit is finished
+            # at its MEASURE and no later line may touch it
+            for q in qubits if op == "MEASURE" else gates[-1].qubits:
+                if q in measured:
+                    raise ValueError(f"q{q} was measured on line {measured[q]} "
+                                     "and cannot be used again")
+            if op == "MEASURE":
+                measured[qubits[0]] = lineno
         except (ValueError, SynthesisError) as exc:
             issues.append((lineno, str(exc)))
     if not issues:

@@ -30,6 +30,7 @@ transfer still holds on the logical frame.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +48,10 @@ _CAVITY_ATOM = {"a": MEM_A, "b": DOT, "c": MEM_C}
 # first level number and dimension of each atomic subsystem
 _ATOM_LEVELS = {"a": (0, 4), "b": (1, 3), "c": (0, 4)}
 
-CONVENTIONS = ("ideal", "physical")
+# the atomic levels each R and each U couples, on every cavity
+LEVELS = {"R": (1, 2), "U": (2, 3)}
+# the factor a swapped component picks up, per convention
+SWAP_FACTOR = {"ideal": 1.0, "physical": 1j}
 
 # starting configurations of the four coefficient lineages, as level tuples
 # (photon a, memory a, photon b, dot, photon c, memory c)
@@ -58,6 +62,9 @@ START_CONFIGS = {
     "gamma": (0, 3, 0, 3, 0, 1),
     "delta": (0, 1, 0, 3, 0, 3),
 }
+# each lineage as (configuration, phase) before the first step
+_START_TERMS = {name: (config, complex(1.0))
+                for name, config in START_CONFIGS.items()}
 
 
 def config_index(config) -> int:
@@ -92,44 +99,23 @@ class ElementaryOp:
     """One R, U or Q factor of a protocol step.
 
     ``system`` is a cavity name for R/U or an ordered cavity pair such
-    as ``"ab"`` for Q.  ``levels`` names the coupled atomic levels for
-    R/U (R supports (1, 2) and (2, 3); emission drops to the smaller
-    level).
+    as ``"ab"`` for Q.  R and U couple the atomic levels ``LEVELS``
+    names for their kind (emission drops to the smaller level).
     """
 
     kind: str
     system: str
-    levels: tuple[int, int] | None = None
-    convention: str = "ideal"
 
     def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise ProtocolError(f"unknown convention {self.convention!r}")
         if self.kind in ("R", "U"):
             if self.system not in _CAVITY_ATOM:
                 raise ProtocolError(f"unknown cavity {self.system!r}")
-            if self.levels is None:
-                raise ProtocolError(f"{self.kind} needs an atomic level pair")
-            lo, hi = sorted(self.levels)
-            if lo == hi:
-                raise ProtocolError("level pair must be distinct")
-            first, dim = _ATOM_LEVELS[self.system]
-            if not (first <= lo and hi < first + dim):
-                raise ProtocolError(
-                    f"levels {self.levels} outside {self.system!r} range "
-                    f"[{first}, {first + dim})")
-            if self.kind == "R" and (lo, hi) not in ((1, 2), (2, 3)):
-                raise ProtocolError(
-                    f"R couples level pairs (1, 2) or (2, 3), got {self.levels}")
-            object.__setattr__(self, "levels", (lo, hi))
         elif self.kind == "Q":
             if (len(self.system) != 2
                     or any(c not in _CAVITY_PHOTON for c in self.system)
                     or self.system[0] == self.system[1]):
                 raise ProtocolError(f"Q needs two distinct cavities, got "
                                     f"{self.system!r}")
-            if self.levels is not None:
-                raise ProtocolError("Q does not take atomic levels")
         else:
             raise ProtocolError(f"unknown operation kind {self.kind!r}")
 
@@ -142,14 +128,21 @@ class ElementaryOp:
         return tuple(_CAVITY_PHOTON[c] for c in self.system)
 
 
-def elementary_unitary(op: ElementaryOp) -> LocalUnitary:
+def _swap_factor(convention: str) -> complex:
+    if convention not in SWAP_FACTOR:
+        raise ProtocolError(f"unknown convention {convention!r}")
+    return SWAP_FACTOR[convention]
+
+
+def elementary_unitary(op: ElementaryOp, convention: str) -> LocalUnitary:
     """Permutation (ideal) or i-phased permutation (physical) of the basis."""
+    factor = _swap_factor(convention)
     if op.kind == "Q":
         # |10>  <->  |01> on the two photon modes
         dims, i, j = (2, 2), 1, 2
     else:
         first, dim = _ATOM_LEVELS[op.system]
-        lo, hi = op.levels[0] - first, op.levels[1] - first
+        lo, hi = (level - first for level in LEVELS[op.kind])
         if op.kind == "U":
             dims, i, j = (dim,), lo, hi
         else:
@@ -158,7 +151,7 @@ def elementary_unitary(op: ElementaryOp) -> LocalUnitary:
             dims, i, j = (2, dim), hi, dim + lo
     m = np.eye(math.prod(dims), dtype=complex)
     m[i, i] = m[j, j] = 0
-    m[i, j] = m[j, i] = 1j if op.convention == "physical" else 1.0
+    m[i, j] = m[j, i] = factor
     return LocalUnitary(dims, m)
 
 
@@ -170,46 +163,35 @@ class ProtocolStep:
     ops: tuple[ElementaryOp, ...]
 
 
-def protocol_sequence(convention: str = "ideal") -> tuple[ProtocolStep, ...]:
-    """The fixed eleven-step conditional-transfer sequence."""
-
-    def r(system):
-        return ElementaryOp("R", system, (1, 2), convention)
-
-    def u(system):
-        return ElementaryOp("U", system, (2, 3), convention)
-
-    def q(pair):
-        return ElementaryOp("Q", pair, None, convention)
-
-    return (
-        ProtocolStep("read out memory a", (u("a"), r("a"))),
-        ProtocolStep("shift photon a to b", (q("ab"),)),
-        ProtocolStep("dot absorbs cavity-b photon", (r("b"),)),
-        ProtocolStep("park dot excitation on level 3", (u("b"),)),
-        ProtocolStep("return photon to memory a", (q("ba"), r("a"), u("a"))),
-        ProtocolStep("read out memory c into cavity b", (u("c"), r("c"), q("cb"))),
-        ProtocolStep("swap dot parking levels", (u("b"),)),
-        ProtocolStep("dot emits into cavity b", (r("b"),)),
-        ProtocolStep("store cavity-b photon in memory c", (q("cb"), r("c"), u("c"))),
-        ProtocolStep("dot releases parked excitation", (r("b"),)),
-        ProtocolStep("store remaining photon in memory a", (q("ab"), r("a"), u("a"))),
-    )
+# The fixed eleven-step conditional-transfer sequence.
+PROTOCOL_SEQUENCE = (
+    ProtocolStep("read out memory a", (
+        ElementaryOp("U", "a"), ElementaryOp("R", "a"))),
+    ProtocolStep("shift photon a to b", (ElementaryOp("Q", "ab"),)),
+    ProtocolStep("dot absorbs cavity-b photon", (ElementaryOp("R", "b"),)),
+    ProtocolStep("park dot excitation on level 3", (ElementaryOp("U", "b"),)),
+    ProtocolStep("return photon to memory a", (
+        ElementaryOp("Q", "ba"), ElementaryOp("R", "a"), ElementaryOp("U", "a"))),
+    ProtocolStep("read out memory c into cavity b", (
+        ElementaryOp("U", "c"), ElementaryOp("R", "c"), ElementaryOp("Q", "cb"))),
+    ProtocolStep("swap dot parking levels", (ElementaryOp("U", "b"),)),
+    ProtocolStep("dot emits into cavity b", (ElementaryOp("R", "b"),)),
+    ProtocolStep("store cavity-b photon in memory c", (
+        ElementaryOp("Q", "cb"), ElementaryOp("R", "c"), ElementaryOp("U", "c"))),
+    ProtocolStep("dot releases parked excitation", (ElementaryOp("R", "b"),)),
+    ProtocolStep("store remaining photon in memory a", (
+        ElementaryOp("Q", "ab"), ElementaryOp("R", "a"), ElementaryOp("U", "a"))),
+)
 
 
 def initial_state(inp: ProtocolInput) -> StateVector:
-    amps = np.zeros(math.prod(PROTOCOL_DIMS), dtype=complex)
-    for lineage, coeff in zip(LINEAGES, inp.coefficients):
-        amps[config_index(START_CONFIGS[lineage])] = coeff
-    return StateVector(PROTOCOL_DIMS, amps)
+    return assemble_state(_START_TERMS, inp)
 
 
 @dataclass(frozen=True, eq=False)
 class ProtocolResult:
     """Full trajectory of one protocol run."""
 
-    input: ProtocolInput
-    convention: str
     intermediates: tuple[StateVector, ...]
 
     @property
@@ -217,18 +199,23 @@ class ProtocolResult:
         return self.intermediates[-1]
 
 
+@functools.cache
+def _local_unitaries(convention: str):
+    """Each step's local unitaries under ``convention``, built once."""
+    return tuple(tuple(elementary_unitary(op, convention) for op in step.ops)
+                 for step in PROTOCOL_SEQUENCE)
+
+
 def run_protocol(inp: ProtocolInput,
                  convention: str = "ideal") -> ProtocolResult:
     """Apply the full sequence to the four-term input state."""
-    if convention not in CONVENTIONS:
-        raise ProtocolError(f"unknown convention {convention!r}")
     state = initial_state(inp)
     intermediates = []
-    for step in protocol_sequence(convention):
-        for op in step.ops:
-            state = apply_local(state, elementary_unitary(op), op.targets)
+    for step, unitaries in zip(PROTOCOL_SEQUENCE, _local_unitaries(convention)):
+        for op, unitary in zip(step.ops, unitaries):
+            state = apply_local(state, unitary, op.targets)
         intermediates.append(state)
-    return ProtocolResult(inp, convention, tuple(intermediates))
+    return ProtocolResult(tuple(intermediates))
 
 
 # -- term-level shadow bookkeeping ------------------------------------------
@@ -244,13 +231,13 @@ def run_protocol(inp: ProtocolInput,
 _KET_POSITIONS = {"a": (0, 1), "b": (2, 3), "c": (4, 5)}
 
 
-def _apply_op_to_config(op: ElementaryOp, config, phase):
+def _apply_op_to_config(op: ElementaryOp, config, phase, factor):
     photon, atom = _KET_POSITIONS[op.system[0]]
     if op.kind == "Q":
         where = (photon, _KET_POSITIONS[op.system[1]][0])
         pair = ((1, 0), (0, 1))
     else:
-        lo, hi = op.levels
+        lo, hi = LEVELS[op.kind]
         if op.kind == "U":
             where, pair = (atom,), ((lo,), (hi,))
         else:
@@ -261,9 +248,7 @@ def _apply_op_to_config(op: ElementaryOp, config, phase):
     new = list(config)
     for k, level in zip(where, pair[1] if local == pair[0] else pair[0]):
         new[k] = level
-    if op.convention == "physical":
-        phase = phase * 1j
-    return tuple(new), phase
+    return tuple(new), phase * factor
 
 
 def step_term_trace(convention: str = "ideal"):
@@ -271,12 +256,12 @@ def step_term_trace(convention: str = "ideal"):
 
     Returns one ``{lineage: (config, phase)}`` dict per step.
     """
-    terms = {name: (config, complex(1.0))
-             for name, config in START_CONFIGS.items()}
+    factor = _swap_factor(convention)
+    terms = _START_TERMS
     trace = []
-    for step in protocol_sequence(convention):
+    for step in PROTOCOL_SEQUENCE:
         for op in step.ops:
-            terms = {name: _apply_op_to_config(op, config, phase)
+            terms = {name: _apply_op_to_config(op, config, phase, factor)
                      for name, (config, phase) in terms.items()}
         trace.append(dict(terms))
     return trace

@@ -241,3 +241,24 @@ def test_serve_stdio_one_shot(monkeypatch, capsys):
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert json.loads(line) == {"type": "result",
                                 "results": [{"qubit": 0, "bit": 0}]}
+
+
+def test_seeded_runs_never_import_numpy_random():
+    # importing numpy.random alone maps about 6 MB (secrets, OpenSSL) into
+    # the process; qetsim.pcg64 reproduces its stream so that no seeded
+    # run or service needs it
+    golden = Path(__file__).parent / "golden"
+    script = (
+        "import contextlib, io, sys\n"
+        "from qetsim.cli import main\n"
+        "from qetsim.service import QpfService, serve_stdio\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['run', {str(golden / 'bell.lq')!r}, '--seed', '5']) == 0\n"
+        f"with open({str(golden / 'service_requests.jsonl')!r}, 'rb') as requests:\n"
+        "    serve_stdio(QpfService(seed=7, capacity=64), requests, io.StringIO())\n"
+        "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qetsim.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

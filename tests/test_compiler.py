@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetsim.compiler import (CNOT_CORRECTION_PHI, CNOT_CORRECTION_THETA,
                              LogicalGate, LogicalProgram, decompose_su2,
                              derive_cnot_corrections, encode_init,
                              format_logical_program, leakage_check,
-                             logical_rx, logical_rz, pair,
-                             parse_logical_program, synthesize_logical_cnot,
-                             transform_program)
+                             logical_rx, logical_rz, memory_size, pair,
+                             parse_logical_program, readout,
+                             synthesize_logical_cnot, transform_program)
 from qetsim.errors import ProgramSyntaxError, SynthesisError
-from qetsim.isa import Instruction, parse_program, format_program, validate_program
+from qetsim.isa import (Instruction, QuantumProgram, parse_program,
+                        format_program, validate_program)
 from qetsim.machine import execute_instruction, fresh_machine
 from qetsim.statevector import RandomSource
 
@@ -260,3 +263,69 @@ def test_logical_text_errors_with_lines():
 def test_logical_program_range_check():
     with pytest.raises(SynthesisError):
         LogicalProgram(1, (LogicalGate("RX", (1,), theta=0.1),), ())
+
+
+def test_logical_program_refuses_double_measurement():
+    with pytest.raises(SynthesisError, match="measured more than once"):
+        LogicalProgram(2, (), (1, 0, 1))
+
+
+def test_logical_text_refuses_lines_after_measure():
+    text = ("LQ n=2\nMEASURE q0\nRX 3.141592653589793 q0\nRZ 0.5 q1\n"
+            "CNOT q1 q0\nMEASURE q1\nMEASURE q1\n")
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_logical_program(text)
+    assert info.value.issues == [
+        (3, "q0 was measured on line 2 and cannot be used again"),
+        (5, "q0 was measured on line 2 and cannot be used again"),
+        (7, "q1 was measured on line 6 and cannot be used again")]
+
+
+# each logical line's lowering, emitted where the line stands in the text
+_LOWER_IN_PLACE = {
+    "RX": lambda theta, q: logical_rx(q, theta),
+    "RZ": lambda theta, q: logical_rz(q, theta),
+    "CNOT": synthesize_logical_cnot,
+    "MEASURE": lambda q: readout(pair(q)),
+}
+
+
+def _lq_line(kind, *args):
+    if kind in ("RX", "RZ"):
+        theta, q = args
+        return f"{kind} {theta!r} q{q}"
+    return " ".join([kind, *(f"q{q}" for q in args)])
+
+
+@st.composite
+def logical_lines(draw):
+    """``n`` <= 3 and up to 8 RX/RZ/CNOT/MEASURE lines in any order."""
+    n = draw(st.integers(1, 3))
+    qubit = st.integers(0, n - 1)
+    angle = st.sampled_from([0.5, math.pi])
+    line = st.one_of(st.tuples(st.sampled_from(["RX", "RZ"]), angle, qubit),
+                     st.tuples(st.just("MEASURE"), qubit))
+    if n > 1:
+        line |= st.permutations(range(n)).map(lambda p: ("CNOT", p[0], p[1]))
+    return n, draw(st.lists(line, max_size=8))
+
+
+@settings(max_examples=300)
+@given(logical_lines())
+def test_logical_text_validates_exactly_when_it_lowers_in_place(program):
+    # lowering each line where it stands frees a pair at its MEASURE, so
+    # that program validates exactly when no line touches a measured qubit
+    n, lines = program
+    text = f"LQ n={n}\n" + "".join(_lq_line(*line) + "\n" for line in lines)
+    in_place = [i for q in range(n) for i in encode_init(q, 0)]
+    for kind, *args in lines:
+        in_place += _LOWER_IN_PLACE[kind](*args)
+    lowers = not validate_program(QuantumProgram(memory_size(n),
+                                                 tuple(in_place)))
+    try:
+        lp = parse_logical_program(text)
+    except ProgramSyntaxError:
+        assert not lowers
+    else:
+        assert lowers
+        assert not validate_program(transform_program(lp))

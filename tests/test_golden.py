@@ -9,8 +9,11 @@ under ``golden/cli_errors/`` (stdout, stderr and exit code of each case
 in its ``cases.txt``) were recorded before the CLI reported every error
 from one place, except ``validate_lq_too_wide`` and
 ``validate_qpu_too_wide``, which were recorded when ``validate`` began
-to refuse a program wider than the machine.  A change that alters any
-of them changes the fixed-seed contract and must say so.
+to refuse a program wider than the machine, and the two
+``*_lq_measure_order`` cases, recorded when logical text began to
+refuse a line that touches a qubit after its ``MEASURE``.  A change
+that alters any of them changes the fixed-seed contract and must say
+so.
 """
 
 import io

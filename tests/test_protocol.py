@@ -5,10 +5,11 @@ import pytest
 
 from qetsim.errors import ProtocolError
 from qetsim.protocol import (DOT, MEM_A, PHOTON_A, PROTOCOL_DIMS,
-                             ElementaryOp, ProtocolInput, assemble_state,
+                             PROTOCOL_SEQUENCE, SWAP_FACTOR, ElementaryOp,
+                             ProtocolInput, _local_unitaries, assemble_state,
                              config_index, elementary_unitary, frame_vector,
-                             initial_state, protocol_sequence, run_protocol,
-                             step_term_trace, verify_against_cqet)
+                             initial_state, run_protocol, step_term_trace,
+                             verify_against_cqet)
 from qetsim.statevector import StateVector, apply_local, fidelity, is_unitary
 from reference_tables import (LINEAGES, PHYSICAL_STEPS, REFERENCE_STEPS,
                               START, semantic_config)
@@ -23,7 +24,7 @@ def test_shape_dimension():
 
 
 def test_sequence_structure():
-    steps = protocol_sequence()
+    steps = PROTOCOL_SEQUENCE
     assert len(steps) == 11
     first = steps[0].ops
     assert [op.kind for op in first] == ["U", "R"]
@@ -35,10 +36,10 @@ def test_sequence_structure():
 
 
 def test_elementary_unitaries_are_phased_permutations():
-    for convention in ("ideal", "physical"):
-        for step in protocol_sequence(convention):
+    for convention in SWAP_FACTOR:
+        for step in PROTOCOL_SEQUENCE:
             for op in step.ops:
-                u = elementary_unitary(op)
+                u = elementary_unitary(op, convention)
                 assert is_unitary(u, 1e-12)
                 magnitudes = np.abs(u.entries)
                 assert np.all((magnitudes < 1e-15) | (np.abs(magnitudes - 1) < 1e-15))
@@ -53,10 +54,10 @@ def _excitation_class(levels):
 
 def test_elementary_ops_conserve_excitation():
     dim = math.prod(PROTOCOL_DIMS)
-    ops = {(op.kind, op.system, op.levels): op
-           for step in protocol_sequence("physical") for op in step.ops}
+    ops = {(op.kind, op.system): op
+           for step in PROTOCOL_SEQUENCE for op in step.ops}
     for op in ops.values():
-        u = elementary_unitary(op)
+        u = elementary_unitary(op, "physical")
         for index in range(dim):
             state = StateVector(PROTOCOL_DIMS, np.eye(dim)[index])
             out = apply_local(state, u, op.targets)
@@ -68,11 +69,12 @@ def test_elementary_ops_conserve_excitation():
 
 def test_readout_example_on_alpha_term():
     state = initial_state(ProtocolInput(1, 0, 0, 0))
-    pulse = ElementaryOp("U", "a", (2, 3))
-    state = apply_local(state, elementary_unitary(pulse), pulse.targets)
+    pulse = ElementaryOp("U", "a")
+    state = apply_local(state, elementary_unitary(pulse, "ideal"),
+                        pulse.targets)
     assert abs(state.amps[config_index((0, 2, 0, 1, 0, 1))] - 1) < 1e-12
-    emit = ElementaryOp("R", "a", (1, 2))
-    state = apply_local(state, elementary_unitary(emit), emit.targets)
+    emit = ElementaryOp("R", "a")
+    state = apply_local(state, elementary_unitary(emit, "ideal"), emit.targets)
     assert abs(state.amps[config_index((1, 1, 0, 1, 0, 1))] - 1) < 1e-12
 
 
@@ -80,8 +82,8 @@ def test_physical_photon_swap_carries_i():
     amps = np.zeros(math.prod(PROTOCOL_DIMS), dtype=complex)
     amps[config_index((1, 1, 0, 1, 0, 1))] = 1
     state = StateVector(PROTOCOL_DIMS, amps)
-    op = ElementaryOp("Q", "ab", None, "physical")
-    out = apply_local(state, elementary_unitary(op), op.targets)
+    op = ElementaryOp("Q", "ab")
+    out = apply_local(state, elementary_unitary(op, "physical"), op.targets)
     assert abs(out.amps[config_index((0, 1, 1, 1, 0, 1))] - 1j) < 1e-12
 
 
@@ -181,10 +183,30 @@ def test_frame_rejects_transient_dot_level():
 
 def test_bad_elementary_ops_rejected():
     with pytest.raises(ProtocolError):
-        ElementaryOp("R", "a", (0, 3))
+        ElementaryOp("R", "d")
     with pytest.raises(ProtocolError):
-        ElementaryOp("U", "b", (0, 1))  # the dot has no level 0
+        ElementaryOp("U", "ab")  # R and U act on one cavity
     with pytest.raises(ProtocolError):
         ElementaryOp("Q", "aa")
     with pytest.raises(ProtocolError):
-        ElementaryOp("V", "a", (1, 2))
+        ElementaryOp("V", "a")
+
+
+def test_unknown_convention_rejected():
+    with pytest.raises(ProtocolError, match="unknown convention 'exact'"):
+        run_protocol(BALANCED, "exact")
+    with pytest.raises(ProtocolError, match="unknown convention 'exact'"):
+        step_term_trace("exact")
+    with pytest.raises(ProtocolError, match="unknown convention 'exact'"):
+        elementary_unitary(ElementaryOp("U", "a"), "exact")
+
+
+def test_cached_unitaries_never_mix_conventions():
+    order = ("physical", "ideal", "physical")
+    runs = [run_protocol(BALANCED, convention) for convention in order]
+    assert not np.array_equal(runs[0].final.amps, runs[1].final.amps)
+    for convention, run in zip(order, runs):
+        _local_unitaries.cache_clear()
+        fresh = run_protocol(BALANCED, convention)
+        for got, want in zip(run.intermediates, fresh.intermediates, strict=True):
+            assert np.array_equal(got.amps, want.amps)
