@@ -18,7 +18,7 @@ from .errors import (ConvergenceError, DimensionError, MeasurementError,
                      ProgramSyntaxError, ProtocolError, QetSimError,
                      QpuRuntimeError, ServiceError, SynthesisError)
 from .gates import cqet_matrix, phase_matrix, qet_matrix
-from .isa import (Instruction, QuantumProgram, format_program, parse_program,
+from .isa import (Instruction, QuantumProgram, format_program,
                   validate_program)
 from .machine import (MachineState, execute_instruction, fresh_machine,
                       run_program)

@@ -363,20 +363,3 @@ def parse_logical_program(text: str) -> LogicalProgram:
         except SynthesisError as exc:
             issues.append((1, str(exc)))
     raise ProgramSyntaxError(issues)
-
-
-def format_logical_program(lp: LogicalProgram) -> str:
-    lines = [f"LQ n={lp.n}"]
-    for gate in lp.gates:
-        if gate.kind in ("RX", "RZ"):
-            lines.append(f"{gate.kind} {gate.theta!r} q{gate.qubits[0]}")
-        elif gate.kind == "CNOT":
-            lines.append(f"CNOT q{gate.qubits[0]} q{gate.qubits[1]}")
-        else:
-            flat = []
-            for row in gate.matrix:
-                for entry in row:
-                    flat += [repr(float(entry.real)), repr(float(entry.imag))]
-            lines.append(f"SU2 q{gate.qubits[0]} " + " ".join(flat))
-    lines.extend(f"MEASURE q{q}" for q in lp.measured)
-    return "\n".join(lines) + "\n"

@@ -221,10 +221,6 @@ def parse_program_with_lines(text: str) -> tuple[QuantumProgram, tuple[int, ...]
     return QuantumProgram(s, tuple(instructions)), tuple(lines_of)
 
 
-def parse_program(text: str) -> QuantumProgram:
-    return parse_program_with_lines(text)[0]
-
-
 def format_instruction(instr: Instruction) -> str:
     operands = (f"{_KINDS[kind][0]}{getattr(instr, name)}"
                 for name, kind in SYNTAX[instr.opcode])

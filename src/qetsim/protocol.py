@@ -294,10 +294,10 @@ def _frame_bits(config) -> tuple[int, int, int]:
     return control, bit_a, bit_c
 
 
-def frame_vector(state: StateVector, tol: float = 1e-12) -> np.ndarray:
+def frame_vector(state: StateVector) -> np.ndarray:
     """Project a protocol state onto the 8-dim logical frame."""
     out = np.zeros(8, dtype=complex)
-    hits = np.nonzero(np.abs(state.amps) > tol)[0]
+    hits = np.nonzero(np.abs(state.amps) > 1e-12)[0]
     configs = np.transpose(np.unravel_index(hits, state.shape)).tolist()
     for index, levels in zip(hits, configs):
         levels[DOT] += 1

@@ -370,9 +370,8 @@ class _Pending:
         self.response = response
         self._done.set()
 
-    def wait(self, timeout=None):
-        if not self._done.wait(timeout):
-            raise TimeoutError("request was never dispatched")
+    def wait(self):
+        self._done.wait()
         return self.response
 
 
@@ -400,13 +399,15 @@ class QpfService:
         """Full pipeline for one request; blocks until its batch ran."""
         try:
             ops = analyze(parse_client_ops(raw_ops))
+            # each template of an op's lowering is one command (INITs are free)
+            needed = sum(len(_LOWERING[op.op]) for op in ops)
+            if needed > self.capacity():
+                raise ServiceError(
+                    [(0, f"request needs {needed} commands; "
+                         f"controller capacity is {self.capacity()}")])
             with self._state_lock:
                 request_id = self._next_request
                 segment = transform(ops, client_id, request_id)
-                if segment.command_count > self.capacity():
-                    raise ServiceError(
-                        [(0, f"request needs {segment.command_count} commands; "
-                             f"controller capacity is {self.capacity()}")])
                 self._next_request += 1
                 pending = _Pending()
                 self._pending[(client_id, request_id)] = pending
@@ -653,19 +654,3 @@ class ServiceServer:
             key.fileobj.close()
         self._wake_send.close()
         self._selector.close()
-
-
-def request_over_socket(address: tuple[str, int], message: dict,
-                        timeout: float = 30.0) -> dict:
-    """One-shot client helper: send a message, read one reply line."""
-    with socket.create_connection(address, timeout=timeout) as conn:
-        conn.sendall(encode_message(message).encode("utf-8") + b"\n")
-        chunks = []
-        while True:
-            data = conn.recv(4096)
-            if not data:
-                break
-            chunks.append(data)
-            if b"\n" in data:
-                break
-    return json.loads(b"".join(chunks).decode("utf-8").strip())

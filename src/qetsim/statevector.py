@@ -51,10 +51,6 @@ class StateVector:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
 
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
@@ -87,13 +83,12 @@ class RandomSource:
         """Sample an index by inverse CDF over one uniform draw."""
         r = self._gen.random()
         acc = 0.0
-        last = 0
         for k, p in enumerate(probabilities):
             acc += p
-            last = k
             if r < acc:
                 return k
-        return last
+        # the sum rounded below r: the last outcome that can happen
+        return max((k for k, p in enumerate(probabilities) if p > 0), default=0)
 
 
 def basis_state(shape, levels) -> StateVector:
@@ -168,7 +163,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def is_unitary(u: LocalUnitary, tol: float = ALGEBRA_TOL) -> bool:
+def is_unitary(u: LocalUnitary) -> bool:
     m = u.entries
     gram = m.conj().T @ m
-    return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= ALGEBRA_TOL)

@@ -11,7 +11,7 @@ import pytest
 
 import qetsim
 from qetsim.cli import main
-from qetsim.isa import parse_program
+from qetsim.isa import parse_program_with_lines
 from qetsim.service import QpfService
 
 PHYSICAL_OK = ("QPU s=2\n"
@@ -139,7 +139,7 @@ def test_compile_rx_program(tmp_path, capsys):
     assert len(qet_lines) == 1
     assert math.isclose(float(qet_lines[0].split()[1]), -math.pi)
     # the emitted text reparses and validates
-    reparsed = parse_program(out)
+    reparsed, _ = parse_program_with_lines(out)
     assert reparsed.s == 2
 
 
@@ -163,7 +163,7 @@ def test_compile_roundtrip_instruction_lists(tmp_path, capsys):
                   "MEASURE q0\nMEASURE q1\n")
     main(["compile", path])
     text = capsys.readouterr().out
-    assert parse_program(text) == parse_program(text)
+    assert parse_program_with_lines(text) == parse_program_with_lines(text)
     second = _write(tmp_path, "mix.qpu", text)
     assert main(["validate", second]) == 0
     capsys.readouterr()

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from qetsim.compiler import (CNOT_CORRECTION_PHI, CNOT_CORRECTION_THETA,
                              LogicalGate, LogicalProgram, decompose_su2,
                              derive_cnot_corrections, encode_init,
-                             format_logical_program, leakage_check,
-                             logical_rx, logical_rz, memory_size, pair,
-                             parse_logical_program, readout,
-                             synthesize_logical_cnot, transform_program)
+                             leakage_check, logical_rx, logical_rz,
+                             memory_size, pair, parse_logical_program,
+                             readout, synthesize_logical_cnot,
+                             transform_program)
 from qetsim.errors import ProgramSyntaxError, SynthesisError
-from qetsim.isa import (Instruction, QuantumProgram, parse_program,
-                        format_program, validate_program)
+from qetsim.isa import (Instruction, QuantumProgram, format_program,
+                        parse_program_with_lines, validate_program)
 from qetsim.machine import execute_instruction, fresh_machine
 from qetsim.statevector import RandomSource
 
@@ -186,7 +186,7 @@ def test_transform_output_reparses_identically():
     lp = LogicalProgram(2, (LogicalGate("RX", (0,), theta=0.7),
                             LogicalGate("CNOT", (0, 1))), (0, 1))
     program = transform_program(lp)
-    assert parse_program(format_program(program)) == program
+    assert parse_program_with_lines(format_program(program))[0] == program
 
 
 def test_universality_smoke():
@@ -239,7 +239,7 @@ def test_logical_text_roundtrip():
     assert lp.n == 2
     assert [g.kind for g in lp.gates] == ["RX", "RZ", "CNOT"]
     assert lp.measured == (0, 1)
-    again = parse_logical_program(format_logical_program(lp))
+    again = parse_logical_program(_lq_text(lp.n, _lines_of(lp)))
     assert again.gates == lp.gates and again.measured == lp.measured
 
 
@@ -297,6 +297,17 @@ def _lq_line(kind, *args):
     return " ".join([kind, *(f"q{q}" for q in args)])
 
 
+def _lq_text(n, lines):
+    return f"LQ n={n}\n" + "".join(_lq_line(*line) + "\n" for line in lines)
+
+
+def _lines_of(lp):
+    """An RX/RZ/CNOT program's lines: its gates, then its measurements."""
+    gates = [(g.kind, *(() if g.theta is None else (g.theta,)), *g.qubits)
+             for g in lp.gates]
+    return gates + [("MEASURE", q) for q in lp.measured]
+
+
 @st.composite
 def logical_lines(draw):
     """``n`` <= 3 and up to 8 RX/RZ/CNOT/MEASURE lines in any order."""
@@ -316,7 +327,7 @@ def test_logical_text_validates_exactly_when_it_lowers_in_place(program):
     # lowering each line where it stands frees a pair at its MEASURE, so
     # that program validates exactly when no line touches a measured qubit
     n, lines = program
-    text = f"LQ n={n}\n" + "".join(_lq_line(*line) + "\n" for line in lines)
+    text = _lq_text(n, lines)
     in_place = [i for q in range(n) for i in encode_init(q, 0)]
     for kind, *args in lines:
         in_place += _LOWER_IN_PLACE[kind](*args)
@@ -329,3 +340,16 @@ def test_logical_text_validates_exactly_when_it_lowers_in_place(program):
     else:
         assert lowers
         assert not validate_program(transform_program(lp))
+
+
+@settings(max_examples=200)
+@given(logical_lines())
+def test_logical_text_round_trips_through_its_lines(program):
+    try:
+        lp = parse_logical_program(_lq_text(*program))
+    except ProgramSyntaxError:
+        return
+    again = parse_logical_program(_lq_text(lp.n, _lines_of(lp)))
+    assert again.n == lp.n
+    assert again.gates == lp.gates
+    assert again.measured == lp.measured

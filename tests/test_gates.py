@@ -89,7 +89,7 @@ def test_cqet_identity_on_control_one():
 def test_constructors_unitary(build):
     rng = np.random.default_rng(21)
     for _ in range(1000):
-        assert is_unitary(build(rng), 1e-12)
+        assert is_unitary(build(rng))
 
 
 def test_excitation_conservation_exhaustive():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qetsim.errors import QpuRuntimeError
 from qetsim.isa import (Instruction, QuantumProgram, format_program,
-                        parse_program, validate_program)
+                        parse_program_with_lines, validate_program)
 from qetsim.machine import run_program
 from qetsim.statevector import RandomSource
 
@@ -92,7 +92,7 @@ def programs(draw):
 @settings(max_examples=400)
 @given(programs())
 def test_format_then_parse_is_identity(program):
-    assert parse_program(format_program(program)) == program
+    assert parse_program_with_lines(format_program(program))[0] == program
 
 
 @settings(max_examples=400)

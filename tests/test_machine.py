@@ -6,8 +6,7 @@ import pytest
 from qetsim.compiler import parse_logical_program, transform_program
 from qetsim.errors import DimensionError, ProgramSyntaxError, QpuRuntimeError
 from qetsim.isa import (Instruction, QuantumProgram, format_program,
-                        parse_program, parse_program_with_lines,
-                        validate_program)
+                        parse_program_with_lines, validate_program)
 from qetsim.machine import execute_instruction, fresh_machine, run_program
 from qetsim.statevector import RandomSource
 
@@ -210,7 +209,7 @@ def test_run_program_measure_uninitialized_fails_with_index():
 
 
 def test_run_program_deterministic_per_seed():
-    program = parse_program(
+    program, _ = parse_program_with_lines(
         "QPU s=2\n"
         "INIT m0 0\nINIT m1 1\n"
         "LOAD m0 c1\nLOAD m1 c2\n"
@@ -244,7 +243,7 @@ def test_nonzero_transistor_rejected_at_runtime():
 
 
 def test_validate_well_formed_program():
-    program = parse_program(
+    program, _ = parse_program_with_lines(
         "QPU s=2\nINIT m0 0\nINIT m1 1\nLOAD m0 c1\nLOAD m1 c2\n"
         "QET 3.14\nSAVE c1 m0\nSAVE c2 m1\nMEASURE m0\n")
     assert validate_program(program) == []
@@ -301,13 +300,13 @@ def test_parse_format_roundtrip():
             "LOAD m0 c1\nLOAD m1 c2\n"
             "QET 1.25 t0\nPHASE 0.5 -0.25 t0\n"
             "SAVE c1 m0\nSAVE c2 m1\nMEASURE m0\n")
-    program = parse_program(text)
-    again = parse_program(format_program(program))
+    program, _ = parse_program_with_lines(text)
+    again, _ = parse_program_with_lines(format_program(program))
     assert again == program
 
 
 def test_parse_case_insensitive_and_comments():
-    program = parse_program(
+    program, _ = parse_program_with_lines(
         "qpu s=1  # header\n"
         "# a comment line\n"
         "init m0 1\n"
@@ -319,7 +318,7 @@ def test_parse_case_insensitive_and_comments():
 def test_parse_reports_every_bad_line():
     text = "QPU s=1\nINIT m0 0\nQET\nBLORP m0\nMEASURE m0\n"
     with pytest.raises(ProgramSyntaxError) as info:
-        parse_program(text)
+        parse_program_with_lines(text)
     lines = [line for line, _ in info.value.issues]
     assert lines == [3, 4]
     assert "missing parameter theta" in info.value.issues[0][1]
@@ -327,7 +326,7 @@ def test_parse_reports_every_bad_line():
 
 def test_parse_missing_header():
     with pytest.raises(ProgramSyntaxError, match="QPU"):
-        parse_program("INIT m0 0\n")
+        parse_program_with_lines("INIT m0 0\n")
 
 
 def test_parse_records_source_lines():

@@ -15,10 +15,9 @@ from qetsim.isa import Instruction, QuantumProgram, format_program
 from qetsim.machine import execute_instruction, fresh_machine
 from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
                             EmulatorBackend, ExecutionBatch, QpfService, Segment,
-                            SegmentOutcome, ServiceServer, analyze,
-                            buffer_and_batch, demux_results, dispatch,
-                            _concretize, encode_message, parse_client_ops,
-                            request_over_socket, serve_stdio,
+                            SegmentOutcome, analyze, buffer_and_batch,
+                            demux_results, dispatch, _concretize, _LOWERING,
+                            encode_message, parse_client_ops, serve_stdio,
                             support_exponent, transform)
 from qetsim.statevector import RandomSource
 
@@ -436,7 +435,10 @@ def test_support_exponent_counts_only_splitting_transfers():
 @given(st.lists(_CLIENT_OP, min_size=1, max_size=12), st.integers(0, 2 ** 32))
 def test_machine_support_stays_within_the_bound(raw, seed):
     ops = analyze(_ops(raw + [{"op": "MEASURE", "qubits": [0]}]))
-    program = _concretize(transform(ops, "a"), 0)
+    segment = transform(ops, "a")
+    # the count the service checks against its capacity before lowering
+    assert sum(len(_LOWERING[op.op]) for op in ops) == segment.command_count
+    program = _concretize(segment, 0)
     machine, rng = fresh_machine(program.s), RandomSource(seed)
     bound = 2 ** support_exponent(ops)
     for instr in program.instructions:
@@ -499,6 +501,23 @@ def test_service_capacity_is_its_own_with_any_backend():
             {"index": 0, "message": "request needs 65 commands; "
                                     "controller capacity is 64"}]}
     assert service._next_request == 1 and backend.runs == 1
+
+
+def test_over_capacity_request_is_refused_before_it_is_lowered(monkeypatch):
+    def transform_must_not_run(*args):
+        raise AssertionError("an over-capacity request was lowered")
+
+    monkeypatch.setattr("qetsim.service.transform", transform_must_not_run)
+    service = QpfService(seed=0, capacity=64)
+    # a CQET lowers to 7 commands and a MEASURE to 2
+    ops = ([{"op": "CQET", "qubits": [0, 1]}] * 9
+           + [{"op": "MEASURE", "qubits": [q]} for q in range(3)])
+    assert service.submit_request("a", ops) == {
+        "type": "error", "errors": [
+            {"index": 0, "message": "request needs 69 commands; "
+                                    "controller capacity is 64"}]}
+    assert service._next_request == 0
+    assert service._pending == {} and not service._queue
 
 
 def test_backend_crash_is_error_reply_and_leaves_nothing_pending():
@@ -628,18 +647,3 @@ def test_serve_stdio_refuses_over_long_line_and_serves_on():
     # a line of exactly the limit is read and decoded, not refused
     assert at_limit["errors"][0]["message"].startswith("malformed message: "
                                                        "Expecting value")
-
-
-def test_socket_transport_round_trip():
-    service = QpfService(seed=0)
-    server = ServiceServer(service, "127.0.0.1", 0)
-    server.start()
-    try:
-        reply = request_over_socket(server.address, {
-            "type": "submit", "client": "a",
-            "ops": [{"op": "MEASURE", "qubits": [0]}]})
-        assert reply == {"type": "result", "results": [{"qubit": 0, "bit": 0}]}
-        capacity = request_over_socket(server.address, {"type": "capacity"})
-        assert capacity["capacity"] == service.capacity()
-    finally:
-        server.stop()

@@ -1,7 +1,8 @@
 """The TCP transport: one selector thread serving every connection.
 
-Each test breaks one connection in one way and checks that a second
-client, connected the whole time, is still served correctly.
+After one plain round trip, each test breaks one connection in one way
+and checks that a second client, connected the whole time, is still
+served correctly.
 """
 
 import json
@@ -82,6 +83,15 @@ def clients(server):
     yield connect
     for client in opened:
         client.close()
+
+
+def test_socket_transport_round_trip(server, clients):
+    client = clients()
+    reply = client.ask({"type": "submit", "client": "a",
+                        "ops": [{"op": "MEASURE", "qubits": [0]}]})
+    assert reply == {"type": "result", "results": [{"qubit": 0, "bit": 0}]}
+    capacity = client.ask({"type": "capacity"})
+    assert capacity["capacity"] == server.service.capacity()
 
 
 def _is_malformed(reply: dict) -> bool:
