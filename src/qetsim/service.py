@@ -11,9 +11,9 @@ results back to local addresses.
 of its segment: each half of a local qubit's pair takes the next slot at
 its first use and every ``INIT`` is placed as the segment is built, so
 the dispatcher only runs the program and the demultiplexer reads the
-measured slots.  Every segment runs as its own program on a fresh
-machine, so no address outlives its request.  The TCP transport serves
-every connection from one selector thread.
+readouts in the order they ran.  Every segment runs as its own program
+on a fresh machine, so no address outlives its request.  The TCP
+transport serves every connection from one selector thread.
 
 Wire protocol (newline-delimited JSON, UTF-8):
 
@@ -72,7 +72,7 @@ class Segment:
     request_id: int
     instructions: list  # Instruction over machine slots, INITs included
     slots: dict  # (local logical address, half of its pair) -> machine slot
-    measures: list  # (local logical address, first slot, second slot)
+    measured: list  # local logical address of each readout, in request order
 
     @property
     def command_count(self) -> int:
@@ -87,17 +87,6 @@ class ExecutionBatch:
     @property
     def command_count(self) -> int:
         return sum(seg.command_count for seg in self.segments)
-
-
-@dataclass
-class SegmentOutcome:
-    """What dispatch produced for one segment."""
-
-    client_id: str
-    request_id: int
-    measures: list  # (local logical address, first slot, second slot)
-    records: list  # (machine slot, bit)
-    error: str | None = None
 
 
 def _finite_float(value: int | float) -> float | None:
@@ -249,7 +238,7 @@ def transform(ops: list[ClientOp], client_id: str,
     instructions: list[Instruction] = []
     slots: dict[tuple[int, int], int] = {}
     live: set[int] = set()  # slots initialized and not measured since
-    measures = []
+    measured = []
     for op in ops:
         gate = None  # the op's own gate: built per request, never shared
         if op.op == "QET":
@@ -273,9 +262,8 @@ def transform(ops: list[ClientOp], client_id: str,
                 live.discard(slot)
             instructions.append(_on_slot(template, slot))
         if op.op == "MEASURE":
-            q = op.qubits[0]
-            measures.append((q, slots[q, 0], slots[q, 1]))
-    return Segment(client_id, request_id, instructions, slots, measures)
+            measured.append(op.qubits[0])
+    return Segment(client_id, request_id, instructions, slots, measured)
 
 
 def buffer_and_batch(queue: deque, capacity: int) -> ExecutionBatch:
@@ -304,8 +292,12 @@ def _concretize(segment: Segment, clock: int) -> QuantumProgram:
     return QuantumProgram(max(len(segment.slots), 1), segment.instructions)
 
 
-def dispatch(batch: ExecutionBatch, backend) -> list[SegmentOutcome]:
-    """Run every segment of a batch; a failing segment hurts only itself."""
+def dispatch(batch: ExecutionBatch, backend) -> list[tuple]:
+    """Run every segment of a batch; a failing segment hurts only itself.
+
+    Returns ``(segment, records, error)`` per segment: the backend's
+    ``(machine slot, bit)`` records and None, or no records and the error.
+    """
     outcomes = []
     for clock, segment in enumerate(batch.segments):
         program = _concretize(segment, clock)
@@ -318,40 +310,42 @@ def dispatch(batch: ExecutionBatch, backend) -> list[SegmentOutcome]:
                            segment.request_id, exc, exc_info=not known)
             records = []
             error = str(exc) if known else repr(exc)
-        outcomes.append(SegmentOutcome(
-            segment.client_id, segment.request_id, segment.measures,
-            records, error))
+        outcomes.append((segment, records, error))
     logger.info("dispatched batch: %d segment(s), %d command(s)",
                 len(batch.segments), batch.command_count)
     return outcomes
 
 
-def demux_results(outcomes: list[SegmentOutcome]) -> dict:
+def demux_results(outcomes: list[tuple]) -> dict:
     """Per-request responses keyed by ``(client_id, request_id)``.
 
-    Each logical readout takes the first physical bit; a pair with equal
-    bits means the state left the encoded subspace and is surfaced as a
-    decode error rather than being resolved silently.
+    Readout ``k`` of a segment reads records ``2k`` and ``2k + 1``:
+    ``compiler.readout`` measures a pair's first slot and then its second,
+    the backend returns one record per MEASURE in program order, and an
+    INIT the lowering puts between the two measures returns none.  So a
+    qubit measured again after reuse gets its own bits.  Each logical
+    readout takes the first physical bit; a pair with equal bits means the
+    state left the encoded subspace and is surfaced as a decode error
+    rather than being resolved silently.
     """
     responses = {}
-    for outcome in outcomes:
-        key = (outcome.client_id, outcome.request_id)
-        if outcome.error is not None:
-            responses[key] = error_reply([(-1, outcome.error)])
+    for segment, records, error in outcomes:
+        key = (segment.client_id, segment.request_id)
+        if error is None and len(records) != 2 * len(segment.measured):
+            error = (f"backend returned {len(records)} measurement record(s) "
+                     f"for {2 * len(segment.measured)} measured slot(s)")
+        if error is not None:
+            responses[key] = error_reply([(-1, error)])
             continue
-        bits = dict(outcome.records)
         results = []
         errors = []
-        for position, (local, first, second) in enumerate(outcome.measures):
-            if first not in bits or second not in bits:
-                errors.append((position, f"orphan physical address for q{local}"))
-                continue
-            if bits[first] == bits[second]:
+        pairs = zip(segment.measured, records[0::2], records[1::2])
+        for position, (local, (_, first), (_, second)) in enumerate(pairs):
+            if first == second:
                 errors.append((position, f"leakage decoding q{local}: physical "
-                                         f"pair read ({bits[first]}, "
-                                         f"{bits[second]})"))
+                                         f"pair read ({first}, {second})"))
                 continue
-            results.append({"qubit": local, "bit": bits[first]})
+            results.append({"qubit": local, "bit": first})
         if errors:
             responses[key] = error_reply(errors)
         else:

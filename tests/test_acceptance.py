@@ -342,7 +342,7 @@ def test_criterion_7_service_end_to_end():
     ops_a = analyze(parse_client_ops(programs["a"][0]))
     seg_a = transform(ops_a, "a", 0)
     broken = Segment("x", 1, [Instruction.qet(1.0), Instruction.measure(0)],
-                     {0: 0}, [(0, 0, 1)])
+                     {0: 0}, [0])
     seg_c = transform(ops_a, "c", 2)
     outcomes = dispatch(ExecutionBatch([seg_a, broken, seg_c]),
                         EmulatorBackend(seed=3))

@@ -7,7 +7,8 @@ from qetsim.errors import ProtocolError
 from qetsim.protocol import (DOT, MEM_A, PHOTON_A, PROTOCOL_DIMS,
                              PROTOCOL_SEQUENCE, SWAP_FACTOR, ElementaryOp,
                              ProtocolInput, _local_unitaries, assemble_state,
-                             config_index, elementary_unitary, frame_vector,
+                             conditional_transfer_matrix, config_index,
+                             elementary_unitary, frame_vector,
                              initial_state, run_protocol, step_term_trace,
                              verify_against_cqet)
 from qetsim.statevector import StateVector, apply_local, fidelity, is_unitary
@@ -162,6 +163,20 @@ def test_verify_physical_branch_phase_pattern():
     expected = {"alpha": -1, "beta": 1, "gamma": 1j, "delta": 1}
     for name, phase in expected.items():
         assert abs(report.branch_phases[name] - phase) < 1e-9
+
+
+@pytest.mark.parametrize("convention", sorted(SWAP_FACTOR))
+def test_branch_phases_equal_one_run_per_lineage(convention):
+    # the phases come off one equal-weight run; each lineage run on its own
+    # must give the same numbers, bit for bit
+    report = verify_against_cqet(1, convention)
+    plain = conditional_transfer_matrix()
+    for k, lineage in enumerate(LINEAGES):
+        inp = ProtocolInput(*[1.0 if j == k else 0.0 for j in range(4)])
+        expected = plain @ frame_vector(initial_state(inp))
+        got = frame_vector(run_protocol(inp, convention).final)
+        target = int(np.argmax(np.abs(expected)))
+        assert report.branch_phases[lineage] == got[target] / expected[target]
 
 
 def test_verify_requires_samples():

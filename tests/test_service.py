@@ -15,7 +15,7 @@ from qetsim.isa import Instruction, QuantumProgram, format_program
 from qetsim.machine import execute_instruction, fresh_machine
 from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
                             EmulatorBackend, ExecutionBatch, QpfService, Segment,
-                            SegmentOutcome, analyze, buffer_and_batch,
+                            analyze, buffer_and_batch,
                             demux_results, dispatch, _concretize, _LOWERING,
                             encode_message, parse_client_ops, serve_stdio,
                             support_exponent, transform)
@@ -97,7 +97,7 @@ def test_transform_allocates_pair_per_logical_qubit():
     # each slot is initialized to its encoded bit (logical 0 is |01>)
     assert format_program(QuantumProgram(2, segment.instructions)).splitlines()[1:] == [
         "INIT m0 0", "MEASURE m0", "INIT m1 1", "MEASURE m1"]
-    assert segment.measures == [(0, 0, 1)]
+    assert segment.measured == [0]
 
 
 # Recorded from the earlier two-pass lowering (global addresses first, then
@@ -166,7 +166,7 @@ def test_transform_lowers_onto_slots_with_inits_where_they_were():
     segment = _segment("a", LOWERED_OPS)
     assert format_program(_concretize(segment, 0)) == LOWERED
     assert segment.slots == {(2, 0): 0, (2, 1): 1, (0, 0): 2, (0, 1): 3}
-    assert segment.measures == [(2, 0, 1), (0, 2, 3), (0, 2, 3), (2, 0, 1)]
+    assert segment.measured == [2, 0, 0, 2]
     # capacity counts the commands the client asked for, not the INITs
     assert segment.command_count == LOWERED.count("\n") - 1 - LOWERED.count("INIT")
 
@@ -198,7 +198,7 @@ def test_transform_depends_on_the_ops_alone(earlier, client):
     segment = _segment(client, LOWERED_OPS, request_id=len(earlier))
     assert segment.instructions == reference.instructions
     assert segment.slots == reference.slots
-    assert segment.measures == reference.measures
+    assert segment.measured == reference.measured
 
 
 # -- buffering ---------------------------------------------------------------
@@ -266,8 +266,8 @@ def test_dispatch_reuses_slots_across_segments():
     seg_b = _segment("bob", [{"op": "MEASURE", "qubits": [0]}], request_id=1)
     outcomes = dispatch(ExecutionBatch([seg_a, seg_b]), EmulatorBackend(seed=0))
     # each segment runs on a fresh machine, so both use slots 0 and 1
-    for outcome in outcomes:
-        assert sorted(slot for slot, _ in outcome.records) == [0, 1]
+    for _, records, _ in outcomes:
+        assert sorted(slot for slot, _ in records) == [0, 1]
     assert demux_results(outcomes) == {
         key: {"type": "result", "results": [{"qubit": 0, "bit": 0}]}
         for key in (("alice", 0), ("bob", 1))}
@@ -277,10 +277,10 @@ def test_dispatch_isolates_failing_segment():
     seg_a = _segment("alice", [{"op": "MEASURE", "qubits": [0]}])
     seg_c = _segment("carol", [{"op": "MEASURE", "qubits": [0]}], request_id=2)
     broken = Segment("bob", 1, [Instruction.qet(1.0),
-                                Instruction.measure(0)], {0: 0}, [(0, 0, 1)])
+                                Instruction.measure(0)], {0: 0}, [0])
     outcomes = dispatch(ExecutionBatch([seg_a, broken, seg_c]),
                         EmulatorBackend(seed=0))
-    assert [outcome.error is not None for outcome in outcomes] == [
+    assert [error is not None for _, _, error in outcomes] == [
         False, True, False]
     responses = demux_results(outcomes)
     assert responses[("alice", 0)]["type"] == "result"
@@ -291,9 +291,12 @@ def test_dispatch_isolates_failing_segment():
 # -- demultiplexing ----------------------------------------------------------
 
 
+def _outcome(records):
+    return [(Segment("alice", 0, [], {}, [4]), records, None)]
+
+
 def _outcome_with_bits(first_bit, second_bit):
-    return [SegmentOutcome("alice", 0, [(4, 10, 11)],
-                           [(10, first_bit), (11, second_bit)])]
+    return _outcome([(10, first_bit), (11, second_bit)])
 
 
 def test_demux_first_bit_rule():
@@ -309,11 +312,15 @@ def test_demux_equal_bits_is_leakage_error():
     assert "leakage" in response["errors"][0]["message"]
 
 
-def test_demux_orphan_address():
-    outcome = SegmentOutcome("alice", 0, [(4, 10, 11)], [(10, 1)])
-    response = demux_results([outcome])[("alice", 0)]
-    assert response["type"] == "error"
-    assert "orphan" in response["errors"][0]["message"]
+@pytest.mark.parametrize("records, count", [
+    ([(10, 1)], 1),
+    ([(10, 1), (11, 0), (12, 0)], 3),
+], ids=["too-few", "too-many"])
+def test_demux_record_count_mismatch_is_one_error(records, count):
+    assert demux_results(_outcome(records))[("alice", 0)] == {
+        "type": "error", "errors": [
+            {"index": -1, "message": f"backend returned {count} measurement "
+                                     "record(s) for 2 measured slot(s)"}]}
 
 
 # -- full service ------------------------------------------------------------
@@ -324,6 +331,59 @@ def test_service_measure_only_round_trip():
     response = service.submit_request("alice", [{"op": "MEASURE",
                                                  "qubits": [0]}])
     assert response == {"type": "result", "results": [{"qubit": 0, "bit": 0}]}
+
+
+def test_remeasured_qubit_reads_each_measure():
+    service = QpfService(seed=0)
+    response = service.submit_request("alice", [
+        {"op": "QET", "qubits": [0], "theta": math.pi},
+        {"op": "MEASURE", "qubits": [0]},
+        {"op": "MEASURE", "qubits": [0]}])
+    # the second MEASURE reads the qubit reset to 0 by its reuse
+    assert response == {"type": "result", "results": [{"qubit": 0, "bit": 1},
+                                                      {"qubit": 0, "bit": 0}]}
+
+
+def _model_reply(raw):
+    """The reply to a request whose every outcome has probability 0 or 1.
+
+    Each qubit starts at logical 0 and is back at 0 at its first use after
+    a MEASURE.  ``QET`` at an odd multiple of pi flips its bit, ``PHASE``
+    never does, ``CQET`` flips the target when the control reads 0, and
+    ``MEASURE`` reports the current bit.
+    """
+    bits = {}
+    results = []
+    for op in raw:
+        q = op["qubits"][0]
+        if op["op"] == "QET" and round(op["theta"] / math.pi) % 2:
+            bits[q] = 1 - bits.get(q, 0)
+        elif op["op"] == "CQET" and not bits.get(q, 0):
+            target = op["qubits"][1]
+            bits[target] = 1 - bits.get(target, 0)
+        elif op["op"] == "MEASURE":
+            results.append({"qubit": q, "bit": bits.pop(q, 0)})
+    return {"type": "result", "results": results}
+
+
+_EXACT_OP = st.one_of(
+    st.builds(lambda q, k: {"op": "QET", "qubits": [q], "theta": k * math.pi},
+              st.integers(0, 3), st.integers(-3, 3)),
+    st.builds(lambda q, t, p: {"op": "PHASE", "qubits": [q], "theta": t,
+                               "phi": p},
+              st.integers(0, 3), st.floats(-10, 10), st.floats(-10, 10)),
+    st.builds(lambda qs: {"op": "CQET", "qubits": qs},
+              st.lists(st.integers(0, 3), min_size=2, max_size=2,
+                       unique=True)),
+    st.builds(lambda q: {"op": "MEASURE", "qubits": [q]}, st.integers(0, 3)))
+
+
+@settings(max_examples=200)
+@given(st.lists(_EXACT_OP, max_size=12), st.integers(0, 2 ** 32))
+def test_exact_request_reply_matches_its_bit_model(raw, seed):
+    raw = raw + [{"op": "MEASURE", "qubits": [0]}]
+    reply = QpfService(seed=seed).submit_request("a", raw)
+    assert reply == _model_reply(raw)
 
 
 def test_service_bell_correlations():
@@ -531,7 +591,7 @@ def test_backend_crash_is_error_reply_and_leaves_nothing_pending():
     segments = [_segment(client, [{"op": "MEASURE", "qubits": [0]}], request_id)
                 for request_id, client in enumerate(("a", "b"))]
     outcomes = dispatch(ExecutionBatch(segments), _RaisingBackend())
-    assert [outcome.error is not None for outcome in outcomes] == [True, True]
+    assert [error is not None for _, _, error in outcomes] == [True, True]
 
 
 def test_capacity_query_and_malformed_line():
