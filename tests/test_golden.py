@@ -14,7 +14,10 @@ to refuse a program wider than the machine, and the two
 refuse a line that touches a qubit after its ``MEASURE``.  The service
 transcript's last request, a qubit measured, reused and measured again,
 was appended when each ``MEASURE`` began to get its own bits; every
-outcome in its reply has probability 0 or 1.  A change
+outcome in its reply has probability 0 or 1.  ``mixed_seed5.jsonl``,
+the only seeded run through SU2 lines and a reversed CNOT, was recorded
+while SU2 was still a gate kind of its own, before an SU2 line was read
+as its three rotations.  A change
 that alters any of them changes the fixed-seed contract and must say
 so.
 """
@@ -35,6 +38,7 @@ ERRORS = GOLDEN / "cli_errors"
 @pytest.mark.parametrize("program, shots, transcript", [
     ("bell.lq", 2000, "bell_seed5.jsonl"),
     ("ghz7.lq", 20, "ghz7_seed5.jsonl"),
+    ("mixed.lq", 200, "mixed_seed5.jsonl"),
 ])
 def test_seeded_run_transcript_is_byte_identical(program, shots, transcript,
                                                  capsys):
