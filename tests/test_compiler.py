@@ -353,3 +353,65 @@ def test_logical_text_round_trips_through_its_lines(program):
     assert again.n == lp.n
     assert again.gates == lp.gates
     assert again.measured == lp.measured
+
+
+# -- random-circuit oracle -----------------------------------------------------
+
+
+def _embed(n, q, u):
+    """``u`` on qubit ``q`` of ``n``; qubit 0 is the most significant bit."""
+    return np.kron(np.kron(np.eye(2 ** q), u), np.eye(2 ** (n - 1 - q)))
+
+
+def _cnot(n, ctrl, tgt):
+    dim = 2 ** n
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        flip = (col >> (n - 1 - ctrl)) & 1
+        matrix[col ^ (flip << (n - 1 - tgt)), col] = 1
+    return matrix
+
+
+@st.composite
+def random_circuits(draw):
+    """LQ text of ``n`` <= 3 qubits and up to 8 RX, RZ, SU2 and CNOT lines,
+    with the textbook matrix of the whole circuit."""
+    n = draw(st.integers(1, 3))
+    qubit = st.integers(0, n - 1)
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    kinds = ["RX", "RZ", "SU2"] + (["CNOT"] if n > 1 else [])
+    lines, expected = [f"LQ n={n}"], np.eye(2 ** n, dtype=complex)
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        if kind == "CNOT":
+            ctrl, tgt = draw(st.permutations(range(n)))[:2]
+            lines.append(f"CNOT q{ctrl} q{tgt}")
+            gate = _cnot(n, ctrl, tgt)
+        elif kind == "SU2":
+            q = draw(qubit)
+            raw = np.array(draw(st.lists(st.floats(-1, 1), min_size=8,
+                                         max_size=8)))
+            u, _ = np.linalg.qr((raw[0::2] + 1j * raw[1::2]).reshape(2, 2))
+            entries = " ".join(repr(float(x)) for z in u.reshape(-1)
+                               for x in (z.real, z.imag))
+            lines.append(f"SU2 q{q} {entries}")
+            gate = _embed(n, q, u)
+        else:
+            theta, q = draw(angle), draw(qubit)
+            lines.append(f"{kind} {theta!r} q{q}")
+            gate = _embed(n, q, (_rx if kind == "RX" else _rz)(theta))
+        expected = gate @ expected
+    return n, "\n".join(lines) + "\n", expected
+
+
+@settings(max_examples=60)
+@given(random_circuits())
+def test_random_circuits_lower_to_their_textbook_matrix(circuit):
+    n, text, expected = circuit
+    program = transform_program(parse_logical_program(text))
+    got = _logical_matrix(n, program.instructions[2 * n:], tuple(range(n)))
+    # each basis input keeps all its mass on encoded states: none has
+    # left the per-pair one-excitation span or stayed in a cell
+    assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1)) < 1e-9
+    phase = np.vdot(expected.reshape(-1), got.reshape(-1))
+    phase /= abs(phase)
+    assert np.max(np.abs(got - phase * expected)) < 1e-9
