@@ -8,11 +8,10 @@ import sys
 import time
 from pathlib import Path
 
-from .compiler import (LogicalProgram, memory_size, parse_logical_program,
-                       transform_program)
+from .compiler import parse_logical_program, transform_program
 from .errors import ProgramSyntaxError, QetSimError
-from .isa import (format_program, parse_program_with_lines, token_lines,
-                  validate_program)
+from .isa import (QuantumProgram, format_program, parse_program_with_lines,
+                  token_lines, validate_program)
 from .machine import fresh_machine, run_program
 from .protocol import (PROTOCOL_SEQUENCE, SWAP_FACTOR, ProtocolInput,
                        assemble_state, initial_state, run_protocol,
@@ -80,50 +79,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _logical(text: str) -> LogicalProgram:
-    """The logical program in ``text``, refused if wider than the machine."""
-    program = parse_logical_program(text)
-    fresh_machine(memory_size(program.n))
-    return program
+def _load(path: str) -> tuple[QuantumProgram, tuple[int, ...]]:
+    """The machine program in a file and the source line of each instruction.
 
-
-def _load(path: str):
-    """The program in a file, parsed by its header.
-
-    ``LQ`` text gives a ``LogicalProgram``; any other text is read as
-    machine text and gives the ``QuantumProgram`` and the source line of
-    each instruction.  A program wider than the machine is refused here,
-    so ``validate`` and ``run`` agree and ``run`` never lowers it.
+    ``LQ`` text is lowered by ``transform_program``, and its program has
+    no source lines: a lowered program always validates.  Any other text
+    is read as machine text.  A program wider than the machine is
+    refused (``LQ`` text by ``transform_program``) before it is lowered
+    or run, so ``validate`` and ``run`` agree.
     """
     text = Path(path).read_text(encoding="utf-8")
-    kind = next((tokens[0].upper() for _, tokens in token_lines(text)), "")
-    if kind == "LQ":
-        loaded = _logical(text)
-    else:
-        loaded = parse_program_with_lines(text)
-        fresh_machine(loaded[0].s)
-    return loaded
+    if next((tokens[0].upper() for _, tokens in token_lines(text)), "") == "LQ":
+        return transform_program(parse_logical_program(text)), ()
+    program, lines = parse_program_with_lines(text)
+    fresh_machine(program.s)
+    return program, lines
 
 
 def cmd_validate(args) -> int:
-    loaded = _load(args.path)
-    if not isinstance(loaded, LogicalProgram):
-        program, lines = loaded
-        issues = validate_program(program)
-        for index, message in issues:
-            print(f"line {lines[index]} (instruction {index}): {message}")
-        if issues:
-            return 1
+    program, lines = _load(args.path)
+    issues = validate_program(program)
+    for index, message in issues:
+        print(f"line {lines[index]} (instruction {index}): {message}")
+    if issues:
+        return 1
     print("ok")
     return 0
 
 
 def cmd_run(args) -> int:
-    program = _load(args.path)
-    if isinstance(program, LogicalProgram):
-        program = transform_program(program)
-    else:
-        program = program[0]
+    program, _ = _load(args.path)
     rng = RandomSource(args.seed)
     counts: dict[str, int] = {}
     for shot in range(args.shots):
@@ -151,7 +136,7 @@ def cmd_run(args) -> int:
 
 def cmd_compile(args) -> int:
     text = Path(args.path).read_text(encoding="utf-8")
-    program = transform_program(_logical(text))
+    program = transform_program(parse_logical_program(text))
     sys.stdout.write(format_program(program))
     return 0
 

@@ -8,18 +8,24 @@ subspace a transfer gate of angle ``theta`` acts as ``Rx(-theta)`` and
 the phase gate as ``Rz(theta)`` times ``e^{i phi / 2}``, which is all
 the compiler needs to realize arbitrary rotations.
 
+A logical program is a list of ``RX``, ``RZ`` and ``CNOT`` gates, a
+universal set, followed by measurements.
+
 Logical program text: header ``LQ n=<int>``; lines ``RX <theta> q<i>``,
 ``RZ <theta> q<i>``, ``CNOT q<i> q<j>``, ``SU2 q<i> <8 reals>``
-(row-major re/im pairs) and ``MEASURE q<i>``.  A qubit is measured at
-most once, and no line after its ``MEASURE`` may touch it, so moving
-every measurement to the end of the program changes nothing.
+(row-major re/im pairs) and ``MEASURE q<i>``.  An ``SU2`` line is read
+as the three gates ``RZ(c)``, ``RX(b)``, ``RZ(a)`` of its matrix's
+``decompose_su2``, with the global phase dropped.  A qubit is measured
+at most once, and no line after its ``MEASURE`` may touch it, so moving
+every measurement to the end of the program changes nothing.  Every
+problem of the text is reported at its own line.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +33,7 @@ from .errors import ProgramSyntaxError, SynthesisError
 from .gates import cqet_matrix, qet_matrix
 from .isa import (Instruction, QuantumProgram, read_lines, read_operand,
                   validate_program)
+from .machine import fresh_machine
 from .statevector import LocalUnitary, StateVector, is_unitary
 
 # Correction angles that turn the raw controlled transfer into an exact
@@ -37,7 +44,7 @@ from .statevector import LocalUnitary, StateVector, is_unitary
 CNOT_CORRECTION_THETA = math.pi / 2
 CNOT_CORRECTION_PHI = 3 * math.pi / 2
 
-GATE_KINDS = ("RX", "RZ", "CNOT", "SU2")
+GATE_KINDS = ("RX", "RZ", "CNOT")
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -56,7 +63,6 @@ class LogicalGate:
     kind: str
     qubits: tuple[int, ...]
     theta: float | None = None
-    matrix: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -67,16 +73,8 @@ class LogicalGate:
                 raise SynthesisError(f"{self.kind} takes one qubit and an angle")
             if not math.isfinite(self.theta):
                 raise SynthesisError("angle must be finite")
-        elif self.kind == "CNOT":
-            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
-                raise SynthesisError("CNOT takes two distinct qubits")
-        else:
-            if len(self.qubits) != 1 or self.matrix is None:
-                raise SynthesisError("SU2 takes one qubit and a matrix")
-            m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (2, 2) or not is_unitary(LocalUnitary((2,), m)):
-                raise SynthesisError("SU2 matrix must be 2x2 unitary")
-            object.__setattr__(self, "matrix", m)
+        elif len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
+            raise SynthesisError("CNOT takes two distinct qubits")
 
 
 @dataclass(frozen=True)
@@ -215,10 +213,8 @@ def decompose_su2(u) -> tuple[float, float, float, float]:
     ``(0, pi)`` and ``a, c`` are reduced modulo ``4 pi``.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise SynthesisError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(LocalUnitary((2,), u)):
-        raise SynthesisError("matrix is not unitary")
+    if u.shape != (2, 2) or not is_unitary(LocalUnitary((2,), u)):
+        raise SynthesisError("SU2 matrix must be 2x2 unitary")
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     delta = 0.5 * cmath.phase(det)
     v = u * np.exp(-1j * delta)
@@ -257,23 +253,18 @@ def _gate_instructions(gate: LogicalGate) -> list[Instruction]:
         return logical_rx(gate.qubits[0], gate.theta)
     if gate.kind == "RZ":
         return logical_rz(gate.qubits[0], gate.theta)
-    if gate.kind == "CNOT":
-        return synthesize_logical_cnot(gate.qubits[0], gate.qubits[1])
-    a, b, c, _ = decompose_su2(gate.matrix)
-    q = gate.qubits[0]
-    # temporal order is rightmost factor first; global phase is dropped
-    return (logical_rz(q, c)
-            + logical_rx(q, b)
-            + logical_rz(q, a))
+    return synthesize_logical_cnot(gate.qubits[0], gate.qubits[1])
 
 
 def transform_program(lp: LogicalProgram) -> QuantumProgram:
     """Lower a logical program to a validated physical program.
 
-    Every logical qubit is encoded to logical 0 up front; measured pairs
-    are read out first-slot-first, with the second slot measured too so
-    both slots end free.
+    A program wider than the machine is refused before anything is
+    emitted.  Every logical qubit is encoded to logical 0 up front;
+    measured pairs are read out first-slot-first, with the second slot
+    measured too so both slots end free.
     """
+    fresh_machine(memory_size(lp.n))
     instructions: list[Instruction] = []
     for q in range(lp.n):
         instructions += encode_init(q, 0)
@@ -319,47 +310,52 @@ def parse_logical_program(text: str) -> LogicalProgram:
     measured: dict[int, int] = {}  # each measured qubit and its MEASURE line
 
     n, body = read_lines(text, "LQ", "n", issues)
+    n_known = not issues  # a bad header reads n = 0, which bounds nothing
     for lineno, tokens in body:
         op = tokens[0].upper()
+        line_gates, line_measured = [], ()
         try:
             if op in ("RX", "RZ"):
                 if len(tokens) != 3:
                     raise ValueError(f"{op} takes an angle and a qubit")
-                gates.append(LogicalGate(op, (read_operand("q", tokens[2]),),
-                                         theta=float(tokens[1])))
+                line_gates = [LogicalGate(op, (read_operand("q", tokens[2]),),
+                                          theta=float(tokens[1]))]
             elif op == "CNOT":
                 if len(tokens) != 3:
                     raise ValueError("CNOT takes two qubits")
-                gates.append(LogicalGate("CNOT", (read_operand("q", tokens[1]),
-                                                  read_operand("q", tokens[2]))))
+                line_gates = [LogicalGate("CNOT", (read_operand("q", tokens[1]),
+                                                   read_operand("q", tokens[2])))]
             elif op == "SU2":
                 if len(tokens) != 10:
                     raise ValueError("SU2 takes a qubit and 8 matrix entries")
+                qubit = (read_operand("q", tokens[1]),)
                 reals = [float(x) for x in tokens[2:]]
-                matrix = np.array(
-                    [[complex(reals[0], reals[1]), complex(reals[2], reals[3])],
-                     [complex(reals[4], reals[5]), complex(reals[6], reals[7])]])
-                gates.append(LogicalGate("SU2", (read_operand("q", tokens[1]),),
-                                         matrix=matrix))
+                matrix = np.array([complex(re, im) for re, im
+                                   in zip(reals[0::2], reals[1::2])])
+                a, b, c, _ = decompose_su2(matrix.reshape(2, 2))
+                # temporal order is rightmost factor first
+                line_gates = [LogicalGate("RZ", qubit, c),
+                              LogicalGate("RX", qubit, b),
+                              LogicalGate("RZ", qubit, a)]
             elif op == "MEASURE":
                 if len(tokens) != 2:
                     raise ValueError("MEASURE takes a qubit")
-                qubits = (read_operand("q", tokens[1]),)
+                line_measured = (read_operand("q", tokens[1]),)
             else:
                 raise ValueError(f"unknown logical operation {tokens[0]!r}")
+            if n_known:  # the range checks, on this line alone
+                LogicalProgram(n, line_gates, line_measured)
             # measurements run after every gate, so a qubit is finished
             # at its MEASURE and no later line may touch it
-            for q in qubits if op == "MEASURE" else gates[-1].qubits:
+            for q in line_measured or line_gates[0].qubits:
                 if q in measured:
                     raise ValueError(f"q{q} was measured on line {measured[q]} "
                                      "and cannot be used again")
-            if op == "MEASURE":
-                measured[qubits[0]] = lineno
+            gates += line_gates
+            for q in line_measured:
+                measured[q] = lineno
         except (ValueError, SynthesisError) as exc:
             issues.append((lineno, str(exc)))
-    if not issues:
-        try:
-            return LogicalProgram(n, tuple(gates), tuple(measured))
-        except SynthesisError as exc:
-            issues.append((1, str(exc)))
-    raise ProgramSyntaxError(issues)
+    if issues:
+        raise ProgramSyntaxError(issues)
+    return LogicalProgram(n, tuple(gates), tuple(measured))

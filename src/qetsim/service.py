@@ -201,6 +201,8 @@ _LOWERING = {
     "CQET": controlled_transfer(pair(0), pair(1)),
     "MEASURE": readout(pair(0)),
 }
+# the fewest commands any op lowers to (a MEASURE's readout)
+_FEWEST_COMMANDS = min(len(lowering) for lowering in _LOWERING.values())
 # placeholder address -> (index of the op's qubit, half of its pair)
 _OPERAND = {slot: (operand, half)
             for operand in (0, 1) for half, slot in enumerate(pair(operand))}
@@ -392,6 +394,13 @@ class QpfService:
     def submit_request(self, client_id: str, raw_ops) -> dict:
         """Full pipeline for one request; blocks until its batch ran."""
         try:
+            # a list too long to fit is refused before its ops are decoded
+            fewest = (_FEWEST_COMMANDS * len(raw_ops)
+                      if isinstance(raw_ops, list) else 0)
+            if fewest > self.capacity():
+                raise ServiceError(
+                    [(0, f"request needs at least {fewest} commands; "
+                         f"controller capacity is {self.capacity()}")])
             ops = analyze(parse_client_ops(raw_ops))
             # each template of an op's lowering is one command (INITs are free)
             needed = sum(len(_LOWERING[op.op]) for op in ops)

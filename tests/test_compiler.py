@@ -189,12 +189,20 @@ def test_transform_output_reparses_identically():
     assert parse_program_with_lines(format_program(program))[0] == program
 
 
+def _su2_line(q, u):
+    entries = " ".join(repr(float(x)) for z in np.reshape(u, -1)
+                       for x in (z.real, z.imag))
+    return f"SU2 q{q} {entries}"
+
+
 def test_universality_smoke():
+    # an SU2 line is three rotations, which lower to any one-qubit unitary
     rng = np.random.default_rng(41)
     for _ in range(20):
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         target, _ = np.linalg.qr(raw)
-        lp = LogicalProgram(1, (LogicalGate("SU2", (0,), matrix=target),), ())
+        lp = parse_logical_program(f"LQ n=1\n{_su2_line(0, target)}\n")
+        assert [g.kind for g in lp.gates] == ["RZ", "RX", "RZ"]
         program = transform_program(lp)
         got = _logical_matrix(1, program.instructions[2:], (0,))
         phase = np.vdot(target.reshape(-1), got.reshape(-1))
@@ -247,17 +255,31 @@ def test_logical_text_su2_line():
     h = 1 / math.sqrt(2)
     text = f"LQ n=1\nSU2 q0 {h} 0.0 {h} 0.0 {h} 0.0 {-h} 0.0\nMEASURE q0\n"
     lp = parse_logical_program(text)
-    assert lp.gates[0].kind == "SU2"
-    assert np.allclose(lp.gates[0].matrix,
-                       np.array([[h, h], [h, -h]]), atol=1e-12)
+    # RZ(c), RX(b), RZ(a) in the order they run, from e^{id} Rz(a) Rx(b) Rz(c)
+    a, b, c, _ = decompose_su2(np.array([[h, h], [h, -h]]))
+    assert lp.gates == (LogicalGate("RZ", (0,), theta=c),
+                        LogicalGate("RX", (0,), theta=b),
+                        LogicalGate("RZ", (0,), theta=a))
+    assert lp.measured == (0,)
 
 
 def test_logical_text_errors_with_lines():
-    text = "LQ n=1\nRX q0\nWIBBLE q0\nMEASURE q5\n"
+    text = "LQ n=1\nRX q0\nWIBBLE q0\nMEASURE q5\nRZ 0.5 q2\n"
     with pytest.raises(ProgramSyntaxError) as info:
         parse_logical_program(text)
     lines = [line for line, _ in info.value.issues]
     assert 2 in lines and 3 in lines
+    # each operand out of range is an issue at its own line
+    assert info.value.issues[2:] == [(4, "measured q5 out of range [0, 1)"),
+                                     (5, "gate operand q2 out of range [0, 1)")]
+
+
+def test_logical_text_with_a_bad_header_checks_no_range():
+    # the header's n is unknown, so no operand is out of its range
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_logical_program("LQ n=two\nRX 0.5 q3\nMEASURE q3\n")
+    assert info.value.issues == [
+        (1, "bad header 'n=two': n must be a non-negative integer")]
 
 
 def test_logical_program_range_check():
@@ -391,9 +413,7 @@ def random_circuits(draw):
             raw = np.array(draw(st.lists(st.floats(-1, 1), min_size=8,
                                          max_size=8)))
             u, _ = np.linalg.qr((raw[0::2] + 1j * raw[1::2]).reshape(2, 2))
-            entries = " ".join(repr(float(x)) for z in u.reshape(-1)
-                               for x in (z.real, z.imag))
-            lines.append(f"SU2 q{q} {entries}")
+            lines.append(_su2_line(q, u))
             gate = _embed(n, q, u)
         else:
             theta, q = draw(angle), draw(qubit)

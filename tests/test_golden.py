@@ -11,7 +11,9 @@ from one place, except ``validate_lq_too_wide`` and
 ``validate_qpu_too_wide``, which were recorded when ``validate`` began
 to refuse a program wider than the machine, and the two
 ``*_lq_measure_order`` cases, recorded when logical text began to
-refuse a line that touches a qubit after its ``MEASURE``.  The service
+refuse a line that touches a qubit after its ``MEASURE``, and
+``validate_lq_range``, recorded when a qubit outside ``[0, n)`` began
+to be reported at its own line.  The service
 transcript's last request, a qubit measured, reused and measured again,
 was appended when each ``MEASURE`` began to get its own bits; every
 outcome in its reply has probability 0 or 1.  ``mixed_seed5.jsonl``,

@@ -580,6 +580,25 @@ def test_over_capacity_request_is_refused_before_it_is_lowered(monkeypatch):
     assert service._pending == {} and not service._queue
 
 
+def test_request_longer_than_capacity_is_refused_before_it_is_decoded(
+        monkeypatch):
+    def parse_must_not_run(*args):
+        raise AssertionError("an over-capacity request was decoded")
+
+    service = QpfService(seed=0, capacity=64)
+    # every op lowers to at least a MEASURE's 2 commands: 32 ops can fit
+    ops = [{"op": "MEASURE", "qubits": [0]}] * 33
+    assert service.submit_request("a", ops[:32])["type"] == "result"
+    monkeypatch.setattr("qetsim.service.parse_client_ops", parse_must_not_run)
+    service = QpfService(seed=0, capacity=64)
+    assert service.submit_request("a", ops) == {
+        "type": "error", "errors": [
+            {"index": 0, "message": "request needs at least 66 commands; "
+                                    "controller capacity is 64"}]}
+    assert service._next_request == 0
+    assert service._pending == {} and not service._queue
+
+
 def test_backend_crash_is_error_reply_and_leaves_nothing_pending():
     service = QpfService(backend=_RaisingBackend())
     reply = json.loads(service.handle_line(
