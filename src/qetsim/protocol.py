@@ -67,7 +67,9 @@ _START_TERMS = {name: (config, complex(1.0))
                 for name, config in START_CONFIGS.items()}
 
 
-def config_index(config) -> int:
+# at most one entry per configuration: a bad level raises and is not cached
+@functools.lru_cache(maxsize=math.prod(PROTOCOL_DIMS))
+def config_index(config: tuple) -> int:
     """Flat index of a level tuple (dot levels run 1..3)."""
     pa, ma, pb, dot, pc, mc = config
     return int(np.ravel_multi_index((pa, ma, pb, dot - 1, pc, mc),

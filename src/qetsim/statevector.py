@@ -6,12 +6,15 @@ per-subsystem dimensions.  Amplitudes are stored flat in row-major
 order, so the first listed subsystem is the most significant index
 digit; NumPy's ``ravel_multi_index`` and ``unravel_index`` convert
 between level tuples and flat indices.
-All operations are value-in, value-out; nothing here mutates shared
-state.
+All operations are value-in, value-out.  The only shared state is the
+cache of transpose plans: immutable tuples keyed by a shape and its
+target subsystems, so a plan built once serves every later call on the
+same positions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,25 +111,36 @@ def basis_state(shape, levels) -> StateVector:
     return StateVector(shape, amps)
 
 
-def apply_local(state: StateVector, u: LocalUnitary, targets) -> StateVector:
-    """Apply ``u`` to the listed subsystems, identity elsewhere."""
-    dims = state.shape
+@functools.lru_cache(maxsize=256)
+def _plan(dims: tuple[int, ...], targets: tuple[int, ...]):
+    """How to bring ``targets`` of a ``dims``-shaped state to the front.
+
+    Returns the forward transpose order (the targets in the given
+    order, then the other subsystems in theirs), its inverse, the moved
+    shape and the targets' dims.  Bad targets raise on every call: an
+    exception is never cached.
+    """
     n = len(dims)
-    targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
         raise DimensionError(f"duplicate target subsystems {targets}")
     if any(t < 0 or t >= n for t in targets):
         raise DimensionError(f"target out of range in {targets} for {n} subsystems")
-    actual = tuple(dims[t] for t in targets)
+    order = targets + tuple(k for k in range(n) if k not in targets)
+    inverse = tuple(order.index(k) for k in range(n))
+    return (order, inverse, tuple(dims[k] for k in order),
+            tuple(dims[t] for t in targets))
+
+
+def apply_local(state: StateVector, u: LocalUnitary, targets) -> StateVector:
+    """Apply ``u`` to the listed subsystems, identity elsewhere."""
+    order, inverse, moved, actual = _plan(state.shape,
+                                          tuple(int(t) for t in targets))
     if actual != u.dims:
         raise DimensionError(
             f"operator dims {u.dims} do not match target dims {actual}")
-    psi = state.amps.reshape(dims)
-    psi = np.moveaxis(psi, targets, range(len(targets)))
-    moved_shape = psi.shape
-    flat = psi.reshape(math.prod(u.dims), -1)
-    flat = u.entries @ flat
-    psi = np.moveaxis(flat.reshape(moved_shape), range(len(targets)), targets)
+    flat = state.amps.reshape(state.shape).transpose(order).reshape(
+        u.entries.shape[0], -1)
+    psi = (u.entries @ flat).reshape(moved).transpose(inverse)
     return StateVector(state.shape, psi.reshape(-1))
 
 
@@ -141,8 +155,8 @@ def measure_subsystem(state: StateVector, target: int,
     dims = state.shape
     if not 0 <= target < len(dims):
         raise DimensionError(f"no subsystem {target} in shape {dims}")
-    moved = np.moveaxis(state.amps.reshape(dims), target, 0)
-    flat = moved.reshape(dims[target], -1)
+    order, inverse, moved, _ = _plan(dims, (int(target),))
+    flat = state.amps.reshape(dims).transpose(order).reshape(dims[target], -1)
     weights = np.sum(np.abs(flat) ** 2, axis=1)
     total = float(weights.sum())
     if total < NORM_TOL:
@@ -151,7 +165,7 @@ def measure_subsystem(state: StateVector, target: int,
     outcome = rng.choose(weights / total)
     collapsed = np.zeros_like(flat)
     collapsed[outcome] = flat[outcome] / np.sqrt(weights[outcome])
-    collapsed = np.moveaxis(collapsed.reshape(moved.shape), 0, target)
+    collapsed = collapsed.reshape(moved).transpose(inverse)
     return outcome, StateVector(state.shape, collapsed.reshape(-1))
 
 
