@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ProgramSyntaxError, SynthesisError
 from .gates import cqet_matrix, qet_matrix
 from .isa import (Instruction, QuantumProgram, read_lines, read_operand,
-                  validate_program)
+                  read_real, validate_program)
 from .machine import fresh_machine
 from .statevector import LocalUnitary, StateVector, is_unitary
 
@@ -319,7 +319,7 @@ def parse_logical_program(text: str) -> LogicalProgram:
                 if len(tokens) != 3:
                     raise ValueError(f"{op} takes an angle and a qubit")
                 line_gates = [LogicalGate(op, (read_operand("q", tokens[2]),),
-                                          theta=float(tokens[1]))]
+                                          theta=read_real("theta", tokens[1]))]
             elif op == "CNOT":
                 if len(tokens) != 3:
                     raise ValueError("CNOT takes two qubits")
@@ -329,7 +329,7 @@ def parse_logical_program(text: str) -> LogicalProgram:
                 if len(tokens) != 10:
                     raise ValueError("SU2 takes a qubit and 8 matrix entries")
                 qubit = (read_operand("q", tokens[1]),)
-                reals = [float(x) for x in tokens[2:]]
+                reals = [read_real("entry", x) for x in tokens[2:]]
                 matrix = np.array([complex(re, im) for re, im
                                    in zip(reals[0::2], reals[1::2])])
                 a, b, c, _ = decompose_su2(matrix.reshape(2, 2))

@@ -139,6 +139,14 @@ def read_operand(prefix: str, token: str) -> int:
     return int(digits)
 
 
+def read_real(name: str, token: str) -> float:
+    """The decimal number ``token`` written for the operand ``name``."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"expected {name} like '0', got {token!r}") from None
+
+
 def _parse_instruction(tokens: list[str]) -> Instruction:
     opcode = tokens[0].upper()
     if opcode not in SYNTAX:
@@ -153,10 +161,12 @@ def _parse_instruction(tokens: list[str]) -> Instruction:
         raise ValueError(f"unexpected trailing tokens {args[len(operands):]}")
     values = {}
     for (name, kind), token in zip(operands, args):
+        if kind == "angle":
+            values[name] = read_real(name, token)
+            continue
         prefix = _KINDS[kind][0]
         try:
-            values[name] = (float(token) if kind == "angle"
-                            else read_operand(prefix, token))
+            values[name] = read_operand(prefix, token)
         except ValueError:
             raise ValueError(f"expected {name} like '{prefix}0', "
                              f"got {token!r}") from None

@@ -274,6 +274,22 @@ def test_logical_text_errors_with_lines():
                                      (5, "gate operand q2 out of range [0, 1)")]
 
 
+def test_logical_text_reports_a_bad_number_in_the_isa_form():
+    # the machine text's message for the same token, at its own line
+    # and next to another line's issue
+    text = ("LQ n=1\nRX half q0\nCNOT q0\n"
+            "SU2 q0 1 0 0 0 0 zero 1 0\nMEASURE q0\n")
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_logical_program(text)
+    assert info.value.issues == [
+        (2, "expected theta like '0', got 'half'"),
+        (3, "CNOT takes two qubits"),
+        (4, "expected entry like '0', got 'zero'")]
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_program_with_lines("QPU s=0\nQET half\n")
+    assert info.value.issues == [(2, "expected theta like '0', got 'half'")]
+
+
 def test_logical_text_with_a_bad_header_checks_no_range():
     # the header's n is unknown, so no operand is out of its range
     with pytest.raises(ProgramSyntaxError) as info:
