@@ -22,6 +22,10 @@ the ``ideal`` convention every operation is a plain permutation of
 configurations; under the ``physical`` convention each swapped
 component picks up the factor ``i`` of a half-period transfer.
 
+The dense route makes one kernel call per step: each step's ops are
+fused into one local unitary on the subsystems they touch, built once
+per convention.
+
 One known wart of the sequence itself: the final pulse on memory a also
 hits the preserved branch's excitation, moving it from level 3 to
 level 2.  The ground/excited content is unaffected, so the conditional
@@ -202,10 +206,30 @@ class ProtocolResult:
 
 
 @functools.cache
-def _local_unitaries(convention: str):
-    """Each step's local unitaries under ``convention``, built once."""
-    return tuple(tuple(elementary_unitary(op, convention) for op in step.ops)
-                 for step in PROTOCOL_SEQUENCE)
+def _step_unitaries(convention: str):
+    """Each step under ``convention`` as one (unitary, targets) pair, built once.
+
+    The targets are the union of the step's op targets in first-use
+    order.  The step's ops are applied, through the dense kernel, to
+    the identity of that union's space, carried as one extra column
+    subsystem.  Every op is a phased permutation with entries in
+    {0, +-1, +-i}, so the product is exact.
+    """
+    steps = []
+    for step in PROTOCOL_SEQUENCE:
+        union = tuple(dict.fromkeys(t for op in step.ops for t in op.targets))
+        dims = tuple(PROTOCOL_DIMS[t] for t in union)
+        block = math.prod(dims)
+        columns = StateVector(dims + (block,),
+                              np.eye(block, dtype=complex).reshape(-1))
+        for op in step.ops:
+            columns = apply_local(columns, elementary_unitary(op, convention),
+                                  [union.index(t) for t in op.targets])
+        entries = columns.amps.reshape(block, block)
+        # shared by every later run of this convention
+        entries.setflags(write=False)
+        steps.append((LocalUnitary(dims, entries), union))
+    return tuple(steps)
 
 
 def run_protocol(inp: ProtocolInput,
@@ -213,9 +237,8 @@ def run_protocol(inp: ProtocolInput,
     """Apply the full sequence to the four-term input state."""
     state = initial_state(inp)
     intermediates = []
-    for step, unitaries in zip(PROTOCOL_SEQUENCE, _local_unitaries(convention)):
-        for op, unitary in zip(step.ops, unitaries):
-            state = apply_local(state, unitary, op.targets)
+    for unitary, targets in _step_unitaries(convention):
+        state = apply_local(state, unitary, targets)
         intermediates.append(state)
     return ProtocolResult(tuple(intermediates))
 

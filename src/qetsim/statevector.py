@@ -29,9 +29,11 @@ ALGEBRA_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized amplitudes of a composite system.
+    """Amplitudes of a composite system.
 
-    ``shape`` is the ordered tuple of per-subsystem dimensions.
+    ``shape`` is the ordered tuple of per-subsystem dimensions.  Only
+    the shape and the finiteness of the amplitudes are checked, not the
+    norm, so a state can also carry the columns of an operator.
     """
 
     shape: tuple[int, ...]
@@ -131,6 +133,16 @@ def _plan(dims: tuple[int, ...], targets: tuple[int, ...]):
             tuple(dims[t] for t in targets))
 
 
+def _kernel_result(shape: tuple[int, ...], amps: np.ndarray) -> StateVector:
+    """A kernel's output on an already checked shape: only finiteness is new."""
+    if not np.isfinite(amps).all():
+        raise DimensionError("non-finite amplitude")
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "shape", shape)
+    object.__setattr__(state, "amps", amps)
+    return state
+
+
 def apply_local(state: StateVector, u: LocalUnitary, targets) -> StateVector:
     """Apply ``u`` to the listed subsystems, identity elsewhere."""
     order, inverse, moved, actual = _plan(state.shape,
@@ -141,7 +153,7 @@ def apply_local(state: StateVector, u: LocalUnitary, targets) -> StateVector:
     flat = state.amps.reshape(state.shape).transpose(order).reshape(
         u.entries.shape[0], -1)
     psi = (u.entries @ flat).reshape(moved).transpose(inverse)
-    return StateVector(state.shape, psi.reshape(-1))
+    return _kernel_result(state.shape, psi.reshape(-1))
 
 
 def measure_subsystem(state: StateVector, target: int,
@@ -166,7 +178,7 @@ def measure_subsystem(state: StateVector, target: int,
     collapsed = np.zeros_like(flat)
     collapsed[outcome] = flat[outcome] / np.sqrt(weights[outcome])
     collapsed = collapsed.reshape(moved).transpose(inverse)
-    return outcome, StateVector(state.shape, collapsed.reshape(-1))
+    return outcome, _kernel_result(state.shape, collapsed.reshape(-1))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

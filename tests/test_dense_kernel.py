@@ -137,3 +137,17 @@ def test_bad_targets_raise_the_same_message_every_time(targets, message):
             apply_local(state, u, targets)
     # a good call on the same shape still works after the failures
     assert apply_local(state, u, (0, 1)).shape == (2, 3, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operator_raises_on_every_call(bad):
+    state = random_state(np.random.default_rng(5), (2, 3, 4))
+    entries = np.eye(12, dtype=complex)
+    entries[3, 7] = bad
+    u = LocalUnitary((4, 3), entries)
+    # the second call reuses the transpose plan of the first; inf times a
+    # zero amplitude is nan, which numpy may also warn about
+    for _ in range(2):
+        with (np.errstate(invalid="ignore"),
+              pytest.raises(DimensionError, match="^non-finite amplitude$")):
+            apply_local(state, u, (2, 1))

@@ -6,7 +6,7 @@ import pytest
 from qetsim.errors import ProtocolError
 from qetsim.protocol import (DOT, MEM_A, PHOTON_A, PROTOCOL_DIMS,
                              PROTOCOL_SEQUENCE, SWAP_FACTOR, ElementaryOp,
-                             ProtocolInput, _local_unitaries, assemble_state,
+                             ProtocolInput, _step_unitaries, assemble_state,
                              conditional_transfer_matrix, config_index,
                              elementary_unitary, frame_vector,
                              initial_state, run_protocol, step_term_trace,
@@ -221,7 +221,7 @@ def test_cached_unitaries_never_mix_conventions():
     runs = [run_protocol(BALANCED, convention) for convention in order]
     assert not np.array_equal(runs[0].final.amps, runs[1].final.amps)
     for convention, run in zip(order, runs):
-        _local_unitaries.cache_clear()
+        _step_unitaries.cache_clear()
         fresh = run_protocol(BALANCED, convention)
         for got, want in zip(run.intermediates, fresh.intermediates, strict=True):
             assert np.array_equal(got.amps, want.amps)
