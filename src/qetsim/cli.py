@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 from .compiler import parse_logical_program, transform_program
 from .errors import ProgramSyntaxError, QetSimError
 from .isa import (QuantumProgram, format_program, parse_program_with_lines,
-                  token_lines, validate_program)
+                  token_lines)
 from .machine import fresh_machine, run_program
 from .protocol import (PROTOCOL_SEQUENCE, SWAP_FACTOR, ProtocolInput,
                        assemble_state, initial_state, run_protocol,
@@ -23,28 +25,27 @@ from .statevector import RandomSource, fidelity
 IDEAL_INFIDELITY_GATE = 1e-9
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_type(low: int, high: float, message: str):
+    """An argparse type: an integer in ``[low, high]``, else ``message``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+            if low <= value <= high:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(message)
+    return convert
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+_positive_int = _int_type(1, math.inf, "must be a positive integer")
+_seed = _int_type(0, math.inf, "must be a non-negative integer")
+_port = _int_type(0, 65535, "must be an integer in 0..65535")
 
 
-def _port(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= 65535:
-        raise argparse.ArgumentTypeError("must be an integer in 0..65535")
-    return value
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="qetsim",
         description="Emulator tools for the excitation-transfer QPU")
@@ -98,7 +99,7 @@ def _load(path: str) -> tuple[QuantumProgram, tuple[int, ...]]:
 
 def cmd_validate(args) -> int:
     program, lines = _load(args.path)
-    issues = validate_program(program)
+    issues = program.issues
     for index, message in issues:
         print(f"line {lines[index]} (instruction {index}): {message}")
     if issues:

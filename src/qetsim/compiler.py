@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ProgramSyntaxError, SynthesisError
 from .gates import cqet_matrix, qet_matrix
 from .isa import (Instruction, QuantumProgram, read_lines, read_operand,
-                  read_real, validate_program)
+                  read_real)
 from .machine import fresh_machine
 from .statevector import LocalUnitary, StateVector, is_unitary
 
@@ -273,9 +273,8 @@ def transform_program(lp: LogicalProgram) -> QuantumProgram:
     for q in lp.measured:
         instructions += readout(pair(q))
     program = QuantumProgram(memory_size(lp.n), tuple(instructions))
-    issues = validate_program(program)
-    if issues:  # pragma: no cover - synthesis always emits valid programs
-        raise SynthesisError(f"emitted program fails validation: {issues}")
+    if program.issues:  # pragma: no cover - synthesis always emits valid programs
+        raise SynthesisError(f"emitted program fails validation: {program.issues}")
     return program
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import ProgramSyntaxError
 
@@ -83,17 +84,17 @@ class Instruction:
             extra = [n for n, v in values.items() if v is not None and n not in taken]
             raise ValueError(f"{self.opcode} does not take {extra[0]}")
 
-    @classmethod
-    def init(cls, memory_addr: int, value: int = 0) -> "Instruction":
-        return cls("INIT", memory_addr=memory_addr, init_value=value)
+    @staticmethod
+    def init(memory_addr: int, value: int = 0) -> "Instruction":
+        return _angleless("INIT", memory_addr, None, None, value)
 
-    @classmethod
-    def load(cls, memory_addr: int, cell: int) -> "Instruction":
-        return cls("LOAD", memory_addr=memory_addr, cell=cell)
+    @staticmethod
+    def load(memory_addr: int, cell: int) -> "Instruction":
+        return _angleless("LOAD", memory_addr, cell, None, None)
 
-    @classmethod
-    def save(cls, cell: int, memory_addr: int) -> "Instruction":
-        return cls("SAVE", memory_addr=memory_addr, cell=cell)
+    @staticmethod
+    def save(cell: int, memory_addr: int) -> "Instruction":
+        return _angleless("SAVE", memory_addr, cell, None, None)
 
     @classmethod
     def qet(cls, theta: float, transistor_id: int = 0) -> "Instruction":
@@ -105,13 +106,32 @@ class Instruction:
         return cls("PHASE", theta=float(theta), phi=float(phi),
                    transistor_id=transistor_id)
 
-    @classmethod
-    def cqet(cls, transistor_id: int = 0) -> "Instruction":
-        return cls("CQET", transistor_id=transistor_id)
+    @staticmethod
+    def cqet(transistor_id: int = 0) -> "Instruction":
+        return _angleless("CQET", None, None, transistor_id, None)
 
-    @classmethod
-    def measure(cls, memory_addr: int) -> "Instruction":
-        return cls("MEASURE", memory_addr=memory_addr)
+    @staticmethod
+    def measure(memory_addr: int) -> "Instruction":
+        return _angleless("MEASURE", memory_addr, None, None, None)
+
+    def on_slot(self, memory_addr: int) -> "Instruction":
+        """This INIT, LOAD, SAVE or MEASURE with its slot set to ``memory_addr``."""
+        return _angleless(self.opcode, memory_addr, self.cell,
+                          self.transistor_id, self.init_value)
+
+
+# The instructions without an angle (INIT, LOAD, SAVE, MEASURE and CQET),
+# one shared instance per operand tuple: the compiler and the service emit
+# the same few hundred of them for every program.  1024 entries hold every
+# one the machine can run (60 slots times 9 slot instructions, plus CQET).
+# ``typed`` keeps ``True`` or ``3.0`` from standing in for ``1`` or ``3``,
+# and an operand the check refuses raises on every call, since no
+# exception is cached.  Angles are never cached.
+@lru_cache(maxsize=1024, typed=True)
+def _angleless(opcode, memory_addr, cell, transistor_id,
+               init_value) -> Instruction:
+    return Instruction(opcode, memory_addr, cell, None, None, transistor_id,
+                       init_value)
 
 
 @dataclass(frozen=True)
@@ -129,6 +149,11 @@ class QuantumProgram:
     @property
     def t(self) -> int:
         return len(self.instructions)
+
+    @cached_property
+    def issues(self) -> tuple[tuple[int, str], ...]:
+        """What ``validate_program`` finds, computed once per program."""
+        return tuple(validate_program(self))
 
 
 def read_operand(prefix: str, token: str) -> int:

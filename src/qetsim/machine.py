@@ -24,7 +24,8 @@ one yields 0 with probability one.
 Both entry points share one kernel per instruction.  ``execute_instruction``
 checks one instruction's occupancy and returns a new ``MachineState``
 and the measured bit, if any; ``run_program`` checks the whole program's
-occupancy once, with ``validate_program``, and then runs the kernels on
+occupancy once per program, with ``validate_program`` (the program keeps
+the result, see ``QuantumProgram.issues``), and then runs the kernels on
 local arrays, building no state per instruction.
 
 An int64 index holds at most 63 positions, so ``s`` is at most 60.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionError, MeasurementError, QpuRuntimeError
 from .gates import cqet_matrix, phase_matrix, qet_matrix
-from .isa import Instruction, QuantumProgram, occupancy_step, validate_program
+from .isa import Instruction, QuantumProgram, occupancy_step
 from .statevector import NORM_TOL, LocalUnitary, RandomSource, StateVector
 
 MAX_POSITIONS = 63
@@ -202,12 +203,12 @@ def run_program(program: QuantumProgram,
     """Execute all instructions in order on a fresh machine.
 
     Returns the classical results in measurement order.  Occupancy is
-    checked once for the whole program; the instructions before its
+    checked once per program, not per shot; the instructions before its
     first issue run, and then that issue aborts with the offending
     instruction index, as stepping ``execute_instruction`` would.
     """
     machine = fresh_machine(program.s)
-    issues = validate_program(program)
+    issues = program.issues
     instructions = program.instructions
     stop = issues[0][0] if issues else len(instructions)
     s = program.s

@@ -43,7 +43,7 @@ from .compiler import bracket, controlled_transfer, encode_init, pair, readout
 from .errors import QetSimError, ServiceError
 from .gates import exact_turns
 from .isa import Instruction, QuantumProgram
-from .machine import MAX_POSITIONS, run_program
+from .machine import run_program
 from .statevector import RandomSource
 
 logger = logging.getLogger(__name__)
@@ -209,23 +209,6 @@ _OPERAND = {slot: (operand, half)
 # INIT of a pair's first and second placeholder: every pair starts as
 # the compiler's logical 0.
 _INIT = tuple(encode_init(0, 0))
-# Slot-only instructions, shared by every request: a slot the machine can
-# run (below MAX_POSITIONS - 3, the cells taking the other three) and a
-# cell or bit below 3 bound the keys to 60 * 9.  Angles are never cached.
-_SLOT_LIMIT = MAX_POSITIONS - 3
-_ON_SLOT: dict[tuple, Instruction] = {}
-
-
-def _on_slot(template: Instruction, slot: int) -> Instruction:
-    """``template`` (INIT, LOAD, SAVE or MEASURE) with its address set to ``slot``."""
-    key = (template.opcode, template.cell, template.init_value, slot)
-    instr = _ON_SLOT.get(key)
-    if instr is None:
-        # the same instruction on its slot (faster than dataclasses.replace)
-        instr = Instruction(**{**vars(template), "memory_addr": slot})
-        if slot < _SLOT_LIMIT:
-            _ON_SLOT[key] = instr
-    return instr
 
 
 def transform(ops: list[ClientOp], client_id: str,
@@ -258,11 +241,11 @@ def transform(ops: list[ClientOp], client_id: str,
             operand, half = _OPERAND[placeholder]
             slot = slots.setdefault((op.qubits[operand], half), len(slots))
             if slot not in live:
-                instructions.append(_on_slot(_INIT[half], slot))
+                instructions.append(_INIT[half].on_slot(slot))
                 live.add(slot)
             if template.opcode == "MEASURE":
                 live.discard(slot)
-            instructions.append(_on_slot(template, slot))
+            instructions.append(template.on_slot(slot))
         if op.op == "MEASURE":
             measured.append(op.qubits[0])
     return Segment(client_id, request_id, instructions, slots, measured)

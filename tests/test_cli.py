@@ -10,9 +10,13 @@ from pathlib import Path
 import pytest
 
 import qetsim
-from qetsim.cli import main
+from qetsim import isa
+from qetsim.cli import build_parser, main
 from qetsim.isa import parse_program_with_lines
 from qetsim.service import QpfService
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 PHYSICAL_OK = ("QPU s=2\n"
                "INIT m0 0\nINIT m1 1\n"
@@ -211,6 +215,71 @@ def test_port_out_of_range_is_usage_error(port, capsys):
         main(["serve", "--transport", "socket", "--port", port])
     assert info.value.code == 2
     assert "--port: must be an integer in 0..65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, rule", [
+    (["run", "tests/golden/bell.lq", "--shots", "abc"],
+     "--shots: must be a positive integer"),
+    (["run", "tests/golden/bell.lq", "--seed", "abc"],
+     "--seed: must be a non-negative integer"),
+    (["protocol-verify", "--samples", "x"],
+     "--samples: must be a positive integer"),
+    (["serve", "--capacity", "x"], "--capacity: must be a positive integer"),
+    (["serve", "--port", "x"], "--port: must be an integer in 0..65535"),
+], ids=["shots", "seed", "samples", "capacity", "port"])
+def test_non_integer_option_names_its_rule(argv, rule, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {rule}\n") and "invalid" not in err
+
+
+def test_run_validates_the_program_once(monkeypatch, capsys):
+    # counted wherever a qetsim module holds the function, as the
+    # benchmark's tracer wraps it
+    calls = []
+    original = isa.validate_program
+
+    def counted(program):
+        calls.append(program)
+        return original(program)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qetsim" or name.startswith("qetsim."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    monkeypatch.chdir(ROOT)
+    assert main(["run", "tests/golden/bell.lq", "--shots", "3"]) == 0
+    assert "counts over 3 shot(s):" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    # each call prints what a fresh process prints for the same command
+    # line, whatever the shared parser parsed before it
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to it
+    build_parser.cache_clear()
+    run = ["run", "tests/golden/bell.lq", "--seed", "5", "--shots"]
+    assert main(run + ["2000", "--output", "machine"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "bell_seed5.jsonl").read_text()
+    with pytest.raises(SystemExit) as info:
+        main(run + ["0"])
+    assert info.value.code == 2
+    # refused by the same rule, and so in the same words, as "--shots abc"
+    out, err = capsys.readouterr()
+    assert f"exit 2\n--- stdout\n{out}--- stderr\n{err}" == (
+        GOLDEN / "cli_errors" / "run_shots_not_integer.txt").read_text()
+    code = main(["validate", "tests/golden/cli_errors/occupancy.qpu"])
+    out, err = capsys.readouterr()
+    assert f"exit {code}\n--- stdout\n{out}--- stderr\n{err}" == (
+        GOLDEN / "cli_errors" / "validate_qpu_occupancy.txt").read_text()
+    assert main(run + ["200", "--output", "human"]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / "bell_seed5_human.txt").read_text()
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("locale_env", [

@@ -13,7 +13,10 @@ to refuse a program wider than the machine, and the two
 ``*_lq_measure_order`` cases, recorded when logical text began to
 refuse a line that touches a qubit after its ``MEASURE``, and
 ``validate_lq_range``, recorded when a qubit outside ``[0, n)`` began
-to be reported at its own line.  The service
+to be reported at its own line, and ``run_shots_not_integer``, recorded
+when an option's integer type began to name its own rule for text that
+is not an integer (an argparse error: exit 2 and the usage at 80
+columns).  The service
 transcript's last request, a qubit measured, reused and measured again,
 was appended when each ``MEASURE`` began to get its own bits; every
 outcome in its reply has probability 0 or 1.  ``mixed_seed5.jsonl``,
@@ -110,9 +113,13 @@ def _error_cases():
 def test_cli_error_transcript_is_byte_identical(name, argv, capsys,
                                                 monkeypatch):
     # the paths in cases.txt, and so in the messages, are relative to the
-    # repository root
+    # repository root; argparse wraps its usage to the terminal width
     monkeypatch.chdir(GOLDEN.parents[1])
-    code = main(argv)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refused the command line
+        code = exc.code
     out, err = capsys.readouterr()
     transcript = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
     assert transcript == (ERRORS / f"{name}.txt").read_text()

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qetsim.compiler import parse_logical_program, transform_program
 from qetsim.errors import ServiceError
-from qetsim.isa import Instruction, QuantumProgram, format_program
+from qetsim.isa import (Instruction, QuantumProgram, format_instruction,
+                        format_program)
 from qetsim.machine import execute_instruction, fresh_machine
 from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
                             EmulatorBackend, ExecutionBatch, QpfService, Segment,
@@ -476,6 +478,42 @@ def test_service_keeps_nothing_per_request():
     # global address tables kept about 2 KB per request of this shape; what
     # is left is numpy's bounded cache of small array buffers filling up
     assert kept < 200 * requests
+
+
+def test_compiler_and_service_share_slot_instructions():
+    # both lowerings take INIT, LOAD, SAVE, MEASURE and CQET from one cache
+    program = transform_program(parse_logical_program(
+        "LQ n=2\nRX 0.5 q0\nCNOT q0 q1\nMEASURE q0\n"))
+    segment = transform(analyze(_ops([
+        {"op": "QET", "qubits": [0], "theta": -0.5},
+        {"op": "CQET", "qubits": [0, 1]},
+        {"op": "MEASURE", "qubits": [0]}])), "a")
+    emitted = {instr: instr for instr in program.instructions}
+    shared = [instr for instr in segment.instructions
+              if instr in emitted and instr.theta is None]
+    assert {instr.opcode for instr in shared} == {
+        "INIT", "LOAD", "SAVE", "MEASURE", "CQET"}
+    assert all(emitted[instr] is instr for instr in shared)
+    assert Instruction.qet(-0.5) is not Instruction.qet(-0.5)  # angles are not
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Instruction.load(0, 3),
+    lambda: Instruction.save(5, 0),
+    lambda: Instruction.init(0, 2),
+    lambda: Instruction.measure(-1),
+    lambda: Instruction.cqet(-1),
+    lambda: Instruction.measure(0).on_slot(-2),
+], ids=["cell", "save-cell", "bit", "slot", "transistor", "on-slot"])
+def test_refused_slot_operand_raises_on_every_call(build):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_shared_slot_instructions_keep_operand_types_apart():
+    assert Instruction.init(0, True).init_value is True
+    assert format_instruction(Instruction.init(0, 1)) == "INIT m0 1"
 
 
 def test_support_exponent_counts_only_splitting_transfers():
