@@ -22,7 +22,11 @@ was appended when each ``MEASURE`` began to get its own bits; every
 outcome in its reply has probability 0 or 1.  ``mixed_seed5.jsonl``,
 the only seeded run through SU2 lines and a reversed CNOT, was recorded
 while SU2 was still a gate kind of its own, before an SU2 line was read
-as its three rotations.  A change
+as its three rotations.  ``reuse_seed5.jsonl``, the only seeded run of
+machine text, was recorded while ``run_program`` still stepped each
+instruction: logical text puts every ``MEASURE`` last, and ``reuse.qpu``
+measures a slot, initialises it again and moves it through the cells
+after the readout.  A change
 that alters any of them changes the fixed-seed contract and must say
 so.
 """
@@ -44,6 +48,7 @@ ERRORS = GOLDEN / "cli_errors"
     ("bell.lq", 2000, "bell_seed5.jsonl"),
     ("ghz7.lq", 20, "ghz7_seed5.jsonl"),
     ("mixed.lq", 200, "mixed_seed5.jsonl"),
+    ("reuse.qpu", 200, "reuse_seed5.jsonl"),
 ])
 def test_seeded_run_transcript_is_byte_identical(program, shots, transcript,
                                                  capsys):
