@@ -2,9 +2,11 @@
 
 All three gates conserve excitation number: every nonzero entry connects
 basis states of equal Hamming weight, so population can only move between
-``|01>`` and ``|10>``-type configurations.
+``|01>`` and ``|10>``-type configurations.  Their entries are read-only,
+so a gate built once can serve every shot of a program.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -40,6 +42,11 @@ def _half_angle(theta: float) -> tuple[float, float]:
     return np.cos(theta / 2), np.sin(theta / 2)
 
 
+def _frozen(dims: tuple[int, ...], m: np.ndarray) -> LocalUnitary:
+    m.flags.writeable = False
+    return LocalUnitary(dims, m)
+
+
 def qet_matrix(theta: float) -> LocalUnitary:
     """Partial excitation transfer between two cells.
 
@@ -53,7 +60,7 @@ def qet_matrix(theta: float) -> LocalUnitary:
     m[1, 2] = 1j * s
     m[2, 1] = 1j * s
     m[2, 2] = c
-    return LocalUnitary((2, 2), m)
+    return _frozen((2, 2), m)
 
 
 def phase_matrix(theta: float, phi: float) -> LocalUnitary:
@@ -68,9 +75,10 @@ def phase_matrix(theta: float, phi: float) -> LocalUnitary:
         np.exp(0.5j * theta + 0.5j * phi),
         1.0,
     ]).astype(complex)
-    return LocalUnitary((2, 2), m)
+    return _frozen((2, 2), m)
 
 
+@functools.cache
 def cqet_matrix() -> LocalUnitary:
     """Controlled full transfer on three cells.
 
@@ -85,4 +93,4 @@ def cqet_matrix() -> LocalUnitary:
     m[2, 2] = 0
     m[1, 2] = 1j
     m[2, 1] = 1j
-    return LocalUnitary((2, 2, 2), m)
+    return _frozen((2, 2, 2), m)

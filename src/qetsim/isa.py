@@ -38,14 +38,26 @@ SYNTAX = {
     "CQET": (("transistor_id", "transistor"),),
     "MEASURE": (("memory_addr", "slot"),),
 }
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 # Operand kind -> (text prefix, the values it allows, a test for them).
 # An angle is written as a decimal float, every other kind as an integer.
+# Only an int is an integer and only a float an angle, so that every
+# instruction formats as text that parses back to it: True and 3.0 equal
+# 1 and 3 but print as text the parser refuses (and 3.0 indexes no
+# list), and an int angle past 2**53 would read back as another number.
 _KINDS = {
-    "slot": ("m", "a non-negative integer", lambda v: v >= 0),
-    "cell": ("c", "0, 1 or 2", lambda v: v in (0, 1, 2)),
-    "transistor": ("t", "a non-negative integer", lambda v: v >= 0),
-    "bit": ("", "0 or 1", lambda v: v in (0, 1)),
-    "angle": ("", "finite", math.isfinite),
+    "slot": ("m", "a non-negative integer", lambda v: _integer(v) and v >= 0),
+    "cell": ("c", "0, 1 or 2", lambda v: _integer(v) and v in (0, 1, 2)),
+    "transistor": ("t", "a non-negative integer",
+                   lambda v: _integer(v) and v >= 0),
+    "bit": ("", "0 or 1", lambda v: _integer(v) and v in (0, 1)),
+    "angle": ("", "a finite float",
+              lambda v: isinstance(v, float) and math.isfinite(v)),
 }
 # Opcode -> (field, the values it allows, a test for them) per operand,
 # flattened once so that checking each new Instruction costs one lookup.

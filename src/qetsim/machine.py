@@ -21,12 +21,15 @@ exact, see ``gates.qet_matrix``, so they leave no remnants).
 Unoccupied positions are always ``|0>`` and unentangled, so measuring
 one yields 0 with probability one.
 
-Both entry points share one kernel per instruction.  ``execute_instruction``
+Both entry points turn an instruction into a step the same way
+(``_plan_step``) and run it with the same kernels.  ``execute_instruction``
 checks one instruction's occupancy and returns a new ``MachineState``
-and the measured bit, if any; ``run_program`` checks the whole program's
-occupancy once per program, with ``validate_program`` (the program keeps
-the result, see ``QuantumProgram.issues``), and then runs the kernels on
-local arrays, building no state per instruction.
+and the measured bit, if any.  ``run_program`` runs the program's
+``shot_plan``: the program's occupancy is checked once, with
+``validate_program`` (see ``QuantumProgram.issues``), and its slot moves
+are resolved and its gates built once, since which bit holds which
+position never depends on a measured bit.  A shot then runs only the
+gates, the ``INIT 1`` flips and the measurements, on local arrays.
 
 An int64 index holds at most 63 positions, so ``s`` is at most 60.
 """
@@ -149,33 +152,85 @@ def _measure(indices: np.ndarray, amps: np.ndarray, bit: int, position: int,
             _finite(amps[kept] / np.sqrt(weights[outcome])), outcome)
 
 
+# The kinds of step a shot plan holds (see ``shot_plan``).
+_GATE, _FLIP, _MEASURE = range(3)
+
+
+def _plan_step(instr: Instruction, s: int, bits: list[int]):
+    """What the kernels must do for one instruction whose preconditions hold.
+
+    A slot move swaps two entries of ``bits`` in place and, like
+    ``INIT … 0``, returns None: it leaves the register as it is.
+    Otherwise returns ``(_FLIP, mask, None)``, ``(_MEASURE, bit, slot)``
+    or ``(_GATE, gate, cell bits)``.  Memory slot ``m<k>`` is position
+    ``k``, cell ``c<j>`` position ``s + j``.
+    """
+    op = instr.opcode
+    if op == "LOAD" or op == "SAVE":
+        slot, cell = instr.memory_addr, s + instr.cell
+        bits[slot], bits[cell] = bits[cell], bits[slot]
+        return None
+    if op == "INIT":
+        if instr.init_value == 1:
+            return _FLIP, 1 << bits[instr.memory_addr], None
+        return None
+    if op == "MEASURE":
+        return _MEASURE, bits[instr.memory_addr], instr.memory_addr
+    if op == "CQET":
+        return _GATE, cqet_matrix(), tuple(bits[s:])
+    gate = (qet_matrix(instr.theta) if op == "QET"
+            else phase_matrix(instr.theta, instr.phi))
+    return _GATE, gate, tuple(bits[s + 1:])
+
+
+def _run_step(step, indices: np.ndarray, amps: np.ndarray, rng: RandomSource):
+    """Run one step of a shot plan on the register.
+
+    Returns the new indices and amplitudes and the measured bit (None
+    unless the step is a measurement).
+    """
+    kind, first, second = step
+    if kind == _GATE:
+        indices, amps = _apply_to_cells(indices, amps, first, second)
+        return indices, amps, None
+    if kind == _FLIP:
+        return indices ^ first, amps, None
+    return _measure(indices, amps, first, second, rng)
+
+
 def _step(instr: Instruction, s: int, indices: np.ndarray, amps: np.ndarray,
           bits: list[int], rng: RandomSource):
     """The kernel of one instruction whose preconditions hold.
 
     Returns the new indices and amplitudes and the measured bit (None
     unless the opcode is MEASURE); a slot move updates ``bits`` in place.
-    Memory slot ``m<k>`` is position ``k``, cell ``c<j>`` position ``s + j``.
     """
-    op = instr.opcode
-    if op == "LOAD" or op == "SAVE":
-        slot, cell = instr.memory_addr, s + instr.cell
-        bits[slot], bits[cell] = bits[cell], bits[slot]
-    elif op == "INIT":
-        if instr.init_value == 1:
-            indices = indices ^ (1 << bits[instr.memory_addr])
-    elif op == "CQET":
-        indices, amps = _apply_to_cells(indices, amps, cqet_matrix(),
-                                        tuple(bits[s:]))
-    elif op == "MEASURE":
-        addr = instr.memory_addr
-        return _measure(indices, amps, bits[addr], addr, rng)
-    else:
-        gate = (qet_matrix(instr.theta) if op == "QET"
-                else phase_matrix(instr.theta, instr.phi))
-        indices, amps = _apply_to_cells(indices, amps, gate,
-                                        tuple(bits[s + 1:]))
-    return indices, amps, None
+    step = _plan_step(instr, s, bits)
+    if step is None:
+        return indices, amps, None
+    return _run_step(step, indices, amps, rng)
+
+
+def shot_plan(program: QuantumProgram) -> tuple:
+    """The steps every shot of ``program`` runs, built on the first call.
+
+    One walk over the instructions before the program's first issue, from
+    a fresh machine's bit layout, so a register too wide for the machine
+    is refused first.  Which bit holds which position never depends on a
+    measured bit, so the walk resolves every slot move, and each gate's
+    matrix is built here once.  The plan is kept on the program, as its
+    ``issues`` are, so it lives as long as the program and no longer.
+    """
+    plan = vars(program).get("_shot_plan")
+    if plan is None:
+        bits = list(fresh_machine(program.s).bits)
+        issues = program.issues
+        stop = issues[0][0] if issues else len(program.instructions)
+        steps = (_plan_step(instr, program.s, bits)
+                 for instr in program.instructions[:stop])
+        plan = tuple(step for step in steps if step is not None)
+        vars(program)["_shot_plan"] = plan
+    return plan
 
 
 def execute_instruction(machine: MachineState, instr: Instruction,
@@ -202,23 +257,22 @@ def run_program(program: QuantumProgram,
                 rng: RandomSource) -> list[tuple[int, int]]:
     """Execute all instructions in order on a fresh machine.
 
-    Returns the classical results in measurement order.  Occupancy is
-    checked once per program, not per shot; the instructions before its
-    first issue run, and then that issue aborts with the offending
-    instruction index, as stepping ``execute_instruction`` would.
+    Returns the classical results in measurement order.  The program is
+    checked and compiled to its ``shot_plan`` once, not per shot; the
+    steps before its first issue run, and then that issue aborts with
+    the offending instruction index, as stepping ``execute_instruction``
+    would.
     """
     machine = fresh_machine(program.s)
-    issues = program.issues
-    instructions = program.instructions
-    stop = issues[0][0] if issues else len(instructions)
-    s = program.s
-    indices, amps, bits = machine.indices, machine.amps, list(machine.bits)
+    indices, amps = machine.indices, machine.amps
     results = []
-    for instr in instructions[:stop]:
-        indices, amps, outcome = _step(instr, s, indices, amps, bits, rng)
+    for step in shot_plan(program):
+        indices, amps, outcome = _run_step(step, indices, amps, rng)
         if outcome is not None:
-            results.append((instr.memory_addr, outcome))
+            results.append((step[2], outcome))
+    issues = program.issues
     if issues:
         index, message = issues[0]
-        raise QpuRuntimeError(index, instructions[index].opcode, message)
+        raise QpuRuntimeError(index, program.instructions[index].opcode,
+                              message)
     return results

@@ -9,11 +9,11 @@ same message.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qetsim.errors import QpuRuntimeError
-from qetsim.isa import (Instruction, QuantumProgram, format_program,
+from qetsim.isa import (SYNTAX, Instruction, QuantumProgram, format_program,
                         parse_program_with_lines, validate_program)
 from qetsim.machine import run_program
 from qetsim.statevector import RandomSource
@@ -92,6 +92,31 @@ def programs(draw):
 @settings(max_examples=400)
 @given(programs())
 def test_format_then_parse_is_identity(program):
+    assert parse_program_with_lines(format_program(program))[0] == program
+
+
+# operands of every type the constructor might be handed: bools, floats
+# that equal integers (3.0), non-finite floats, None and large integers
+OPERANDS = st.one_of(st.integers(-1, 3), st.booleans(), st.floats(),
+                     st.sampled_from([0.0, 1.0, 3.0, None]),
+                     st.integers(0, 2 ** 70))
+
+
+@st.composite
+def constructed_instructions(draw):
+    """Any instruction that the constructor accepts, from any operand types."""
+    opcode = draw(st.sampled_from(sorted(SYNTAX)))
+    fields = {name: draw(OPERANDS) for name, _ in SYNTAX[opcode]}
+    try:
+        return Instruction(opcode, **fields)
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=400)
+@given(constructed_instructions())
+def test_every_accepted_instruction_survives_format_then_parse(instr):
+    program = QuantumProgram(1, (instr,))
     assert parse_program_with_lines(format_program(program))[0] == program
 
 

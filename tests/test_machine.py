@@ -1,14 +1,19 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qetsim.compiler import parse_logical_program, transform_program
 from qetsim.errors import DimensionError, ProgramSyntaxError, QpuRuntimeError
+from qetsim.gates import cqet_matrix
 from qetsim.isa import (Instruction, QuantumProgram, format_program,
                         parse_program_with_lines, validate_program)
-from qetsim.machine import execute_instruction, fresh_machine, run_program
-from qetsim.statevector import RandomSource
+from qetsim.machine import (execute_instruction, fresh_machine, run_program,
+                            shot_plan)
+from qetsim.statevector import LocalUnitary, RandomSource
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run_all(machine, instructions, rng):
@@ -223,6 +228,75 @@ def test_run_program_deterministic_per_seed():
     assert runs[0] == runs[1]
 
 
+def _reuse_program():
+    """A machine program that measures a slot and uses it again."""
+    return parse_program_with_lines((GOLDEN / "reuse.qpu").read_text())[0]
+
+
+def _copy(program):
+    return QuantumProgram(program.s, program.instructions)
+
+
+def test_one_program_object_runs_as_fresh_copies():
+    # the plan is kept on the program: another program over as many slots
+    # runs between the shots, and must neither see nor replace it
+    program = _reuse_program()
+    other = QuantumProgram(program.s, (Instruction.init(2, 1),
+                                       Instruction.load(2, 1),
+                                       Instruction.save(1, 0),
+                                       Instruction.measure(0)))
+    kept_rng, fresh_rng = RandomSource(11), RandomSource(11)
+    kept, fresh = [], []
+    for _ in range(40):
+        kept.append(run_program(program, kept_rng))
+        kept.append(run_program(other, kept_rng))
+        fresh.append(run_program(_copy(program), fresh_rng))
+        fresh.append(run_program(_copy(other), fresh_rng))
+    assert kept == fresh
+    assert len({tuple(results) for results in kept[::2]}) > 1
+    assert kept_rng._gen.random() == fresh_rng._gen.random()
+
+
+def test_issue_after_measure_raises_at_same_index_on_every_run():
+    program = _reuse_program()
+    bad = len(program.instructions)
+    program = QuantumProgram(program.s, program.instructions
+                             + (Instruction.measure(1),))
+    kept_rng, fresh_rng = RandomSource(3), RandomSource(3)
+    for _ in range(2):
+        with pytest.raises(QpuRuntimeError, match="m1 unoccupied") as info:
+            run_program(program, kept_rng)
+        assert info.value.index == bad
+        with pytest.raises(QpuRuntimeError):
+            run_program(_copy(program), fresh_rng)
+    # the steps before the issue drew the same uniforms on every run
+    assert kept_rng._gen.random() == fresh_rng._gen.random()
+
+
+def test_shot_plan_keeps_only_what_touches_the_register():
+    # slot moves and INIT 0 are resolved when the plan is built
+    bell = transform_program(parse_logical_program(
+        (GOLDEN / "bell.lq").read_text()))
+    ghz = transform_program(parse_logical_program(
+        (GOLDEN / "ghz7.lq").read_text()))
+    assert (bell.t, len(shot_plan(bell))) == (31, 11)
+    assert (ghz.t, len(shot_plan(ghz))) == (141, 46)
+    assert shot_plan(bell) is shot_plan(bell)
+
+
+def test_planned_gates_are_read_only():
+    gates = [step[1] for step in shot_plan(_reuse_program())
+             if isinstance(step[1], LocalUnitary)]
+    assert len(gates) == 6
+    for gate in gates:
+        with pytest.raises(ValueError):
+            gate.entries[0, 0] = 0
+
+
+def test_cqet_matrix_is_one_instance():
+    assert cqet_matrix() is cqet_matrix()
+
+
 def test_cqet_requires_three_cells():
     program = QuantumProgram(2, (Instruction.init(0, 0),
                                  Instruction.load(0, 1),
@@ -343,3 +417,24 @@ def test_instruction_field_discipline():
         Instruction("INIT", memory_addr=0)
     with pytest.raises(ValueError):
         Instruction.qet(float("nan"))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Instruction.init(0, True), "init_value must be 0 or 1, got True"),
+    (lambda: Instruction.load(3.0, 1), "memory_addr must be a non-negative "
+                                       "integer, got 3.0"),
+    (lambda: Instruction.save(1.0, 0), "cell must be 0, 1 or 2, got 1.0"),
+    (lambda: Instruction.measure(0.0), "memory_addr must be a non-negative "
+                                       "integer, got 0.0"),
+    (lambda: Instruction.cqet(False), "transistor_id must be a non-negative "
+                                      "integer, got False"),
+    (lambda: Instruction("QET", theta=True, transistor_id=0),
+     "theta must be a finite float, got True"),
+    (lambda: Instruction("PHASE", theta=0.5, phi=2 ** 53 + 1, transistor_id=0),
+     "phi must be a finite float, got 9007199254740993"),
+])
+def test_operands_of_the_wrong_type_are_refused(make, message):
+    # True and 3.0 equal 1 and 3, but would format as text the parser
+    # refuses, and 3.0 cannot index the machine's bit layout
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()

@@ -512,8 +512,10 @@ def test_refused_slot_operand_raises_on_every_call(build):
 
 
 def test_shared_slot_instructions_keep_operand_types_apart():
-    assert Instruction.init(0, True).init_value is True
     assert format_instruction(Instruction.init(0, 1)) == "INIT m0 1"
+    # True equals 1, but the shared cache must not hand INIT m0 1 back for it
+    with pytest.raises(ValueError, match="got True"):
+        Instruction.init(0, True)
 
 
 def test_support_exponent_counts_only_splitting_transfers():
