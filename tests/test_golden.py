@@ -44,6 +44,26 @@ GOLDEN = Path(__file__).parent / "golden"
 ERRORS = GOLDEN / "cli_errors"
 
 
+def _assert_matches_golden(got: str, path: Path) -> None:
+    """``got`` is byte for byte the text of the golden file at ``path``.
+
+    On a mismatch the line counts and the first differing line are
+    reported, never a diff of the whole texts: pytest's diff of two
+    2000-shot transcripts runs for minutes.
+    """
+    want = path.read_text()
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    first = next((k for k, (g, w) in enumerate(zip(got_lines, want_lines))
+                  if g != w), min(len(got_lines), len(want_lines)))
+    got_at, want_at = (lines[first] if first < len(lines) else "(no line)"
+                       for lines in (got_lines, want_lines))
+    pytest.fail(f"{path.name}: {len(got_lines)} lines, golden has "
+                f"{len(want_lines)}; first difference at line {first + 1}:\n"
+                f"  got    {got_at!r}\n  golden {want_at!r}", pytrace=False)
+
+
 @pytest.mark.parametrize("program, shots, transcript", [
     ("bell.lq", 2000, "bell_seed5.jsonl"),
     ("ghz7.lq", 20, "ghz7_seed5.jsonl"),
@@ -54,14 +74,14 @@ def test_seeded_run_transcript_is_byte_identical(program, shots, transcript,
                                                  capsys):
     assert main(["run", str(GOLDEN / program), "--seed", "5",
                  "--shots", str(shots), "--output", "machine"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / transcript).read_text()
+    _assert_matches_golden(capsys.readouterr().out, GOLDEN / transcript)
 
 
 def test_seeded_human_run_transcript_is_byte_identical(capsys):
     assert main(["run", str(GOLDEN / "bell.lq"), "--seed", "5",
                  "--shots", "200"]) == 0
-    assert capsys.readouterr().out == (
-        GOLDEN / "bell_seed5_human.txt").read_text()
+    _assert_matches_golden(capsys.readouterr().out,
+                           GOLDEN / "bell_seed5_human.txt")
 
 
 def _assert_records_match(got, want, tol=1e-12):
@@ -96,7 +116,7 @@ def test_protocol_verify_records_match(convention, capsys):
 @pytest.mark.parametrize("name", ["bell", "ghz7", "mixed"])
 def test_compile_output_is_byte_identical(name, capsys):
     assert main(["compile", str(GOLDEN / f"{name}.lq")]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.qpu").read_text()
+    _assert_matches_golden(capsys.readouterr().out, GOLDEN / f"{name}.qpu")
 
 
 def test_seeded_service_transcript_is_byte_identical():
@@ -105,7 +125,7 @@ def test_seeded_service_transcript_is_byte_identical():
     out = io.StringIO()
     with open(GOLDEN / "service_requests.jsonl", "rb") as requests:
         serve_stdio(QpfService(seed=7, capacity=64), requests, out)
-    assert out.getvalue() == (GOLDEN / "service_seed7.jsonl").read_text()
+    _assert_matches_golden(out.getvalue(), GOLDEN / "service_seed7.jsonl")
 
 
 def _error_cases():
@@ -127,4 +147,4 @@ def test_cli_error_transcript_is_byte_identical(name, argv, capsys,
         code = exc.code
     out, err = capsys.readouterr()
     transcript = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
-    assert transcript == (ERRORS / f"{name}.txt").read_text()
+    _assert_matches_golden(transcript, ERRORS / f"{name}.txt")
