@@ -9,9 +9,8 @@ dispatcher.
 """
 
 from .compiler import (LogicalGate, LogicalProgram, decompose_su2, encode_init,
-                       leakage_check, logical_rx, logical_rz, pair,
-                       parse_logical_program, synthesize_logical_cnot,
-                       transform_program)
+                       leakage_check, pair, parse_logical_program,
+                       synthesize_logical_cnot, transform_program)
 from .dynamics import (CavityAtomParams, ZeemanParams, integrate_two_level,
                        rabi_coefficients, zeeman_phase)
 from .errors import (ConvergenceError, DimensionError, MeasurementError,

@@ -2,23 +2,26 @@
 
 A logical qubit lives on a pair of physical memory slots in the
 one-excitation subspace: logical 0 is ``|01>``, logical 1 is ``|10>``,
-and the logical basis is read from the first slot of the pair.  Qubit
-``q`` always takes slots ``2q`` and ``2q + 1`` (see ``pair``).  On that
+and the logical basis is read from the first slot of the pair.  On that
 subspace a transfer gate of angle ``theta`` acts as ``Rx(-theta)`` and
 the phase gate as ``Rz(theta)`` times ``e^{i phi / 2}``, which is all
 the compiler needs to realize arbitrary rotations.
 
-A logical program is a list of ``RX``, ``RZ`` and ``CNOT`` gates, a
-universal set, followed by measurements.
+A logical program is an ordered list of ``RX``, ``RZ`` and ``CNOT``
+gates, a universal set, and ``MEASURE``s.  ``emit`` is the one lowering
+of both front ends: it puts each op's template onto the slots of a slot
+table and places every ``INIT``.  ``transform_program`` gives it the
+table of ``pair``, so qubit ``q`` keeps slots ``2q`` and ``2q + 1``; the
+service gives it an empty one, which hands out slots in order of first
+use.
 
 Logical program text: header ``LQ n=<int>``; lines ``RX <theta> q<i>``,
 ``RZ <theta> q<i>``, ``CNOT q<i> q<j>``, ``SU2 q<i> <8 reals>``
 (row-major re/im pairs) and ``MEASURE q<i>``.  An ``SU2`` line is read
 as the three gates ``RZ(c)``, ``RX(b)``, ``RZ(a)`` of its matrix's
-``decompose_su2``, with the global phase dropped.  A qubit is measured
-at most once, and no line after its ``MEASURE`` may touch it, so moving
-every measurement to the end of the program changes nothing.  Every
-problem of the text is reported at its own line.
+``decompose_su2``, with the global phase dropped.  A ``MEASURE`` may
+stand anywhere, and a measured qubit is back at logical 0 at its next
+use.  Every problem of the text is reported at its own line.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .statevector import LocalUnitary, StateVector, is_unitary
 CNOT_CORRECTION_THETA = math.pi / 2
 CNOT_CORRECTION_PHI = 3 * math.pi / 2
 
-GATE_KINDS = ("RX", "RZ", "CNOT")
+GATE_KINDS = ("RX", "RZ", "CNOT", "MEASURE")
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -58,7 +61,7 @@ def _rz(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogicalGate:
-    """One gate of a logical program."""
+    """One op of a logical program: a gate or a ``MEASURE``."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -73,30 +76,27 @@ class LogicalGate:
                 raise SynthesisError(f"{self.kind} takes one qubit and an angle")
             if not math.isfinite(self.theta):
                 raise SynthesisError("angle must be finite")
+        elif self.kind == "MEASURE":
+            if len(self.qubits) != 1 or self.theta is not None:
+                raise SynthesisError("MEASURE takes one qubit and no angle")
         elif len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
             raise SynthesisError("CNOT takes two distinct qubits")
 
 
 @dataclass(frozen=True)
 class LogicalProgram:
-    """Gate list over ``n`` logical qubits plus terminal measurements."""
+    """Gates and measurements over ``n`` logical qubits, in program order."""
 
     n: int
-    gates: tuple[LogicalGate, ...]
-    measured: tuple[int, ...]
+    ops: tuple[LogicalGate, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "measured", tuple(self.measured))
-        for gate in self.gates:
-            for q in gate.qubits:
+        object.__setattr__(self, "ops", tuple(self.ops))
+        for op in self.ops:
+            for q in op.qubits:
                 if not 0 <= q < self.n:
-                    raise SynthesisError(f"gate operand q{q} out of range [0, {self.n})")
-        for q in self.measured:
-            if not 0 <= q < self.n:
-                raise SynthesisError(f"measured q{q} out of range [0, {self.n})")
-        if len(set(self.measured)) < len(self.measured):
-            raise SynthesisError("a qubit is measured more than once")
+                    role = "measured" if op.kind == "MEASURE" else "gate operand"
+                    raise SynthesisError(f"{role} q{q} out of range [0, {self.n})")
 
 
 def pair(logical_id: int) -> tuple[int, int]:
@@ -142,20 +142,6 @@ def controlled_transfer(ctrl: tuple[int, int],
 def readout(slots: tuple[int, int]) -> list[Instruction]:
     """Measure a pair first slot first; both slots end free."""
     return [Instruction.measure(slots[0]), Instruction.measure(slots[1])]
-
-
-def logical_rx(logical_id: int, theta: float) -> list[Instruction]:
-    """Rotation about x: a transfer of angle ``-theta`` on the pair.
-
-    The transfer block carries ``+i sin``, which is ``Rx`` of the negated
-    angle, hence the sign flip.
-    """
-    return bracket(pair(logical_id), [Instruction.qet(-theta)])
-
-
-def logical_rz(logical_id: int, theta: float) -> list[Instruction]:
-    """Rotation about z: a phase gate with ``phi = 0`` on the pair."""
-    return bracket(pair(logical_id), [Instruction.phase(theta, 0.0)])
 
 
 def synthesize_logical_cnot(ctrl_id: int, tgt_id: int) -> list[Instruction]:
@@ -248,31 +234,77 @@ def decompose_su2(u) -> tuple[float, float, float, float]:
     return result
 
 
-def _gate_instructions(gate: LogicalGate) -> list[Instruction]:
-    if gate.kind == "RX":
-        return logical_rx(gate.qubits[0], gate.theta)
-    if gate.kind == "RZ":
-        return logical_rz(gate.qubits[0], gate.theta)
-    return synthesize_logical_cnot(gate.qubits[0], gate.qubits[1])
+# Each op kind of either front end lowered once over placeholder pairs:
+# the pair of qubit 0 stands for the op's first qubit, that of qubit 1 for
+# its second, and None for the op's own gate.
+_ONE_PAIR = bracket(pair(0), [None])
+TEMPLATES = {
+    "RX": _ONE_PAIR, "RZ": _ONE_PAIR, "QET": _ONE_PAIR, "PHASE": _ONE_PAIR,
+    "CNOT": synthesize_logical_cnot(0, 1),
+    "CQET": controlled_transfer(pair(0), pair(1)),
+    "MEASURE": readout(pair(0)),
+}
+# placeholder slot -> (index of the op's qubit, half of its pair)
+_OPERAND = {slot: (operand, half)
+            for operand in (0, 1) for half, slot in enumerate(pair(operand))}
+# INIT of a pair's first and second half: every pair starts at logical 0
+_INIT = tuple(encode_init(0, 0))
+# The gate in a logical rotation's template.  The transfer block carries
+# ``+i sin``, which is ``Rx`` of the negated angle; ``Rz`` is a phase gate
+# with ``phi = 0``.
+_ROTATION = {"RX": lambda theta: Instruction.qet(-theta),
+             "RZ": lambda theta: Instruction.phase(theta, 0.0)}
+
+
+def emit(ops: list[tuple[str, tuple[int, ...], Instruction | None]],
+         slots: dict[tuple[int, int], int]) -> list[Instruction]:
+    """Lower ordered ``(kind, qubits, gate)`` ops onto machine slots.
+
+    ``slots`` maps (logical qubit, half of its pair) to a machine slot;
+    a half it lacks takes the next slot at its first use, and the table
+    is updated in place.  Each op is its kind's template, with ``gate``
+    in place of the template's None.  Each slot gets an INIT to its half
+    of logical 0 right before its first use and before its first use
+    after a MEASURE, so a measured qubit is back at logical 0 when it is
+    used again.
+    """
+    instructions: list[Instruction] = []
+    live: set[int] = set()  # slots initialized and not measured since
+    for kind, qubits, gate in ops:
+        for template in TEMPLATES[kind]:
+            if template is None:
+                instructions.append(gate)
+                continue
+            placeholder = template.memory_addr
+            if placeholder is None:  # a gate on the cells only
+                instructions.append(template)
+                continue
+            operand, half = _OPERAND[placeholder]
+            slot = slots.setdefault((qubits[operand], half), len(slots))
+            if slot not in live:
+                instructions.append(_INIT[half].on_slot(slot))
+                live.add(slot)
+            if template.opcode == "MEASURE":
+                live.discard(slot)
+            instructions.append(template.on_slot(slot))
+    return instructions
 
 
 def transform_program(lp: LogicalProgram) -> QuantumProgram:
     """Lower a logical program to a validated physical program.
 
     A program wider than the machine is refused before anything is
-    emitted.  Every logical qubit is encoded to logical 0 up front;
-    measured pairs are read out first-slot-first, with the second slot
-    measured too so both slots end free.
+    emitted.  Qubit ``q`` keeps the slots of ``pair(q)``; a ``MEASURE``
+    reads its pair out first slot first, with the second slot measured
+    too so both slots end free.
     """
     fresh_machine(memory_size(lp.n))
-    instructions: list[Instruction] = []
-    for q in range(lp.n):
-        instructions += encode_init(q, 0)
-    for gate in lp.gates:
-        instructions += _gate_instructions(gate)
-    for q in lp.measured:
-        instructions += readout(pair(q))
-    program = QuantumProgram(memory_size(lp.n), tuple(instructions))
+    slots = {(q, half): slot
+             for q in range(lp.n) for half, slot in enumerate(pair(q))}
+    ops = [(op.kind, op.qubits,
+            None if op.theta is None else _ROTATION[op.kind](op.theta))
+           for op in lp.ops]
+    program = QuantumProgram(memory_size(lp.n), tuple(emit(ops, slots)))
     if program.issues:  # pragma: no cover - synthesis always emits valid programs
         raise SynthesisError(f"emitted program fails validation: {program.issues}")
     return program
@@ -305,25 +337,23 @@ def leakage_check(state: StateVector, logical_qubits: int,
 
 def parse_logical_program(text: str) -> LogicalProgram:
     issues: list[tuple[int, str]] = []
-    gates: list[LogicalGate] = []
-    measured: dict[int, int] = {}  # each measured qubit and its MEASURE line
+    ops: list[LogicalGate] = []
 
     n, body = read_lines(text, "LQ", "n", issues)
     n_known = not issues  # a bad header reads n = 0, which bounds nothing
     for lineno, tokens in body:
         op = tokens[0].upper()
-        line_gates, line_measured = [], ()
         try:
             if op in ("RX", "RZ"):
                 if len(tokens) != 3:
                     raise ValueError(f"{op} takes an angle and a qubit")
-                line_gates = [LogicalGate(op, (read_operand("q", tokens[2]),),
-                                          theta=read_real("theta", tokens[1]))]
+                line_ops = [LogicalGate(op, (read_operand("q", tokens[2]),),
+                                        theta=read_real("theta", tokens[1]))]
             elif op == "CNOT":
                 if len(tokens) != 3:
                     raise ValueError("CNOT takes two qubits")
-                line_gates = [LogicalGate("CNOT", (read_operand("q", tokens[1]),
-                                                   read_operand("q", tokens[2])))]
+                line_ops = [LogicalGate("CNOT", (read_operand("q", tokens[1]),
+                                                 read_operand("q", tokens[2])))]
             elif op == "SU2":
                 if len(tokens) != 10:
                     raise ValueError("SU2 takes a qubit and 8 matrix entries")
@@ -333,28 +363,20 @@ def parse_logical_program(text: str) -> LogicalProgram:
                                    in zip(reals[0::2], reals[1::2])])
                 a, b, c, _ = decompose_su2(matrix.reshape(2, 2))
                 # temporal order is rightmost factor first
-                line_gates = [LogicalGate("RZ", qubit, c),
-                              LogicalGate("RX", qubit, b),
-                              LogicalGate("RZ", qubit, a)]
+                line_ops = [LogicalGate("RZ", qubit, c),
+                            LogicalGate("RX", qubit, b),
+                            LogicalGate("RZ", qubit, a)]
             elif op == "MEASURE":
                 if len(tokens) != 2:
                     raise ValueError("MEASURE takes a qubit")
-                line_measured = (read_operand("q", tokens[1]),)
+                line_ops = [LogicalGate("MEASURE", (read_operand("q", tokens[1]),))]
             else:
                 raise ValueError(f"unknown logical operation {tokens[0]!r}")
             if n_known:  # the range checks, on this line alone
-                LogicalProgram(n, line_gates, line_measured)
-            # measurements run after every gate, so a qubit is finished
-            # at its MEASURE and no later line may touch it
-            for q in line_measured or line_gates[0].qubits:
-                if q in measured:
-                    raise ValueError(f"q{q} was measured on line {measured[q]} "
-                                     "and cannot be used again")
-            gates += line_gates
-            for q in line_measured:
-                measured[q] = lineno
+                LogicalProgram(n, line_ops)
+            ops += line_ops
         except (ValueError, SynthesisError) as exc:
             issues.append((lineno, str(exc)))
     if issues:
         raise ProgramSyntaxError(issues)
-    return LogicalProgram(n, tuple(gates), tuple(measured))
+    return LogicalProgram(n, tuple(ops))

@@ -7,13 +7,15 @@ machine slots of its own segment, capacity-bounded batching of whole
 segments, dispatch onto a backend, and demultiplexing of measurement
 results back to local addresses.
 
-``transform`` lowers each request once, straight onto the machine slots
-of its segment: each half of a local qubit's pair takes the next slot at
-its first use and every ``INIT`` is placed as the segment is built, so
-the dispatcher only runs the program and the demultiplexer reads the
-readouts in the order they ran.  Every segment runs as its own program
-on a fresh machine, so no address outlives its request.  The TCP
-transport serves every connection from one selector thread.
+``transform`` lowers each request once, through the compiler's
+``emit``, straight onto the machine slots of its segment: with an empty
+slot table each half of a local qubit's pair takes the next slot at its
+first use, so client addresses up to ``QUBIT_BUDGET`` are compacted, and
+every ``INIT`` is placed as the segment is built.  The dispatcher only
+runs the program and the demultiplexer reads the readouts in the order
+they ran.  Every segment runs as its own program on a fresh machine, so
+no address outlives its request.  The TCP transport serves every
+connection from one selector thread.
 
 Wire protocol (newline-delimited JSON, UTF-8):
 
@@ -39,7 +41,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from .compiler import bracket, controlled_transfer, encode_init, pair, readout
+from .compiler import TEMPLATES, emit
 from .errors import QetSimError, ServiceError
 from .gates import exact_turns
 from .isa import Instruction, QuantumProgram
@@ -192,62 +194,32 @@ def analyze(ops: list[ClientOp]) -> list[ClientOp]:
     return ops
 
 
-# Each client op lowered once by the compiler's emitters over placeholder
-# addresses: the compiler's pair of qubit 0 stands for the first qubit's
-# pair, that of qubit 1 for the second's, and None for the op's own gate.
-_LOWERING = {
-    "QET": bracket(pair(0), [None]),
-    "PHASE": bracket(pair(0), [None]),
-    "CQET": controlled_transfer(pair(0), pair(1)),
-    "MEASURE": readout(pair(0)),
-}
 # the fewest commands any op lowers to (a MEASURE's readout)
-_FEWEST_COMMANDS = min(len(lowering) for lowering in _LOWERING.values())
-# placeholder address -> (index of the op's qubit, half of its pair)
-_OPERAND = {slot: (operand, half)
-            for operand in (0, 1) for half, slot in enumerate(pair(operand))}
-# INIT of a pair's first and second placeholder: every pair starts as
-# the compiler's logical 0.
-_INIT = tuple(encode_init(0, 0))
+_FEWEST_COMMANDS = min(len(TEMPLATES[op]) for op in VALID_OPS)
+
+
+def _gate(op: ClientOp) -> Instruction | None:
+    """The op's own gate, built per request and never shared."""
+    if op.op == "QET":
+        return Instruction.qet(op.theta)
+    if op.op == "PHASE":
+        return Instruction.phase(op.theta, 0.0 if op.phi is None else op.phi)
+    return None
 
 
 def transform(ops: list[ClientOp], client_id: str,
               request_id: int = 0) -> Segment:
     """Lower validated logical ops onto the machine slots of one segment.
 
-    Splits each logical qubit onto a physical pair.  Each half of a pair
-    takes the next free slot at its first use, and an INIT to its encoded
-    bit goes right before that use and before its first use after a
-    MEASURE.  The segment depends on the ops alone.
+    Splits each logical qubit onto a physical pair through the compiler's
+    ``emit`` with an empty slot table: each half of a pair takes the next
+    free slot at its first use, and an INIT to its encoded bit goes right
+    before that use and before its first use after a MEASURE.  The
+    segment depends on the ops alone.
     """
-    instructions: list[Instruction] = []
     slots: dict[tuple[int, int], int] = {}
-    live: set[int] = set()  # slots initialized and not measured since
-    measured = []
-    for op in ops:
-        gate = None  # the op's own gate: built per request, never shared
-        if op.op == "QET":
-            gate = Instruction.qet(op.theta)
-        elif op.op == "PHASE":
-            gate = Instruction.phase(op.theta, 0.0 if op.phi is None else op.phi)
-        for template in _LOWERING[op.op]:
-            if template is None:
-                instructions.append(gate)
-                continue
-            placeholder = template.memory_addr
-            if placeholder is None:  # CQET acts on the cells only
-                instructions.append(template)
-                continue
-            operand, half = _OPERAND[placeholder]
-            slot = slots.setdefault((op.qubits[operand], half), len(slots))
-            if slot not in live:
-                instructions.append(_INIT[half].on_slot(slot))
-                live.add(slot)
-            if template.opcode == "MEASURE":
-                live.discard(slot)
-            instructions.append(template.on_slot(slot))
-        if op.op == "MEASURE":
-            measured.append(op.qubits[0])
+    instructions = emit([(op.op, op.qubits, _gate(op)) for op in ops], slots)
+    measured = [op.qubits[0] for op in ops if op.op == "MEASURE"]
     return Segment(client_id, request_id, instructions, slots, measured)
 
 
@@ -386,7 +358,7 @@ class QpfService:
                          f"controller capacity is {self.capacity()}")])
             ops = analyze(parse_client_ops(raw_ops))
             # each template of an op's lowering is one command (INITs are free)
-            needed = sum(len(_LOWERING[op.op]) for op in ops)
+            needed = sum(len(TEMPLATES[op.op]) for op in ops)
             if needed > self.capacity():
                 raise ServiceError(
                     [(0, f"request needs {needed} commands; "

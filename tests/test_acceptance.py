@@ -12,9 +12,8 @@ from collections import deque
 import numpy as np
 
 from qetsim.compiler import (LogicalGate, LogicalProgram, decompose_su2,
-                             encode_init, leakage_check, logical_rx,
-                             logical_rz, pair, synthesize_logical_cnot,
-                             transform_program)
+                             encode_init, leakage_check, pair,
+                             synthesize_logical_cnot, transform_program)
 from qetsim.dynamics import CavityAtomParams, integrate_two_level, rabi_coefficients
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
 from qetsim.isa import Instruction
@@ -183,6 +182,13 @@ def _logical_matrix(n, instructions, qubits, rng):
     return matrix
 
 
+def _rotation(kind, q, theta):
+    """One logical rotation as the compiler lowers it, without its INITs."""
+    program = transform_program(
+        LogicalProgram(q + 1, [LogicalGate(kind, (q,), theta)]))
+    return [instr for instr in program.instructions if instr.opcode != "INIT"]
+
+
 def test_criterion_5_logical_layer():
     timer = _Timer(30.0)
     rng = RandomSource(105)
@@ -197,9 +203,9 @@ def test_criterion_5_logical_layer():
 
     draws = np.random.default_rng(105).uniform(-2 * math.pi, 2 * math.pi, 100)
     for theta in draws:
-        got = _logical_matrix(1, logical_rx(0, float(theta)), (0,), rng)
+        got = _logical_matrix(1, _rotation("RX", 0, float(theta)), (0,), rng)
         assert np.max(np.abs(got - rx(theta))) < 1e-12
-        got = _logical_matrix(1, logical_rz(0, float(theta)), (0,), rng)
+        got = _logical_matrix(1, _rotation("RZ", 0, float(theta)), (0,), rng)
         assert np.max(np.abs(got - rz(theta))) < 1e-12
 
     got = _logical_matrix(2, synthesize_logical_cnot(0, 1), (0, 1), rng)
@@ -232,12 +238,9 @@ def test_criterion_5_logical_layer():
         for _ in range(5):
             kind = circuit_rng.choice(["RX", "RZ", "CNOT"] if n > 1
                                       else ["RX", "RZ"])
-            if kind == "RX":
-                gate = logical_rx(int(circuit_rng.integers(0, n)),
-                                  float(circuit_rng.uniform(-3, 3)))
-            elif kind == "RZ":
-                gate = logical_rz(int(circuit_rng.integers(0, n)),
-                                  float(circuit_rng.uniform(-3, 3)))
+            if kind in ("RX", "RZ"):
+                gate = _rotation(kind, int(circuit_rng.integers(0, n)),
+                                 float(circuit_rng.uniform(-3, 3)))
             else:
                 ctrl, tgt = circuit_rng.choice(n, size=2, replace=False)
                 gate = synthesize_logical_cnot(int(ctrl), int(tgt))
@@ -251,8 +254,8 @@ def test_criterion_5_logical_layer():
 
 def test_criterion_6_statistics():
     timer = _Timer(30.0)
-    plus = LogicalProgram(1, (LogicalGate("RX", (0,), theta=math.pi / 2),),
-                          (0,))
+    plus = LogicalProgram(1, (LogicalGate("RX", (0,), theta=math.pi / 2),
+                              LogicalGate("MEASURE", (0,))))
     program = transform_program(plus)
     rng = RandomSource(106)
     zeros = 0
@@ -263,7 +266,9 @@ def test_criterion_6_statistics():
     assert 0.48 <= zeros / shots <= 0.52
 
     bell = LogicalProgram(2, (LogicalGate("RX", (0,), theta=math.pi / 2),
-                              LogicalGate("CNOT", (0, 1))), (0, 1))
+                              LogicalGate("CNOT", (0, 1)),
+                              LogicalGate("MEASURE", (0,)),
+                              LogicalGate("MEASURE", (1,))))
     program = transform_program(bell)
     rng = RandomSource(206)
     equal = 0

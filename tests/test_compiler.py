@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from qetsim.compiler import (CNOT_CORRECTION_PHI, CNOT_CORRECTION_THETA,
                              LogicalGate, LogicalProgram, decompose_su2,
                              derive_cnot_corrections, encode_init,
-                             leakage_check, logical_rx, logical_rz,
-                             memory_size, pair, parse_logical_program,
-                             readout, synthesize_logical_cnot,
-                             transform_program)
+                             leakage_check, pair, parse_logical_program,
+                             synthesize_logical_cnot, transform_program)
 from qetsim.errors import ProgramSyntaxError, SynthesisError
-from qetsim.isa import (Instruction, QuantumProgram, format_program,
-                        parse_program_with_lines, validate_program)
-from qetsim.machine import execute_instruction, fresh_machine
+from qetsim.isa import (Instruction, format_program, parse_program_with_lines,
+                        validate_program)
+from qetsim.machine import execute_instruction, fresh_machine, run_program
+from qetsim.service import QpfService
 from qetsim.statevector import RandomSource
 
 RNG = RandomSource(0)
@@ -44,6 +43,17 @@ def _encoded_index(shape, bits):
     return np.ravel_multi_index(levels, shape)
 
 
+def _without_inits(program):
+    """A lowered program's instructions without the INITs the emitter placed."""
+    return [instr for instr in program.instructions if instr.opcode != "INIT"]
+
+
+def _rotation(kind, q, theta):
+    """One logical rotation as the compiler lowers it, without its INITs."""
+    return _without_inits(transform_program(
+        LogicalProgram(q + 1, [LogicalGate(kind, (q,), theta)])))
+
+
 def _logical_matrix(n, instructions, qubits):
     """Action on the encoded subspace of ``n`` qubits, by basis-state simulation."""
     n_logical = len(qubits)
@@ -69,7 +79,7 @@ def _logical_matrix(n, instructions, qubits):
 
 def test_pair_layout():
     assert [pair(q) for q in range(3)] == [(0, 1), (2, 3), (4, 5)]
-    lp = LogicalProgram(3, (), (2,))
+    lp = LogicalProgram(3, (LogicalGate("MEASURE", (2,)),))
     assert transform_program(lp).s == 6
 
 
@@ -83,30 +93,30 @@ def test_encode_init_bits():
 def test_rx_restriction_matches_textbook_rotation():
     rng = np.random.default_rng(23)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=100):
-        got = _logical_matrix(1, logical_rx(0, float(theta)), (0,))
+        got = _logical_matrix(1, _rotation("RX", 0, float(theta)), (0,))
         assert np.max(np.abs(got - _rx(theta))) < 1e-12
 
 
 def test_rx_pi_flips_with_global_phase():
-    got = _logical_matrix(1, logical_rx(0, math.pi), (0,))
+    got = _logical_matrix(1, _rotation("RX", 0, math.pi), (0,))
     applied = got @ np.array([1, 0])
     assert np.max(np.abs(applied - np.array([0, -1j]))) < 1e-12
 
 
 def test_rx_zero_is_identity():
-    got = _logical_matrix(1, logical_rx(0, 0.0), (0,))
+    got = _logical_matrix(1, _rotation("RX", 0, 0.0), (0,))
     assert np.max(np.abs(got - np.eye(2))) < 1e-12
 
 
 def test_rz_restriction_matches_textbook_rotation():
     rng = np.random.default_rng(29)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=100):
-        got = _logical_matrix(1, logical_rz(0, float(theta)), (0,))
+        got = _logical_matrix(1, _rotation("RZ", 0, float(theta)), (0,))
         assert np.max(np.abs(got - _rz(theta))) < 1e-12
 
 
 def test_rz_pi_maps_plus_to_minus():
-    got = _logical_matrix(1, logical_rz(0, math.pi), (0,))
+    got = _logical_matrix(1, _rotation("RZ", 0, math.pi), (0,))
     plus = np.array([1, 1]) / math.sqrt(2)
     minus = np.array([1, -1]) / math.sqrt(2)
     overlap = abs(np.vdot(minus, got @ plus))
@@ -165,17 +175,19 @@ def test_decompose_rejects_non_unitary():
 
 
 def test_transform_empty_program():
-    program = transform_program(LogicalProgram(0, (), ()))
+    program = transform_program(LogicalProgram(0, ()))
     assert program.s == 0
     assert program.instructions == ()
 
 
 def test_transform_single_rx_census():
-    lp = LogicalProgram(1, (LogicalGate("RX", (0,), theta=math.pi),), (0,))
+    lp = LogicalProgram(1, (LogicalGate("RX", (0,), theta=math.pi),
+                            LogicalGate("MEASURE", (0,))))
     program = transform_program(lp)
     assert program.s == 2
     opcodes = [i.opcode for i in program.instructions]
-    assert opcodes == ["INIT", "INIT", "LOAD", "LOAD", "QET", "SAVE", "SAVE",
+    # each slot is initialized right before its first use
+    assert opcodes == ["INIT", "LOAD", "INIT", "LOAD", "QET", "SAVE", "SAVE",
                        "MEASURE", "MEASURE"]
     qet = program.instructions[4]
     assert abs(qet.theta - (-math.pi)) < 1e-15
@@ -184,7 +196,9 @@ def test_transform_single_rx_census():
 
 def test_transform_output_reparses_identically():
     lp = LogicalProgram(2, (LogicalGate("RX", (0,), theta=0.7),
-                            LogicalGate("CNOT", (0, 1))), (0, 1))
+                            LogicalGate("CNOT", (0, 1)),
+                            LogicalGate("MEASURE", (0,)),
+                            LogicalGate("MEASURE", (1,))))
     program = transform_program(lp)
     assert parse_program_with_lines(format_program(program))[0] == program
 
@@ -202,9 +216,8 @@ def test_universality_smoke():
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         target, _ = np.linalg.qr(raw)
         lp = parse_logical_program(f"LQ n=1\n{_su2_line(0, target)}\n")
-        assert [g.kind for g in lp.gates] == ["RZ", "RX", "RZ"]
-        program = transform_program(lp)
-        got = _logical_matrix(1, program.instructions[2:], (0,))
+        assert [op.kind for op in lp.ops] == ["RZ", "RX", "RZ"]
+        got = _logical_matrix(1, _without_inits(transform_program(lp)), (0,))
         phase = np.vdot(target.reshape(-1), got.reshape(-1))
         phase /= abs(phase)
         assert np.max(np.abs(got - phase * target)) < 1e-9
@@ -223,10 +236,10 @@ def test_leakage_check_raw_pair_fails():
 
 def test_leakage_check_after_compiled_circuit():
     rng = np.random.default_rng(47)
-    gates = [logical_rx(0, rng.uniform(-3, 3)),
-             logical_rz(1, rng.uniform(-3, 3)),
+    gates = [_rotation("RX", 0, rng.uniform(-3, 3)),
+             _rotation("RZ", 1, rng.uniform(-3, 3)),
              synthesize_logical_cnot(0, 1),
-             logical_rx(1, rng.uniform(-3, 3))]
+             _rotation("RX", 1, rng.uniform(-3, 3))]
     machine = _run(fresh_machine(4),
                    encode_init(0, 0) + encode_init(1, 1))
     for gate in gates:
@@ -245,10 +258,9 @@ def test_logical_text_roundtrip():
             "MEASURE q0\nMEASURE q1\n")
     lp = parse_logical_program(text)
     assert lp.n == 2
-    assert [g.kind for g in lp.gates] == ["RX", "RZ", "CNOT"]
-    assert lp.measured == (0, 1)
-    again = parse_logical_program(_lq_text(lp.n, _lines_of(lp)))
-    assert again.gates == lp.gates and again.measured == lp.measured
+    assert [op.kind for op in lp.ops] == ["RX", "RZ", "CNOT", "MEASURE",
+                                          "MEASURE"]
+    assert parse_logical_program(_lq_text(lp.n, _lines_of(lp))) == lp
 
 
 def test_logical_text_su2_line():
@@ -257,10 +269,10 @@ def test_logical_text_su2_line():
     lp = parse_logical_program(text)
     # RZ(c), RX(b), RZ(a) in the order they run, from e^{id} Rz(a) Rx(b) Rz(c)
     a, b, c, _ = decompose_su2(np.array([[h, h], [h, -h]]))
-    assert lp.gates == (LogicalGate("RZ", (0,), theta=c),
-                        LogicalGate("RX", (0,), theta=b),
-                        LogicalGate("RZ", (0,), theta=a))
-    assert lp.measured == (0,)
+    assert lp.ops == (LogicalGate("RZ", (0,), theta=c),
+                      LogicalGate("RX", (0,), theta=b),
+                      LogicalGate("RZ", (0,), theta=a),
+                      LogicalGate("MEASURE", (0,)))
 
 
 def test_logical_text_errors_with_lines():
@@ -300,32 +312,25 @@ def test_logical_text_with_a_bad_header_checks_no_range():
 
 def test_logical_program_range_check():
     with pytest.raises(SynthesisError):
-        LogicalProgram(1, (LogicalGate("RX", (1,), theta=0.1),), ())
+        LogicalProgram(1, (LogicalGate("RX", (1,), theta=0.1),))
+    with pytest.raises(SynthesisError, match="measured q1 out of range"):
+        LogicalProgram(1, (LogicalGate("MEASURE", (1,)),))
+    with pytest.raises(SynthesisError, match="no angle"):
+        LogicalGate("MEASURE", (0,), theta=0.1)
 
 
-def test_logical_program_refuses_double_measurement():
-    with pytest.raises(SynthesisError, match="measured more than once"):
-        LogicalProgram(2, (), (1, 0, 1))
-
-
-def test_logical_text_refuses_lines_after_measure():
+def test_logical_text_reuses_a_qubit_after_its_measure():
+    # a measured qubit may be used and measured again, in program order
     text = ("LQ n=2\nMEASURE q0\nRX 3.141592653589793 q0\nRZ 0.5 q1\n"
             "CNOT q1 q0\nMEASURE q1\nMEASURE q1\n")
-    with pytest.raises(ProgramSyntaxError) as info:
-        parse_logical_program(text)
-    assert info.value.issues == [
-        (3, "q0 was measured on line 2 and cannot be used again"),
-        (5, "q0 was measured on line 2 and cannot be used again"),
-        (7, "q1 was measured on line 6 and cannot be used again")]
-
-
-# each logical line's lowering, emitted where the line stands in the text
-_LOWER_IN_PLACE = {
-    "RX": lambda theta, q: logical_rx(q, theta),
-    "RZ": lambda theta, q: logical_rz(q, theta),
-    "CNOT": synthesize_logical_cnot,
-    "MEASURE": lambda q: readout(pair(q)),
-}
+    lp = parse_logical_program(text)
+    assert [(op.kind, op.qubits) for op in lp.ops] == [
+        ("MEASURE", (0,)), ("RX", (0,)), ("RZ", (1,)), ("CNOT", (1, 0)),
+        ("MEASURE", (1,)), ("MEASURE", (1,))]
+    # q0's pair is initialized again before its first use after the MEASURE
+    assert format_program(transform_program(lp)).splitlines()[1:9] == [
+        "INIT m0 0", "MEASURE m0", "INIT m1 1", "MEASURE m1",
+        "INIT m0 0", "LOAD m0 c1", "INIT m1 1", "LOAD m1 c2"]
 
 
 def _lq_line(kind, *args):
@@ -340,10 +345,9 @@ def _lq_text(n, lines):
 
 
 def _lines_of(lp):
-    """An RX/RZ/CNOT program's lines: its gates, then its measurements."""
-    gates = [(g.kind, *(() if g.theta is None else (g.theta,)), *g.qubits)
-             for g in lp.gates]
-    return gates + [("MEASURE", q) for q in lp.measured]
+    """An RX/RZ/CNOT/MEASURE program's lines, in program order."""
+    return [(op.kind, *(() if op.theta is None else (op.theta,)), *op.qubits)
+            for op in lp.ops]
 
 
 @st.composite
@@ -359,38 +363,87 @@ def logical_lines(draw):
     return n, draw(st.lists(line, max_size=8))
 
 
-@settings(max_examples=300)
-@given(logical_lines())
-def test_logical_text_validates_exactly_when_it_lowers_in_place(program):
-    # lowering each line where it stands frees a pair at its MEASURE, so
-    # that program validates exactly when no line touches a measured qubit
-    n, lines = program
-    text = _lq_text(n, lines)
-    in_place = [i for q in range(n) for i in encode_init(q, 0)]
+@st.composite
+def exact_logical_lines(draw):
+    """``n`` <= 4 and up to 12 lines, every outcome of probability 0 or 1:
+    RX at a whole multiple of pi, RZ at any angle, CNOT and MEASURE, in any
+    order; a last ``MEASURE q0`` makes every program a valid request."""
+    n = draw(st.integers(1, 4))
+    qubit = st.integers(0, n - 1)
+    turns = st.integers(-3, 3).map(lambda k: k * math.pi)
+    line = st.one_of(st.tuples(st.just("RX"), turns, qubit),
+                     st.tuples(st.just("RZ"), st.floats(-10, 10), qubit),
+                     st.tuples(st.just("MEASURE"), qubit))
+    if n > 1:
+        line |= st.permutations(range(n)).map(lambda p: ("CNOT", p[0], p[1]))
+    return n, draw(st.lists(line, max_size=12)) + [("MEASURE", 0)]
+
+
+def _bit_model(lines):
+    """``(qubit, bit)`` of each MEASURE of ``exact_logical_lines``' lines.
+
+    Each qubit starts at logical 0 and is back at 0 after a MEASURE.  RX
+    at an odd multiple of pi flips its bit, RZ never does, and CNOT flips
+    the target when the control is 1.
+    """
+    bits = {}
+    results = []
     for kind, *args in lines:
-        in_place += _LOWER_IN_PLACE[kind](*args)
-    lowers = not validate_program(QuantumProgram(memory_size(n),
-                                                 tuple(in_place)))
-    try:
-        lp = parse_logical_program(text)
-    except ProgramSyntaxError:
-        assert not lowers
-    else:
-        assert lowers
-        assert not validate_program(transform_program(lp))
+        q = args[-1]  # the qubit of RX, RZ and MEASURE; CNOT's target
+        if kind == "RX" and round(args[0] / math.pi) % 2:
+            bits[q] = 1 - bits.get(q, 0)
+        elif kind == "CNOT" and bits.get(args[0], 0):
+            bits[q] = 1 - bits.get(q, 0)
+        elif kind == "MEASURE":
+            results.append((q, bits.pop(q, 0)))
+    return results
+
+
+def _client_ops(lines):
+    """The same program as a service request: the lowering's ops, spelled
+    out with the CNOT's corrections."""
+    raw = []
+    for kind, *args in lines:
+        if kind == "RX":
+            raw.append({"op": "QET", "qubits": [args[1]], "theta": -args[0]})
+        elif kind == "RZ":
+            raw.append({"op": "PHASE", "qubits": [args[1]], "theta": args[0]})
+        elif kind == "CNOT":
+            ctrl, tgt = args
+            flip = {"op": "QET", "qubits": [ctrl], "theta": math.pi}
+            raw += [flip, {"op": "CQET", "qubits": [ctrl, tgt]},
+                    {"op": "PHASE", "qubits": [ctrl],
+                     "theta": CNOT_CORRECTION_THETA, "phi": CNOT_CORRECTION_PHI},
+                    flip]
+        else:
+            raw.append({"op": "MEASURE", "qubits": args})
+    return raw
+
+
+@settings(max_examples=200)
+@given(exact_logical_lines(), st.integers(0, 2 ** 32))
+def test_logical_text_with_midcircuit_measure_matches_its_bit_model(program,
+                                                                   seed):
+    # both front ends lower through one emitter, so the run of the text
+    # and the service's reply to the same ops read the same bits
+    n, lines = program
+    expected = _bit_model(lines)
+    lowered = transform_program(parse_logical_program(_lq_text(n, lines)))
+    records = run_program(lowered, RandomSource(seed))
+    # each readout measures the pair's first slot, then its second
+    assert records == [(slot, level) for q, bit in expected
+                       for slot, level in zip(pair(q), (bit, 1 - bit))]
+    reply = QpfService(seed=seed).submit_request("a", _client_ops(lines))
+    assert reply == {"type": "result",
+                     "results": [{"qubit": q, "bit": bit}
+                                 for q, bit in expected]}
 
 
 @settings(max_examples=200)
 @given(logical_lines())
 def test_logical_text_round_trips_through_its_lines(program):
-    try:
-        lp = parse_logical_program(_lq_text(*program))
-    except ProgramSyntaxError:
-        return
-    again = parse_logical_program(_lq_text(lp.n, _lines_of(lp)))
-    assert again.n == lp.n
-    assert again.gates == lp.gates
-    assert again.measured == lp.measured
+    lp = parse_logical_program(_lq_text(*program))
+    assert parse_logical_program(_lq_text(lp.n, _lines_of(lp))) == lp
 
 
 # -- random-circuit oracle -----------------------------------------------------
@@ -444,7 +497,7 @@ def random_circuits(draw):
 def test_random_circuits_lower_to_their_textbook_matrix(circuit):
     n, text, expected = circuit
     program = transform_program(parse_logical_program(text))
-    got = _logical_matrix(n, program.instructions[2 * n:], tuple(range(n)))
+    got = _logical_matrix(n, _without_inits(program), tuple(range(n)))
     # each basis input keeps all its mass on encoded states: none has
     # left the per-pair one-excitation span or stayed in a cell
     assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1)) < 1e-9

@@ -1,34 +1,36 @@
 """Seeded transcripts and compiler output must stay byte-identical.
 
 The run transcripts under ``golden/`` were recorded with the dense
-state-vector machine that preceded the sparse register; the compile
-output and the service transcript were recorded before the opcode
-table, the shared occupancy step and the shared lowering emitters
-replaced their duplicated predecessors.  The CLI error transcripts
-under ``golden/cli_errors/`` (stdout, stderr and exit code of each case
-in its ``cases.txt``) were recorded before the CLI reported every error
-from one place, except ``validate_lq_too_wide`` and
-``validate_qpu_too_wide``, which were recorded when ``validate`` began
-to refuse a program wider than the machine, and the two
-``*_lq_measure_order`` cases, recorded when logical text began to
-refuse a line that touches a qubit after its ``MEASURE``, and
-``validate_lq_range``, recorded when a qubit outside ``[0, n)`` began
-to be reported at its own line, and ``run_shots_not_integer``, recorded
-when an option's integer type began to name its own rule for text that
-is not an integer (an argparse error: exit 2 and the usage at 80
-columns).  The service
-transcript's last request, a qubit measured, reused and measured again,
-was appended when each ``MEASURE`` began to get its own bits; every
-outcome in its reply has probability 0 or 1.  ``mixed_seed5.jsonl``,
-the only seeded run through SU2 lines and a reversed CNOT, was recorded
-while SU2 was still a gate kind of its own, before an SU2 line was read
-as its three rotations.  ``reuse_seed5.jsonl``, the only seeded run of
-machine text, was recorded while ``run_program`` still stepped each
-instruction: logical text puts every ``MEASURE`` last, and ``reuse.qpu``
-measures a slot, initialises it again and moves it through the cells
-after the readout.  A change
-that alters any of them changes the fixed-seed contract and must say
-so.
+state-vector machine that preceded the sparse register; the service
+transcript was recorded before the opcode table, the shared occupancy
+step and the shared lowering emitters replaced their duplicated
+predecessors.  The CLI error transcripts under ``golden/cli_errors/``
+(stdout, stderr and exit code of each case in its ``cases.txt``) were
+recorded before the CLI reported every error from one place, except
+``validate_lq_too_wide`` and ``validate_qpu_too_wide``, which were
+recorded when ``validate`` began to refuse a program wider than the
+machine, and ``validate_lq_range``, recorded when a qubit outside
+``[0, n)`` began to be reported at its own line, and
+``run_shots_not_integer``, recorded when an option's integer type began
+to name its own rule for text that is not an integer (an argparse
+error: exit 2 and the usage at 80 columns).  The service transcript's
+last request, a qubit measured, reused and measured again, was appended
+when each ``MEASURE`` began to get its own bits; every outcome in its
+reply has probability 0 or 1.  ``mixed_seed5.jsonl``, the only seeded
+run through SU2 lines and a reversed CNOT, was recorded while SU2 was
+still a gate kind of its own, before an SU2 line was read as its three
+rotations.  ``reuse_seed5.jsonl``, the only seeded run of machine text,
+was recorded while ``run_program`` still stepped each instruction:
+``reuse.qpu`` measures a slot, initialises it again and moves it
+through the cells after the readout.  The compile outputs ``bell.qpu``,
+``ghz7.qpu`` and ``mixed.qpu`` were recorded again when both front ends
+began to lower through one emitter, which puts each slot's ``INIT``
+right before its first use; their other lines, in order, and their set
+of ``INIT`` lines stayed as they were.  ``midmeasure.lq`` (a qubit
+measured, reused through RX, RZ and CNOT, as control and as target, and
+measured again) and its run and compile output were recorded when
+logical text gained mid-circuit ``MEASURE``.  A change that alters any
+of them changes the fixed-seed contract and must say so.
 """
 
 import io
@@ -69,6 +71,7 @@ def _assert_matches_golden(got: str, path: Path) -> None:
     ("ghz7.lq", 20, "ghz7_seed5.jsonl"),
     ("mixed.lq", 200, "mixed_seed5.jsonl"),
     ("reuse.qpu", 200, "reuse_seed5.jsonl"),
+    ("midmeasure.lq", 200, "midmeasure_seed5.jsonl"),
 ])
 def test_seeded_run_transcript_is_byte_identical(program, shots, transcript,
                                                  capsys):
@@ -113,7 +116,7 @@ def test_protocol_verify_records_match(convention, capsys):
     _assert_records_match(got, want)
 
 
-@pytest.mark.parametrize("name", ["bell", "ghz7", "mixed"])
+@pytest.mark.parametrize("name", ["bell", "ghz7", "mixed", "midmeasure"])
 def test_compile_output_is_byte_identical(name, capsys):
     assert main(["compile", str(GOLDEN / f"{name}.lq")]) == 0
     _assert_matches_golden(capsys.readouterr().out, GOLDEN / f"{name}.qpu")

@@ -162,16 +162,17 @@ def compiled_programs(draw):
     programs entangle more than raw ones: up to 4 encoded basis states,
     and more in the middle of a lowered CNOT.
     """
-    kinds = st.sampled_from(["CNOT", "RX", "RZ"])
-    gates = []
+    kinds = st.sampled_from(["CNOT", "RX", "RZ", "MEASURE"])
+    ops = []
     for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
         if kind == "CNOT":
-            gates.append(LogicalGate("CNOT", draw(st.permutations([0, 1]))))
+            ops.append(LogicalGate("CNOT", draw(st.permutations([0, 1]))))
+        elif kind == "MEASURE":
+            ops.append(LogicalGate(kind, (draw(st.sampled_from([0, 1])),)))
         else:
-            gates.append(LogicalGate(kind, (draw(st.sampled_from([0, 1])),),
-                                     theta=draw(ANGLES)))
-    measured = draw(st.lists(st.sampled_from([0, 1]), unique=True))
-    program = transform_program(LogicalProgram(2, gates, measured))
+            ops.append(LogicalGate(kind, (draw(st.sampled_from([0, 1])),),
+                                   theta=draw(ANGLES)))
+    program = transform_program(LogicalProgram(2, ops))
     return program.s, list(program.instructions)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qetsim.compiler import parse_logical_program, transform_program
+from qetsim.compiler import TEMPLATES, parse_logical_program, transform_program
 from qetsim.errors import ServiceError
 from qetsim.isa import (Instruction, QuantumProgram, format_instruction,
                         format_program)
@@ -18,7 +18,7 @@ from qetsim.machine import execute_instruction, fresh_machine
 from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
                             EmulatorBackend, ExecutionBatch, QpfService, Segment,
                             analyze, buffer_and_batch,
-                            demux_results, dispatch, _concretize, _LOWERING,
+                            demux_results, dispatch, _concretize,
                             encode_message, parse_client_ops, serve_stdio,
                             support_exponent, transform)
 from qetsim.statevector import RandomSource
@@ -537,7 +537,7 @@ def test_machine_support_stays_within_the_bound(raw, seed):
     ops = analyze(_ops(raw + [{"op": "MEASURE", "qubits": [0]}]))
     segment = transform(ops, "a")
     # the count the service checks against its capacity before lowering
-    assert sum(len(_LOWERING[op.op]) for op in ops) == segment.command_count
+    assert sum(len(TEMPLATES[op.op]) for op in ops) == segment.command_count
     program = _concretize(segment, 0)
     machine, rng = fresh_machine(program.s), RandomSource(seed)
     bound = 2 ** support_exponent(ops)
