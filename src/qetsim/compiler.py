@@ -7,27 +7,33 @@ subspace a transfer gate of angle ``theta`` acts as ``Rx(-theta)`` and
 the phase gate as ``Rz(theta)`` times ``e^{i phi / 2}``, which is all
 the compiler needs to realize arbitrary rotations.
 
-A logical program is an ordered list of ``RX``, ``RZ`` and ``CNOT``
-gates, a universal set, and ``MEASURE``s.  ``emit`` is the one lowering
-of both front ends: it puts each op's template onto the slots of a slot
-table and places every ``INIT``.  ``transform_program`` gives it the
-table of ``pair``, so qubit ``q`` keeps slots ``2q`` and ``2q + 1``; the
-service gives it an empty one, which hands out slots in order of first
-use.
+A logical program is an ordered list of ops.  ``RX``, ``RZ`` and
+``CNOT`` are a universal set; the machine's own ``QET``, ``PHASE`` and
+``CQET`` act on logical qubits too, and ``MEASURE`` reads one out.
+``KINDS`` gives each kind's qubits and angles, and ``LogicalGate`` is the
+one op record, and the one op check, of both front ends.  ``emit`` is
+the one lowering of both: it puts each op's template onto the slots of
+a slot table and places every ``INIT``.  ``transform_program`` gives it
+the table of ``pair``, so qubit ``q`` keeps slots ``2q`` and ``2q + 1``;
+the service gives it an empty one, which hands out slots in order of
+first use.
 
-Logical program text: header ``LQ n=<int>``; lines ``RX <theta> q<i>``,
-``RZ <theta> q<i>``, ``CNOT q<i> q<j>``, ``SU2 q<i> <8 reals>``
-(row-major re/im pairs) and ``MEASURE q<i>``.  An ``SU2`` line is read
-as the three gates ``RZ(c)``, ``RX(b)``, ``RZ(a)`` of its matrix's
-``decompose_su2``, with the global phase dropped.  A ``MEASURE`` may
-stand anywhere, and a measured qubit is back at logical 0 at its next
-use.  Every problem of the text is reported at its own line.
+Logical program text: header ``LQ n=<int>``; then one op per line, its
+angles first and then its qubits, as in machine text: ``RX <theta>
+q<i>``, ``RZ <theta> q<i>``, ``QET <theta> q<i>``, ``PHASE <theta> <phi>
+q<i>``, ``CNOT q<i> q<j>``, ``CQET q<i> q<j>`` and ``MEASURE q<i>``.  An
+``SU2 q<i> <8 reals>`` line (row-major re/im pairs) is read as the three
+gates ``RZ(c)``, ``RX(b)``, ``RZ(a)`` of its matrix's ``decompose_su2``,
+with the global phase dropped.  A ``MEASURE`` may stand anywhere, and a
+measured qubit is back at logical 0 at its next use.  Every problem of
+the text is reported at its own line.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +53,6 @@ from .statevector import LocalUnitary, StateVector, is_unitary
 CNOT_CORRECTION_THETA = math.pi / 2
 CNOT_CORRECTION_PHI = 3 * math.pi / 2
 
-GATE_KINDS = ("RX", "RZ", "CNOT", "MEASURE")
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -59,28 +64,58 @@ def _rz(theta: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]).astype(complex)
 
 
+# Op kind -> (number of qubits, angles in text order), for both front ends.
+# A PHASE's phi may be left out and then reads 0.
+KINDS = {"RX": (1, ("theta",)), "RZ": (1, ("theta",)), "QET": (1, ("theta",)),
+         "PHASE": (1, ("theta", "phi")), "CNOT": (2, ()), "CQET": (2, ()),
+         "MEASURE": (1, ())}
+
+
 @dataclass(frozen=True)
 class LogicalGate:
-    """One op of a logical program: a gate or a ``MEASURE``."""
+    """One op of logical text or of a service request: a gate or a ``MEASURE``."""
 
     kind: str
     qubits: tuple[int, ...]
     theta: float | None = None
+    phi: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in KINDS:
             raise SynthesisError(f"unknown logical gate {self.kind!r}")
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.kind in ("RX", "RZ"):
-            if len(self.qubits) != 1 or self.theta is None:
-                raise SynthesisError(f"{self.kind} takes one qubit and an angle")
-            if not math.isfinite(self.theta):
-                raise SynthesisError("angle must be finite")
-        elif self.kind == "MEASURE":
-            if len(self.qubits) != 1 or self.theta is not None:
-                raise SynthesisError("MEASURE takes one qubit and no angle")
-        elif len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
-            raise SynthesisError("CNOT takes two distinct qubits")
+        arity, angles = KINDS[self.kind]
+        for label in ("theta", "phi"):
+            value = getattr(self, label)
+            # NaN, an infinity or an int too large for a float fails
+            if value is not None and not abs(value) <= sys.float_info.max:
+                raise SynthesisError(f"{label} must be finite")
+        if len(self.qubits) != arity:
+            raise SynthesisError(f"{self.kind} takes {arity} qubit(s), "
+                                 f"got {len(self.qubits)}")
+        if arity == 2 and self.qubits[0] == self.qubits[1]:
+            raise SynthesisError(f"{self.kind} control and target must differ")
+        if angles and self.theta is None:
+            raise SynthesisError(f"missing parameter theta for {self.kind}")
+        if not angles and (self.theta is not None or self.phi is not None):
+            raise SynthesisError(f"{self.kind} takes no angle parameters")
+        if "phi" not in angles and self.phi is not None:
+            raise SynthesisError(f"{self.kind} takes no phi parameter")
+
+    def gate(self) -> Instruction | None:
+        """The op's own instruction, the None of its template, if it has one.
+
+        The transfer block carries ``+i sin``, which is ``Rx`` of the
+        negated angle; ``Rz`` is a phase gate with ``phi = 0``.
+        """
+        if self.kind == "RX":
+            return Instruction.qet(-self.theta)
+        if self.kind == "QET":
+            return Instruction.qet(self.theta)
+        if self.kind in ("RZ", "PHASE"):
+            return Instruction.phase(self.theta,
+                                     0.0 if self.phi is None else self.phi)
+        return None
 
 
 @dataclass(frozen=True)
@@ -249,38 +284,33 @@ _OPERAND = {slot: (operand, half)
             for operand in (0, 1) for half, slot in enumerate(pair(operand))}
 # INIT of a pair's first and second half: every pair starts at logical 0
 _INIT = tuple(encode_init(0, 0))
-# The gate in a logical rotation's template.  The transfer block carries
-# ``+i sin``, which is ``Rx`` of the negated angle; ``Rz`` is a phase gate
-# with ``phi = 0``.
-_ROTATION = {"RX": lambda theta: Instruction.qet(-theta),
-             "RZ": lambda theta: Instruction.phase(theta, 0.0)}
 
 
-def emit(ops: list[tuple[str, tuple[int, ...], Instruction | None]],
+def emit(ops: list[LogicalGate],
          slots: dict[tuple[int, int], int]) -> list[Instruction]:
-    """Lower ordered ``(kind, qubits, gate)`` ops onto machine slots.
+    """Lower ordered ops onto machine slots.
 
     ``slots`` maps (logical qubit, half of its pair) to a machine slot;
     a half it lacks takes the next slot at its first use, and the table
-    is updated in place.  Each op is its kind's template, with ``gate``
-    in place of the template's None.  Each slot gets an INIT to its half
-    of logical 0 right before its first use and before its first use
-    after a MEASURE, so a measured qubit is back at logical 0 when it is
-    used again.
+    is updated in place.  Each op is its kind's template, with the op's
+    ``gate`` in place of the template's None.  Each slot gets an INIT to
+    its half of logical 0 right before its first use and before its
+    first use after a MEASURE, so a measured qubit is back at logical 0
+    when it is used again.
     """
     instructions: list[Instruction] = []
     live: set[int] = set()  # slots initialized and not measured since
-    for kind, qubits, gate in ops:
-        for template in TEMPLATES[kind]:
+    for op in ops:
+        for template in TEMPLATES[op.kind]:
             if template is None:
-                instructions.append(gate)
+                instructions.append(op.gate())
                 continue
             placeholder = template.memory_addr
             if placeholder is None:  # a gate on the cells only
                 instructions.append(template)
                 continue
             operand, half = _OPERAND[placeholder]
-            slot = slots.setdefault((qubits[operand], half), len(slots))
+            slot = slots.setdefault((op.qubits[operand], half), len(slots))
             if slot not in live:
                 instructions.append(_INIT[half].on_slot(slot))
                 live.add(slot)
@@ -301,10 +331,7 @@ def transform_program(lp: LogicalProgram) -> QuantumProgram:
     fresh_machine(memory_size(lp.n))
     slots = {(q, half): slot
              for q in range(lp.n) for half, slot in enumerate(pair(q))}
-    ops = [(op.kind, op.qubits,
-            None if op.theta is None else _ROTATION[op.kind](op.theta))
-           for op in lp.ops]
-    program = QuantumProgram(memory_size(lp.n), tuple(emit(ops, slots)))
+    program = QuantumProgram(memory_size(lp.n), tuple(emit(lp.ops, slots)))
     if program.issues:  # pragma: no cover - synthesis always emits valid programs
         raise SynthesisError(f"emitted program fails validation: {program.issues}")
     return program
@@ -344,16 +371,18 @@ def parse_logical_program(text: str) -> LogicalProgram:
     for lineno, tokens in body:
         op = tokens[0].upper()
         try:
-            if op in ("RX", "RZ"):
-                if len(tokens) != 3:
-                    raise ValueError(f"{op} takes an angle and a qubit")
-                line_ops = [LogicalGate(op, (read_operand("q", tokens[2]),),
-                                        theta=read_real("theta", tokens[1]))]
-            elif op == "CNOT":
-                if len(tokens) != 3:
-                    raise ValueError("CNOT takes two qubits")
-                line_ops = [LogicalGate("CNOT", (read_operand("q", tokens[1]),
-                                                 read_operand("q", tokens[2])))]
+            if op in KINDS:
+                arity, angles = KINDS[op]
+                if len(tokens) != 1 + len(angles) + arity:
+                    words = (("", "an angle", "two angles")[len(angles)],
+                             ("", "a qubit", "two qubits")[arity])
+                    raise ValueError(f"{op} takes "
+                                     + " and ".join(filter(None, words)))
+                values = [read_real(name, token)
+                          for name, token in zip(angles, tokens[1:])]
+                qubits = [read_operand("q", token)
+                          for token in tokens[1 + len(angles):]]
+                line_ops = [LogicalGate(op, qubits, *values)]
             elif op == "SU2":
                 if len(tokens) != 10:
                     raise ValueError("SU2 takes a qubit and 8 matrix entries")
@@ -366,10 +395,6 @@ def parse_logical_program(text: str) -> LogicalProgram:
                 line_ops = [LogicalGate("RZ", qubit, c),
                             LogicalGate("RX", qubit, b),
                             LogicalGate("RZ", qubit, a)]
-            elif op == "MEASURE":
-                if len(tokens) != 2:
-                    raise ValueError("MEASURE takes a qubit")
-                line_ops = [LogicalGate("MEASURE", (read_operand("q", tokens[1]),))]
             else:
                 raise ValueError(f"unknown logical operation {tokens[0]!r}")
             if n_known:  # the range checks, on this line alone

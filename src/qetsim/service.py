@@ -1,7 +1,10 @@
 """Multi-client programming service and dispatcher.
 
-Requests carry universal-basis operations on logical qubits addressed by
-client-local integers.  The pipeline mirrors the layer structure of the
+Requests carry operations on logical qubits addressed by client-local
+integers.  Each op is decoded into a ``compiler.LogicalGate`` of any
+kind in ``compiler.KINDS`` (``RX``, ``RZ``, ``QET``, ``PHASE``,
+``CNOT``, ``CQET`` and ``MEASURE``), which checks it as it checks a
+line of logical text.  The pipeline mirrors the layer structure of the
 framework: request analysis, transformation of each request onto the
 machine slots of its own segment, capacity-bounded batching of whole
 segments, dispatch onto a backend, and demultiplexing of measurement
@@ -20,7 +23,8 @@ connection from one selector thread.
 Wire protocol (newline-delimited JSON, UTF-8):
 
     {"type": "submit", "client": "<id>", "ops": [{"op": "QET",
-        "qubits": [0], "theta": 3.14}, ...]}
+        "qubits": [0], "theta": 3.14}, {"op": "PHASE", "qubits": [0],
+        "theta": 1.57, "phi": 0.5}, {"op": "CNOT", "qubits": [0, 1]}, ...]}
     {"type": "result", "results": [{"qubit": 0, "bit": 1}, ...]}
     {"type": "error", "errors": [{"index": 0, "message": "..."}]}
     {"type": "capacity"}  ->  {"type": "capacity", "capacity": 1024}
@@ -34,36 +38,24 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import selectors
 import socket
 import threading
 from collections import deque
 from dataclasses import dataclass
 
-from .compiler import TEMPLATES, emit
-from .errors import QetSimError, ServiceError
+from .compiler import KINDS, TEMPLATES, LogicalGate, emit
+from .errors import QetSimError, ServiceError, SynthesisError
 from .gates import exact_turns
-from .isa import Instruction, QuantumProgram
+from .isa import QuantumProgram
 from .machine import run_program
 from .statevector import RandomSource
 
 logger = logging.getLogger(__name__)
 
-VALID_OPS = ("QET", "PHASE", "CQET", "MEASURE")
 DEFAULT_CAPACITY = 1024
 QUBIT_BUDGET = 256  # local qubit addresses a request may use
 SUPPORT_BUDGET = 2 ** 20  # register entries a request may reach
-
-
-@dataclass(frozen=True)
-class ClientOp:
-    """One validated operation descriptor from a submit message."""
-
-    op: str
-    qubits: tuple[int, ...]
-    theta: float | None = None
-    phi: float | None = None
 
 
 @dataclass
@@ -91,17 +83,8 @@ class ExecutionBatch:
         return sum(seg.command_count for seg in self.segments)
 
 
-def _finite_float(value: int | float) -> float | None:
-    """``value`` as a float, or None when it is not finite (or too large)."""
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def parse_client_ops(raw_ops) -> list[ClientOp]:
-    """Structural decode of the wire-level ops array."""
+def parse_client_ops(raw_ops) -> list[LogicalGate]:
+    """Decode the wire-level ops array into checked logical ops."""
     if not isinstance(raw_ops, list):
         raise ServiceError([(0, "ops must be a list")])
     errors = []
@@ -110,9 +93,9 @@ def parse_client_ops(raw_ops) -> list[ClientOp]:
         if not isinstance(raw, dict):
             errors.append((index, "operation must be an object"))
             continue
-        name = raw.get("op")
-        if name not in VALID_OPS:
-            errors.append((index, f"unknown operation {name!r}"))
+        kind = raw.get("op")
+        if not isinstance(kind, str) or kind not in KINDS:
+            errors.append((index, f"unknown operation {kind!r}"))
             continue
         qubits = raw.get("qubits")
         if (not isinstance(qubits, list) or not qubits
@@ -120,69 +103,52 @@ def parse_client_ops(raw_ops) -> list[ClientOp]:
                            for q in qubits)):
             errors.append((index, "qubits must be a non-empty list of integers"))
             continue
-        angles = []
-        for label in ("theta", "phi"):
-            value = raw.get(label)
-            if value is not None:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    errors.append((index, f"{label} must be a number"))
-                    continue
-                value = _finite_float(value)
-                if value is None:
-                    errors.append((index, f"{label} must be finite"))
-                    continue
-            angles.append(value)
-        if len(angles) == 2:
-            ops.append(ClientOp(name, tuple(qubits), *angles))
+        angles = {label: raw.get(label) for label in ("theta", "phi")}
+        wrong = [label for label, value in angles.items() if value is not None
+                 and (not isinstance(value, (int, float))
+                      or isinstance(value, bool))]
+        if wrong:
+            errors.append((index, f"{wrong[0]} must be a number"))
+            continue
+        try:
+            ops.append(LogicalGate(kind, qubits, **angles))
+        except SynthesisError as exc:
+            errors.append((index, str(exc)))
     if errors:
         raise ServiceError(errors)
     return ops
 
 
-def support_exponent(ops: list[ClientOp]) -> int:
+def support_exponent(ops: list[LogicalGate]) -> int:
     """``log2`` of a sound bound on the machine support the request can reach.
 
     Each pair holds one excitation from its INIT until it is measured:
-    a ``QET`` or ``CQET`` moves it only between the two slots of one
-    pair, and the slot moves relabel positions alike in every basis
-    state.  So each qubit adds at most one bit of support, and only a
-    ``QET`` at an angle without an exact matrix splits a basis state in
-    two; ``PHASE``, ``CQET``, exact transfers, the slot moves and
+    a transfer moves it only between the two slots of one pair, and the
+    slot moves relabel positions alike in every basis state.  So each
+    qubit adds at most one bit of support, and only a ``QET`` or an
+    ``RX`` (a ``QET`` of the negated angle) at an angle without an exact
+    matrix splits a basis state in two; ``RZ``, ``PHASE``, ``CQET``,
+    ``CNOT`` (exact transfers around a ``CQET``), the slot moves and
     ``MEASURE`` never add an entry.
     """
-    splits = sum(1 for op in ops
-                 if op.op == "QET" and exact_turns(op.theta) is None)
+    splits = sum(1 for op in ops if op.kind in ("QET", "RX")
+                 and exact_turns(op.theta) is None)
     qubits = {q for op in ops for q in op.qubits}
     return min(splits, len(qubits))
 
 
-def analyze(ops: list[ClientOp]) -> list[ClientOp]:
-    """The request checks: structure, parameters, addresses, support size.
+def analyze(ops: list[LogicalGate]) -> list[LogicalGate]:
+    """The request checks: addresses, a readout, support size.
 
-    Returns the ops unchanged when everything passes; otherwise raises
-    with one diagnostic per offending operation and nothing is enqueued.
+    Each op was checked on its own as it was decoded.  Returns the ops
+    unchanged when everything passes; otherwise raises with one
+    diagnostic per problem and nothing is enqueued.
     """
-    errors = []
-    for index, op in enumerate(ops):
-        arity = 2 if op.op == "CQET" else 1
-        if len(op.qubits) != arity:
-            errors.append((index, f"{op.op} takes {arity} qubit(s), "
-                                  f"got {len(op.qubits)}"))
-        elif op.op == "CQET" and op.qubits[0] == op.qubits[1]:
-            errors.append((index, "CQET control and target must differ"))
-        if op.op in ("QET", "PHASE") and op.theta is None:
-            errors.append((index, f"missing parameter theta for {op.op}"))
-        if op.op in ("CQET", "MEASURE") and (op.theta is not None
-                                             or op.phi is not None):
-            errors.append((index, f"{op.op} takes no angle parameters"))
-        if op.op == "QET" and op.phi is not None:
-            errors.append((index, "QET takes no phi parameter"))
-        for q in op.qubits:
-            if q < 0 or q >= QUBIT_BUDGET:
-                errors.append(
-                    (index, f"qubit address {q} outside declared range "
-                            f"[0, {QUBIT_BUDGET})"))
-    if not any(op.op == "MEASURE" for op in ops):
+    errors = [(index, f"qubit address {q} outside declared range "
+                      f"[0, {QUBIT_BUDGET})")
+              for index, op in enumerate(ops) for q in op.qubits
+              if not 0 <= q < QUBIT_BUDGET]
+    if not any(op.kind == "MEASURE" for op in ops):
         errors.append((len(ops), "request contains no MEASURE; results would "
                                  "be unreturnable"))
     exponent = 0 if errors else support_exponent(ops)
@@ -195,19 +161,10 @@ def analyze(ops: list[ClientOp]) -> list[ClientOp]:
 
 
 # the fewest commands any op lowers to (a MEASURE's readout)
-_FEWEST_COMMANDS = min(len(TEMPLATES[op]) for op in VALID_OPS)
+_FEWEST_COMMANDS = min(len(template) for template in TEMPLATES.values())
 
 
-def _gate(op: ClientOp) -> Instruction | None:
-    """The op's own gate, built per request and never shared."""
-    if op.op == "QET":
-        return Instruction.qet(op.theta)
-    if op.op == "PHASE":
-        return Instruction.phase(op.theta, 0.0 if op.phi is None else op.phi)
-    return None
-
-
-def transform(ops: list[ClientOp], client_id: str,
+def transform(ops: list[LogicalGate], client_id: str,
               request_id: int = 0) -> Segment:
     """Lower validated logical ops onto the machine slots of one segment.
 
@@ -218,8 +175,8 @@ def transform(ops: list[ClientOp], client_id: str,
     segment depends on the ops alone.
     """
     slots: dict[tuple[int, int], int] = {}
-    instructions = emit([(op.op, op.qubits, _gate(op)) for op in ops], slots)
-    measured = [op.qubits[0] for op in ops if op.op == "MEASURE"]
+    instructions = emit(ops, slots)
+    measured = [op.qubits[0] for op in ops if op.kind == "MEASURE"]
     return Segment(client_id, request_id, instructions, slots, measured)
 
 
@@ -358,7 +315,7 @@ class QpfService:
                          f"controller capacity is {self.capacity()}")])
             ops = analyze(parse_client_ops(raw_ops))
             # each template of an op's lowering is one command (INITs are free)
-            needed = sum(len(TEMPLATES[op.op]) for op in ops)
+            needed = sum(len(TEMPLATES[op.kind]) for op in ops)
             if needed > self.capacity():
                 raise ServiceError(
                     [(0, f"request needs {needed} commands; "

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qetsim.compiler import (CNOT_CORRECTION_PHI, CNOT_CORRECTION_THETA,
-                             LogicalGate, LogicalProgram, decompose_su2,
+                             KINDS, LogicalGate, LogicalProgram, decompose_su2,
                              derive_cnot_corrections, encode_init,
                              leakage_check, pair, parse_logical_program,
                              synthesize_logical_cnot, transform_program)
@@ -334,10 +334,10 @@ def test_logical_text_reuses_a_qubit_after_its_measure():
 
 
 def _lq_line(kind, *args):
-    if kind in ("RX", "RZ"):
-        theta, q = args
-        return f"{kind} {theta!r} q{q}"
-    return " ".join([kind, *(f"q{q}" for q in args)])
+    """A line of logical text from a kind, its angles and its qubits."""
+    angles = len(KINDS[kind][1])
+    return " ".join([kind, *(repr(a) for a in args[:angles]),
+                     *(f"q{q}" for q in args[angles:])])
 
 
 def _lq_text(n, lines):
@@ -345,37 +345,52 @@ def _lq_text(n, lines):
 
 
 def _lines_of(lp):
-    """An RX/RZ/CNOT/MEASURE program's lines, in program order."""
-    return [(op.kind, *(() if op.theta is None else (op.theta,)), *op.qubits)
-            for op in lp.ops]
+    """A program's lines, in program order, without SU2 lines."""
+    return [(op.kind, *(a for a in (op.theta, op.phi) if a is not None),
+             *op.qubits) for op in lp.ops]
+
+
+def _request(lp):
+    """A program's ops as a service request."""
+    return [{"op": op.kind, "qubits": list(op.qubits), "theta": op.theta,
+             "phi": op.phi} for op in lp.ops]
 
 
 @st.composite
 def logical_lines(draw):
-    """``n`` <= 3 and up to 8 RX/RZ/CNOT/MEASURE lines in any order."""
+    """``n`` <= 3 and up to 8 lines of every kind in any order."""
     n = draw(st.integers(1, 3))
     qubit = st.integers(0, n - 1)
     angle = st.sampled_from([0.5, math.pi])
-    line = st.one_of(st.tuples(st.sampled_from(["RX", "RZ"]), angle, qubit),
-                     st.tuples(st.just("MEASURE"), qubit))
+    line = st.one_of(
+        st.tuples(st.sampled_from(["RX", "RZ", "QET"]), angle, qubit),
+        st.tuples(st.just("PHASE"), angle, angle, qubit),
+        st.tuples(st.just("MEASURE"), qubit))
     if n > 1:
-        line |= st.permutations(range(n)).map(lambda p: ("CNOT", p[0], p[1]))
+        line |= st.tuples(st.sampled_from(["CNOT", "CQET"]),
+                          st.permutations(range(n))).map(
+            lambda t: (t[0], t[1][0], t[1][1]))
     return n, draw(st.lists(line, max_size=8))
 
 
 @st.composite
 def exact_logical_lines(draw):
     """``n`` <= 4 and up to 12 lines, every outcome of probability 0 or 1:
-    RX at a whole multiple of pi, RZ at any angle, CNOT and MEASURE, in any
-    order; a last ``MEASURE q0`` makes every program a valid request."""
+    RX and QET at a whole multiple of pi, RZ and PHASE at any angles,
+    CNOT, CQET and MEASURE, in any order; a last ``MEASURE q0`` makes
+    every program a valid request."""
     n = draw(st.integers(1, 4))
     qubit = st.integers(0, n - 1)
     turns = st.integers(-3, 3).map(lambda k: k * math.pi)
-    line = st.one_of(st.tuples(st.just("RX"), turns, qubit),
-                     st.tuples(st.just("RZ"), st.floats(-10, 10), qubit),
+    angle = st.floats(-10, 10)
+    line = st.one_of(st.tuples(st.sampled_from(["RX", "QET"]), turns, qubit),
+                     st.tuples(st.just("RZ"), angle, qubit),
+                     st.tuples(st.just("PHASE"), angle, angle, qubit),
                      st.tuples(st.just("MEASURE"), qubit))
     if n > 1:
-        line |= st.permutations(range(n)).map(lambda p: ("CNOT", p[0], p[1]))
+        line |= st.tuples(st.sampled_from(["CNOT", "CQET"]),
+                          st.permutations(range(n))).map(
+            lambda t: (t[0], t[1][0], t[1][1]))
     return n, draw(st.lists(line, max_size=12)) + [("MEASURE", 0)]
 
 
@@ -383,41 +398,23 @@ def _bit_model(lines):
     """``(qubit, bit)`` of each MEASURE of ``exact_logical_lines``' lines.
 
     Each qubit starts at logical 0 and is back at 0 after a MEASURE.  RX
-    at an odd multiple of pi flips its bit, RZ never does, and CNOT flips
-    the target when the control is 1.
+    and QET at an odd multiple of pi flip the bit, RZ and PHASE never do,
+    CNOT flips the target when the control is 1 and CQET, the raw
+    controlled transfer, when the control is 0.
     """
     bits = {}
     results = []
     for kind, *args in lines:
-        q = args[-1]  # the qubit of RX, RZ and MEASURE; CNOT's target
-        if kind == "RX" and round(args[0] / math.pi) % 2:
+        q = args[-1]  # the op's qubit, or the target of CNOT and CQET
+        if kind in ("RX", "QET") and round(args[0] / math.pi) % 2:
             bits[q] = 1 - bits.get(q, 0)
         elif kind == "CNOT" and bits.get(args[0], 0):
+            bits[q] = 1 - bits.get(q, 0)
+        elif kind == "CQET" and not bits.get(args[0], 0):
             bits[q] = 1 - bits.get(q, 0)
         elif kind == "MEASURE":
             results.append((q, bits.pop(q, 0)))
     return results
-
-
-def _client_ops(lines):
-    """The same program as a service request: the lowering's ops, spelled
-    out with the CNOT's corrections."""
-    raw = []
-    for kind, *args in lines:
-        if kind == "RX":
-            raw.append({"op": "QET", "qubits": [args[1]], "theta": -args[0]})
-        elif kind == "RZ":
-            raw.append({"op": "PHASE", "qubits": [args[1]], "theta": args[0]})
-        elif kind == "CNOT":
-            ctrl, tgt = args
-            flip = {"op": "QET", "qubits": [ctrl], "theta": math.pi}
-            raw += [flip, {"op": "CQET", "qubits": [ctrl, tgt]},
-                    {"op": "PHASE", "qubits": [ctrl],
-                     "theta": CNOT_CORRECTION_THETA, "phi": CNOT_CORRECTION_PHI},
-                    flip]
-        else:
-            raw.append({"op": "MEASURE", "qubits": args})
-    return raw
 
 
 @settings(max_examples=200)
@@ -428,15 +425,36 @@ def test_logical_text_with_midcircuit_measure_matches_its_bit_model(program,
     # and the service's reply to the same ops read the same bits
     n, lines = program
     expected = _bit_model(lines)
-    lowered = transform_program(parse_logical_program(_lq_text(n, lines)))
-    records = run_program(lowered, RandomSource(seed))
+    lp = parse_logical_program(_lq_text(n, lines))
+    records = run_program(transform_program(lp), RandomSource(seed))
     # each readout measures the pair's first slot, then its second
     assert records == [(slot, level) for q, bit in expected
                        for slot, level in zip(pair(q), (bit, 1 - bit))]
-    reply = QpfService(seed=seed).submit_request("a", _client_ops(lines))
+    reply = QpfService(seed=seed).submit_request("a", _request(lp))
     assert reply == {"type": "result",
                      "results": [{"qubit": q, "bit": bit}
                                  for q, bit in expected]}
+
+
+@pytest.mark.parametrize("line, readouts", [
+    ("RX 3.141592653589793 q0", [(0, 1), (1, 1)]),
+    ("RZ 0.5 q0", [(0, 0), (1, 1)]),
+    ("QET 3.141592653589793 q0", [(0, 1), (1, 1)]),
+    ("PHASE 0.5 0.25 q1", [(0, 0), (1, 1)]),
+    ("CNOT q1 q0", [(0, 1), (1, 1)]),
+    ("CQET q0 q1", [(0, 0), (1, 0)]),
+    ("MEASURE q1", [(1, 1), (0, 0), (1, 0)]),
+], ids=list(KINDS))
+def test_each_op_kind_reads_the_same_through_both_front_ends(line, readouts):
+    # q1 is set to 1 first, so that each kind's line changes a bit or shows
+    # that it does not
+    lp = parse_logical_program("LQ n=2\nRX 3.141592653589793 q1\n"
+                               f"{line}\nMEASURE q0\nMEASURE q1\n")
+    records = run_program(transform_program(lp), RandomSource(0))
+    assert [(slot // 2, bit) for slot, bit in records[0::2]] == readouts
+    reply = QpfService(seed=0).submit_request("a", _request(lp))
+    assert reply == {"type": "result", "results": [
+        {"qubit": q, "bit": bit} for q, bit in readouts]}
 
 
 @settings(max_examples=200)

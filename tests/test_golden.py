@@ -29,12 +29,23 @@ right before its first use; their other lines, in order, and their set
 of ``INIT`` lines stayed as they were.  ``midmeasure.lq`` (a qubit
 measured, reused through RX, RZ and CNOT, as control and as target, and
 measured again) and its run and compile output were recorded when
-logical text gained mid-circuit ``MEASURE``.  A change that alters any
-of them changes the fixed-seed contract and must say so.
+logical text gained mid-circuit ``MEASURE``.  ``validate_lq_syntax``,
+``run_lq_syntax`` and ``compile_qpu_file`` were recorded again when both
+front ends began to check their ops with one record in one vocabulary:
+a CNOT on one qubit now reads ``CNOT control and target must differ``,
+as the service words it, and logical text knows ``QET``, ``PHASE`` and
+``CQET``, so the machine lines of ``machine.qpu`` fail at their operands
+and no longer as unknown operations.  A change that alters any of them
+changes the fixed-seed contract and must say so.
+
+Run as a script, ``python tests/test_golden.py GOT WANT`` compares two
+JSON-lines record files as the protocol-verify test does, and exits
+non-zero on a mismatch.
 """
 
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,8 +98,16 @@ def test_seeded_human_run_transcript_is_byte_identical(capsys):
                            GOLDEN / "bell_seed5_human.txt")
 
 
+def _read_records(path) -> list:
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
 def _assert_records_match(got, want, tol=1e-12):
-    """Same structure, keys and strings; numbers within ``tol``."""
+    """Same structure, keys and strings; numbers within ``tol``.
+
+    A number must be recorded as a number: a bool or a string in its
+    place fails, though ``True - 1.0`` is 0.
+    """
     if isinstance(want, dict):
         assert isinstance(got, dict) and list(got) == list(want)
         for key in want:
@@ -98,9 +117,16 @@ def _assert_records_match(got, want, tol=1e-12):
         for g, w in zip(got, want):
             _assert_records_match(g, w, tol)
     elif isinstance(want, (int, float)) and not isinstance(want, bool):
-        assert abs(got - want) <= tol, (got, want)
+        assert type(got) in (int, float) and abs(got - want) <= tol, (got, want)
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("got", [True, "1.0", 1.0 + 1e-9],
+                         ids=["bool", "string", "beyond-tolerance"])
+def test_record_comparison_refuses_what_is_not_the_number(got):
+    with pytest.raises(AssertionError):
+        _assert_records_match([{"x": got}], [{"x": 1.0}])
 
 
 @pytest.mark.parametrize("convention", ["ideal", "physical"])
@@ -111,9 +137,8 @@ def test_protocol_verify_records_match(convention, capsys):
     assert main(["protocol-verify", "--samples", "20", "--output", "machine",
                  "--convention", convention]) == 0
     got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    path = GOLDEN / f"protocol_verify_{convention}.jsonl"
-    want = [json.loads(line) for line in path.read_text().splitlines()]
-    _assert_records_match(got, want)
+    _assert_records_match(
+        got, _read_records(GOLDEN / f"protocol_verify_{convention}.jsonl"))
 
 
 @pytest.mark.parametrize("name", ["bell", "ghz7", "mixed", "midmeasure"])
@@ -151,3 +176,7 @@ def test_cli_error_transcript_is_byte_identical(name, argv, capsys,
     out, err = capsys.readouterr()
     transcript = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
     _assert_matches_golden(transcript, ERRORS / f"{name}.txt")
+
+
+if __name__ == "__main__":
+    _assert_records_match(*map(_read_records, sys.argv[1:3]))

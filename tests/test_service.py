@@ -174,15 +174,15 @@ def test_transform_lowers_onto_slots_with_inits_where_they_were():
 
 
 _ANGLES = st.sampled_from([0.3, -1.1, 2.0, math.pi, -math.pi / 2, 2 * math.pi])
+_QUBIT_PAIR = st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True)
 _CLIENT_OP = st.one_of(
-    st.builds(lambda q, t: {"op": "QET", "qubits": [q], "theta": t},
-              st.integers(0, 3), _ANGLES),
+    st.builds(lambda kind, q, t: {"op": kind, "qubits": [q], "theta": t},
+              st.sampled_from(["QET", "RX", "RZ"]), st.integers(0, 3), _ANGLES),
     st.builds(lambda q, t: {"op": "PHASE", "qubits": [q], "theta": t,
                             "phi": 0.7},
               st.integers(0, 3), _ANGLES),
-    st.builds(lambda qs: {"op": "CQET", "qubits": qs},
-              st.lists(st.integers(0, 3), min_size=2, max_size=2,
-                       unique=True)),
+    st.builds(lambda kind, qs: {"op": kind, "qubits": qs},
+              st.sampled_from(["CQET", "CNOT"]), _QUBIT_PAIR),
     st.builds(lambda q: {"op": "MEASURE", "qubits": [q]}, st.integers(0, 3)))
 _CLIENT_ID = st.text("abxyz", min_size=1, max_size=4)
 
@@ -529,6 +529,12 @@ def test_support_exponent_counts_only_splitting_transfers():
     assert support_exponent(ops) == 2
     # never more than one bit per qubit: each pair holds one excitation
     assert support_exponent(ops * 10) == 2
+    # an RX is a QET of the negated angle; a CNOT's transfers are exact
+    assert support_exponent(_ops([
+        {"op": "RX", "qubits": [0], "theta": 0.3},
+        {"op": "RX", "qubits": [1], "theta": -math.pi},
+        {"op": "CNOT", "qubits": [1, 2]},
+        {"op": "MEASURE", "qubits": [0]}])) == 1
 
 
 @settings(max_examples=200)
@@ -537,7 +543,7 @@ def test_machine_support_stays_within_the_bound(raw, seed):
     ops = analyze(_ops(raw + [{"op": "MEASURE", "qubits": [0]}]))
     segment = transform(ops, "a")
     # the count the service checks against its capacity before lowering
-    assert sum(len(TEMPLATES[op.op]) for op in ops) == segment.command_count
+    assert sum(len(TEMPLATES[op.kind]) for op in ops) == segment.command_count
     program = _concretize(segment, 0)
     machine, rng = fresh_machine(program.s), RandomSource(seed)
     bound = 2 ** support_exponent(ops)
