@@ -81,12 +81,12 @@ class LogicalGate:
     phi: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        syntax = KINDS.get(self.kind)
+        if syntax is None:
             raise SynthesisError(f"unknown logical gate {self.kind!r}")
+        arity, angles = syntax
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        arity, angles = KINDS[self.kind]
-        for label in ("theta", "phi"):
-            value = getattr(self, label)
+        for label, value in (("theta", self.theta), ("phi", self.phi)):
             # NaN, an infinity or an int too large for a float fails
             if value is not None and not abs(value) <= sys.float_info.max:
                 raise SynthesisError(f"{label} must be finite")

@@ -103,17 +103,17 @@ def parse_client_ops(raw_ops) -> list[LogicalGate]:
                            for q in qubits)):
             errors.append((index, "qubits must be a non-empty list of integers"))
             continue
-        angles = {label: raw.get(label) for label in ("theta", "phi")}
-        wrong = [label for label, value in angles.items() if value is not None
-                 and (not isinstance(value, (int, float))
-                      or isinstance(value, bool))]
-        if wrong:
-            errors.append((index, f"{wrong[0]} must be a number"))
-            continue
-        try:
-            ops.append(LogicalGate(kind, qubits, **angles))
-        except SynthesisError as exc:
-            errors.append((index, str(exc)))
+        theta, phi = raw.get("theta"), raw.get("phi")
+        for label, value in (("theta", theta), ("phi", phi)):
+            if value is not None and (not isinstance(value, (int, float))
+                                      or isinstance(value, bool)):
+                errors.append((index, f"{label} must be a number"))
+                break
+        else:  # every angle given is a number
+            try:
+                ops.append(LogicalGate(kind, qubits, theta, phi))
+            except SynthesisError as exc:
+                errors.append((index, str(exc)))
     if errors:
         raise ServiceError(errors)
     return ops

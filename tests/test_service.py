@@ -709,6 +709,8 @@ def _error_line(index, message):
     (_submit_line(_MEASURE, client=""),
      _error_line(-1, "submit needs a client id")),
     (_submit_line("1"), _error_line(0, "operation must be an object")),
+    (_submit_line('{"op":["QET"],"qubits":[0]}'),
+     _error_line(0, "unknown operation ['QET']")),
     (_submit_line('{"op":"QET","qubits":[0],"theta":"1"}'),
      _error_line(0, "theta must be a number")),
     (_submit_line('{"op":"CQET","qubits":[0]}'),
@@ -717,8 +719,8 @@ def _error_line(index, message):
      _error_line(0, "CQET control and target must differ")),
     (_submit_line('{"op":"QET","qubits":[0],"theta":1.0,"phi":0.5}'),
      _error_line(0, "QET takes no phi parameter")),
-], ids=["not-an-object", "empty-client", "op-not-object", "string-theta",
-        "cqet-one-qubit", "cqet-same-qubit", "qet-with-phi"])
+], ids=["not-an-object", "empty-client", "op-not-object", "unhashable-kind",
+        "string-theta", "cqet-one-qubit", "cqet-same-qubit", "qet-with-phi"])
 def test_rejection_reply_commits_nothing(line, reply):
     service = QpfService(seed=0)
     assert service.handle_line(line) == reply
