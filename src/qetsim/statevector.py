@@ -75,10 +75,11 @@ class LocalUnitary:
 
 
 class RandomSource:
-    """Deterministic outcome sampler; a fixed seed fixes the whole sequence.
+    """Deterministic sampler; a fixed seed fixes the whole sequence.
 
-    The uniforms are those of ``numpy.random.default_rng(seed)``.  A
-    single instance must not be shared between threads.
+    The uniforms are those of ``numpy.random.default_rng(seed)``; the
+    outcome draws and the normal deviates both read them.  A single
+    instance must not be shared between threads.
     """
 
     def __init__(self, seed: int = 0):
@@ -94,6 +95,14 @@ class RandomSource:
                 return k
         # the sum rounded below r: the last outcome that can happen
         return max((k for k, p in enumerate(probabilities) if p > 0), default=0)
+
+    def normal(self) -> float:
+        """A standard normal deviate by Box-Muller over two uniform draws.
+
+        The radius reads ``1 - u``, in ``(0, 1]``, so a zero draw is safe.
+        """
+        radius = math.sqrt(-2.0 * math.log(1.0 - self._gen.random()))
+        return radius * math.cos(2.0 * math.pi * self._gen.random())
 
 
 def basis_state(shape, levels) -> StateVector:

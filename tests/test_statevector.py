@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -174,6 +175,41 @@ def test_choose_never_returns_an_impossible_outcome():
     outcome, collapsed = measure_subsystem(state, 0, rng)
     assert outcome == 9
     assert collapsed.amps[9] == 1
+
+
+def test_normal_deviates_repeat_for_a_seed():
+    a, b = RandomSource(31), RandomSource(31)
+    draws = [a.normal() for _ in range(500)]
+    assert draws == [b.normal() for _ in range(500)]
+    assert draws != [RandomSource(32).normal() for _ in range(500)]
+
+
+def test_normal_deviates_have_unit_moments():
+    # standard errors of a standard normal's sample mean and variance
+    # over n draws: 1/sqrt(n) and sqrt(2/n)
+    n = 20_000
+    rng = RandomSource(2026)
+    draws = np.array([rng.normal() for _ in range(n)])
+    assert abs(draws.mean()) < 5 / math.sqrt(n)
+    assert abs(draws.var() - 1) < 5 * math.sqrt(2 / n)
+
+
+def test_normal_is_finite_at_both_ends_of_the_uniform_range():
+    rng = RandomSource(0)
+    rng._gen = SimpleNamespace(random=lambda: 0.0)
+    assert rng.normal() == 0.0
+    rng._gen = SimpleNamespace(random=lambda: 1 - 2 ** -53)
+    assert math.isfinite(rng.normal())
+
+
+def test_normal_draws_leave_other_sources_alone():
+    drawn, watched, alone = RandomSource(5), RandomSource(5), RandomSource(5)
+    probabilities = [0.25] * 4
+    seen = []
+    for _ in range(200):
+        drawn.normal()
+        seen.append(watched.choose(probabilities))
+    assert seen == [alone.choose(probabilities) for _ in range(200)]
 
 
 def test_fidelity_self_is_one():
