@@ -312,6 +312,15 @@ def test_serve_stdio_one_shot(monkeypatch, capsys):
                                 "results": [{"qubit": 0, "bit": 0}]}
 
 
+def _fresh_python(script: str) -> str:
+    """Stdout of ``script`` in a new interpreter that imports this qetsim."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qetsim.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_seeded_runs_never_import_numpy_random():
     # importing numpy.random alone maps about 6 MB (secrets, OpenSSL) into
     # the process; qetsim.pcg64 reproduces its stream so that no seeded
@@ -326,8 +335,14 @@ def test_seeded_runs_never_import_numpy_random():
         f"with open({str(golden / 'service_requests.jsonl')!r}, 'rb') as requests:\n"
         "    serve_stdio(QpfService(seed=7, capacity=64), requests, io.StringIO())\n"
         "print('numpy.random' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(qetsim.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert _fresh_python(script) == "False\n"
+
+
+def test_bare_package_import_loads_no_module():
+    # names are imported from their modules, so a process that needs
+    # only the protocol oracle never loads the service or the compiler
+    script = ("import sys\n"
+              "import qetsim\n"
+              "print(sorted(name for name in sys.modules\n"
+              "             if name.startswith('qetsim.')))\n")
+    assert _fresh_python(script) == "[]\n"

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qetsim import protocol
 from qetsim.errors import ProtocolError
 from qetsim.protocol import (DOT, MEM_A, PHOTON_A, PROTOCOL_DIMS,
                              PROTOCOL_SEQUENCE, SWAP_FACTOR, ElementaryOp,
-                             ProtocolInput, _step_unitaries, assemble_state,
+                             ProtocolInput, _branch_phases, _step_unitaries,
+                             assemble_state,
                              conditional_transfer_matrix, config_index,
                              elementary_unitary, frame_vector,
                              initial_state, run_protocol, step_term_trace,
@@ -168,15 +170,63 @@ def test_verify_physical_branch_phase_pattern():
 @pytest.mark.parametrize("convention", sorted(SWAP_FACTOR))
 def test_branch_phases_equal_one_run_per_lineage(convention):
     # the phases come off one equal-weight run; each lineage run on its own
-    # must give the same numbers, bit for bit
-    report = verify_against_cqet(1, convention)
+    # must give the same numbers, bit for bit, both from the run that
+    # builds the cached phases and from a later call that reads them
+    _branch_phases.cache_clear()
+    reports = [verify_against_cqet(1, convention) for _ in range(2)]
     plain = conditional_transfer_matrix()
     for k, lineage in enumerate(LINEAGES):
         inp = ProtocolInput(*[1.0 if j == k else 0.0 for j in range(4)])
         expected = plain @ frame_vector(initial_state(inp))
         got = frame_vector(run_protocol(inp, convention).final)
         target = int(np.argmax(np.abs(expected)))
-        assert report.branch_phases[lineage] == got[target] / expected[target]
+        for report in reports:
+            assert report.branch_phases[lineage] == got[target] / expected[target]
+
+
+def test_branch_phases_are_a_fresh_dict_per_call():
+    first = verify_against_cqet(1, "physical")
+    first.branch_phases["alpha"] = 0j
+    del first.branch_phases["gamma"]
+    second = verify_against_cqet(1, "physical")
+    assert second.branch_phases == {"alpha": -1, "beta": 1, "gamma": 1j,
+                                    "delta": 1}
+    assert second.branch_phases is not first.branch_phases
+
+
+def test_branch_phase_run_goes_through_the_module_functions(monkeypatch):
+    # a wrapper set on the module, as the benchmark's tracer sets one,
+    # sees the equal-weight run that builds the phases, and only once
+    calls = []
+
+    def counted(name):
+        original = getattr(protocol, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("run_protocol", "frame_vector"):
+        monkeypatch.setattr(protocol, name, counted(name))
+    _branch_phases.cache_clear()
+    for _ in range(2):
+        verify_against_cqet(1, "ideal")
+    # per call one sampled run and its two frames; one more run and frame
+    assert calls.count("run_protocol") == 3
+    assert calls.count("frame_vector") == 5
+
+
+def test_term_trace_cannot_be_corrupted():
+    trace = step_term_trace("physical")
+    before = [dict(step) for step in trace]
+    with pytest.raises(TypeError):
+        trace[0]["alpha"] = ((0, 1, 0, 1, 0, 1), 0j)
+    with pytest.raises(TypeError):
+        del trace[-1]["beta"]
+    with pytest.raises(TypeError):
+        trace[0] = {}
+    assert [dict(step) for step in step_term_trace("physical")] == before
 
 
 def test_verify_requires_samples():
@@ -210,8 +260,12 @@ def test_bad_elementary_ops_rejected():
 def test_unknown_convention_rejected():
     with pytest.raises(ProtocolError, match="unknown convention 'exact'"):
         run_protocol(BALANCED, "exact")
-    with pytest.raises(ProtocolError, match="unknown convention 'exact'"):
-        step_term_trace("exact")
+    # twice: the cached builders never keep an exception
+    for _ in range(2):
+        with pytest.raises(ProtocolError, match="unknown convention 'exact'"):
+            step_term_trace("exact")
+        with pytest.raises(ProtocolError, match="unknown convention 'exact'"):
+            verify_against_cqet(1, "exact")
     with pytest.raises(ProtocolError, match="unknown convention 'exact'"):
         elementary_unitary(ElementaryOp("U", "a"), "exact")
 
