@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ProtocolError
 from .gates import cqet_matrix
-from .statevector import LocalUnitary, StateVector, apply_local
+from .statevector import LocalUnitary, RandomSource, StateVector, apply_local
 
 PROTOCOL_DIMS = (2, 4, 2, 3, 2, 4)
 PHOTON_A, MEM_A, PHOTON_B, DOT, PHOTON_C, MEM_C = range(6)
@@ -386,16 +386,21 @@ def _branch_phases(convention: str) -> tuple[tuple[str, complex], ...]:
 
 def verify_against_cqet(samples: int, convention: str = "ideal",
                         seed: int = 0) -> CqetComparison:
-    """Run random inputs through the protocol and compare on the frame."""
+    """Run random inputs through the protocol and compare on the frame.
+
+    The inputs are normalised complex Gaussians drawn from
+    ``RandomSource(seed)``: four real parts, then four imaginary parts.
+    """
     if samples < 1:
         raise ProtocolError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = RandomSource(seed)
     plain = conditional_transfer_matrix()
     gate = cqet_matrix().entries
     worst_plain = 0.0
     worst_gate = 0.0
     for _ in range(samples):
-        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        raw = np.array([rng.normal() for _ in range(8)])
+        raw = raw[:4] + 1j * raw[4:]
         raw /= math.sqrt(float(np.sum(np.abs(raw) ** 2)))
         inp = ProtocolInput(*raw)
         frame_in = frame_vector(initial_state(inp))

@@ -324,7 +324,7 @@ def _fresh_python(script: str) -> str:
 def test_seeded_runs_never_import_numpy_random():
     # importing numpy.random alone maps about 6 MB (secrets, OpenSSL) into
     # the process; qetsim.pcg64 reproduces its stream so that no seeded
-    # run or service needs it
+    # run, service or protocol oracle needs it
     golden = Path(__file__).parent / "golden"
     script = (
         "import contextlib, io, sys\n"
@@ -332,6 +332,9 @@ def test_seeded_runs_never_import_numpy_random():
         "from qetsim.service import QpfService, serve_stdio\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['run', {str(golden / 'bell.lq')!r}, '--seed', '5']) == 0\n"
+        "    for convention in ('ideal', 'physical'):\n"
+        "        assert main(['protocol-verify', '--samples', '3', '--seed', '9',\n"
+        "                     '--convention', convention]) == 0\n"
         f"with open({str(golden / 'service_requests.jsonl')!r}, 'rb') as requests:\n"
         "    serve_stdio(QpfService(seed=7, capacity=64), requests, io.StringIO())\n"
         "print('numpy.random' in sys.modules)\n")
