@@ -35,7 +35,14 @@ front ends began to check their ops with one record in one vocabulary:
 a CNOT on one qubit now reads ``CNOT control and target must differ``,
 as the service words it, and logical text knows ``QET``, ``PHASE`` and
 ``CQET``, so the machine lines of ``machine.qpu`` fail at their operands
-and no longer as unknown operations.  A change that alters any of them
+and no longer as unknown operations.  ``protocol_verify_ideal.jsonl``
+and ``protocol_verify_physical.jsonl`` were recorded again when
+``verify_against_cqet`` began to draw its Gaussian inputs from
+``RandomSource`` (Box-Muller over the package's PCG64 stream) in place
+of ``numpy.random``: only their summary lines moved, because
+``matrix_infidelity`` and the physical ``transfer_infidelity`` are worst
+cases over the sampled inputs; the step fidelities, the branch phases
+and the ideal transfer bound stayed.  A change that alters any of them
 changes the fixed-seed contract and must say so.
 
 Run as a script, ``python tests/test_golden.py GOT WANT`` compares two
