@@ -6,6 +6,9 @@ through a ``SeedSequence``; ``random()`` keeps the top 53 bits of each
 a seed gives the same doubles, bit for bit, without importing
 ``numpy.random``: that import alone maps about 6 MB into a process,
 because ``numpy.random`` pulls in ``secrets`` and with it OpenSSL.
+It is the package's only generator: ``statevector.RandomSource`` draws
+the machine's and the service's outcomes from it, and the protocol
+oracle's Gaussian inputs through a Box-Muller transform of its doubles.
 """
 
 from __future__ import annotations
