@@ -396,6 +396,8 @@ def verify_against_cqet(samples: int, convention: str = "ideal",
     rng = RandomSource(seed)
     plain = conditional_transfer_matrix()
     gate = cqet_matrix().entries
+    # each lineage starts as one configuration on its own frame index
+    starts = [_frame_index(START_CONFIGS[lineage]) for lineage in LINEAGES]
     worst_plain = 0.0
     worst_gate = 0.0
     for _ in range(samples):
@@ -403,7 +405,8 @@ def verify_against_cqet(samples: int, convention: str = "ideal",
         raw = raw[:4] + 1j * raw[4:]
         raw /= math.sqrt(float(np.sum(np.abs(raw) ** 2)))
         inp = ProtocolInput(*raw)
-        frame_in = frame_vector(initial_state(inp))
+        frame_in = np.zeros(8, dtype=complex)
+        frame_in[starts] = inp.coefficients
         frame_out = frame_vector(run_protocol(inp, convention).final)
         worst_plain = max(worst_plain,
                           1.0 - abs(np.vdot(plain @ frame_in, frame_out)) ** 2)

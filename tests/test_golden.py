@@ -1,19 +1,31 @@
 """Seeded transcripts and compiler output must stay byte-identical.
 
+``golden/transcripts.txt`` lists every transcript under ``golden/``, one
+a line: the file, how it is compared and the ``qetsim`` arguments that
+make it.  The tests below parametrize from that list alone and call the
+CLI in process; CI's "Seeded transcripts" step loops over the same list
+through ``python -m qetsim.cli`` in a subprocess.  A golden is added, or
+re-recorded, in a commit of its own that CHANGES.md names: a new golden
+is one more line in the list and the CLI's output written to its file.
+A file under ``golden/`` that no line names, as transcript or as input,
+fails Tier-1, and so does a line whose transcript is gone.
+
 The run transcripts under ``golden/`` were recorded with the dense
 state-vector machine that preceded the sparse register; the service
 transcript was recorded before the opcode table, the shared occupancy
 step and the shared lowering emitters replaced their duplicated
 predecessors.  The CLI error transcripts under ``golden/cli_errors/``
-(stdout, stderr and exit code of each case in its ``cases.txt``) were
-recorded before the CLI reported every error from one place, except
-``validate_lq_too_wide`` and ``validate_qpu_too_wide``, which were
-recorded when ``validate`` began to refuse a program wider than the
-machine, and ``validate_lq_range``, recorded when a qubit outside
-``[0, n)`` began to be reported at its own line, and
-``run_shots_not_integer``, recorded when an option's integer type began
-to name its own rule for text that is not an integer (an argparse
-error: exit 2 and the usage at 80 columns).  The service transcript's
+(stdout, stderr and exit code of each case) were recorded before the
+CLI reported every error from one place, except ``validate_lq_too_wide``
+and ``validate_qpu_too_wide``, which were recorded when ``validate``
+began to refuse a program wider than the machine, and
+``validate_lq_range``, recorded when a qubit outside ``[0, n)`` began to
+be reported at its own line, and ``run_shots_not_integer``, recorded
+when an option's integer type began to name its own rule for text that
+is not an integer (an argparse error: exit 2 and the usage at 80
+columns).  The service transcript
+holds valid requests from several clients, every kind of rejection, a
+backend failure (65 positions) and malformed or unknown messages; its
 last request, a qubit measured, reused and measured again, was appended
 when each ``MEASURE`` began to get its own bits; every outcome in its
 reply has probability 0 or 1.  ``mixed_seed5.jsonl``, the only seeded
@@ -46,7 +58,7 @@ and the ideal transfer bound stayed.  A change that alters any of them
 changes the fixed-seed contract and must say so.
 
 Run as a script, ``python tests/test_golden.py GOT WANT`` compares two
-JSON-lines record files as the protocol-verify test does, and exits
+JSON-lines record files as ``test_records_match`` does, and exits
 non-zero on a mismatch.
 """
 
@@ -58,10 +70,36 @@ from pathlib import Path
 import pytest
 
 from qetsim.cli import main
-from qetsim.service import QpfService, serve_stdio
 
-GOLDEN = Path(__file__).parent / "golden"
-ERRORS = GOLDEN / "cli_errors"
+ROOT = Path(__file__).parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+LIST = GOLDEN / "transcripts.txt"
+# (file, kind, arguments) for each line of the list
+TRANSCRIPTS = [line.split(None, 2) for line in LIST.read_text().splitlines()
+               if not line.startswith("#")]
+
+
+def _cases(kind):
+    return [pytest.param(file, args, id=Path(file).stem)
+            for file, how, args in TRANSCRIPTS if how == kind]
+
+
+def _qetsim(args: str, monkeypatch, capsys):
+    """Exit code, stdout and stderr of ``qetsim ARGS [< PATH]``, as CI runs it.
+
+    Paths, and so the messages that cite them, are relative to the
+    repository root; argparse wraps its usage to the terminal width.
+    """
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, _, stdin = args.partition(" < ")
+    data = Path(stdin).read_bytes() if stdin else b""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse refused the command line
+        code = exc.code
+    return (code, *capsys.readouterr())
 
 
 def _assert_matches_golden(got: str, path: Path) -> None:
@@ -84,29 +122,8 @@ def _assert_matches_golden(got: str, path: Path) -> None:
                 f"  got    {got_at!r}\n  golden {want_at!r}", pytrace=False)
 
 
-@pytest.mark.parametrize("program, shots, transcript", [
-    ("bell.lq", 2000, "bell_seed5.jsonl"),
-    ("ghz7.lq", 20, "ghz7_seed5.jsonl"),
-    ("mixed.lq", 200, "mixed_seed5.jsonl"),
-    ("reuse.qpu", 200, "reuse_seed5.jsonl"),
-    ("midmeasure.lq", 200, "midmeasure_seed5.jsonl"),
-])
-def test_seeded_run_transcript_is_byte_identical(program, shots, transcript,
-                                                 capsys):
-    assert main(["run", str(GOLDEN / program), "--seed", "5",
-                 "--shots", str(shots), "--output", "machine"]) == 0
-    _assert_matches_golden(capsys.readouterr().out, GOLDEN / transcript)
-
-
-def test_seeded_human_run_transcript_is_byte_identical(capsys):
-    assert main(["run", str(GOLDEN / "bell.lq"), "--seed", "5",
-                 "--shots", "200"]) == 0
-    _assert_matches_golden(capsys.readouterr().out,
-                           GOLDEN / "bell_seed5_human.txt")
-
-
-def _read_records(path) -> list:
-    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+def _records(text: str) -> list:
+    return [json.loads(line) for line in text.splitlines()]
 
 
 def _assert_records_match(got, want, tol=1e-12):
@@ -136,54 +153,51 @@ def test_record_comparison_refuses_what_is_not_the_number(got):
         _assert_records_match([{"x": got}], [{"x": 1.0}])
 
 
-@pytest.mark.parametrize("convention", ["ideal", "physical"])
-def test_protocol_verify_records_match(convention, capsys):
+@pytest.mark.parametrize("file, args", _cases("stdout"))
+def test_stdout_is_byte_identical(file, args, monkeypatch, capsys):
+    code, out, _ = _qetsim(args, monkeypatch, capsys)
+    assert code == 0
+    _assert_matches_golden(out, GOLDEN / file)
+
+
+@pytest.mark.parametrize("file, args", _cases("records"))
+def test_records_match(file, args, monkeypatch, capsys):
     # the ideal transfer infidelity is a last-bit value that depends on
     # the BLAS summation order, so numbers are compared within 1e-12
     # rather than byte for byte
-    assert main(["protocol-verify", "--samples", "20", "--output", "machine",
-                 "--convention", convention]) == 0
-    got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    _assert_records_match(
-        got, _read_records(GOLDEN / f"protocol_verify_{convention}.jsonl"))
+    code, out, _ = _qetsim(args, monkeypatch, capsys)
+    assert code == 0
+    _assert_records_match(_records(out),
+                          _records((GOLDEN / file).read_text()))
 
 
-@pytest.mark.parametrize("name", ["bell", "ghz7", "mixed", "midmeasure"])
-def test_compile_output_is_byte_identical(name, capsys):
-    assert main(["compile", str(GOLDEN / f"{name}.lq")]) == 0
-    _assert_matches_golden(capsys.readouterr().out, GOLDEN / f"{name}.qpu")
+@pytest.mark.parametrize("file, args", _cases("exit"))
+def test_cli_error_transcript_is_byte_identical(file, args, monkeypatch,
+                                                capsys):
+    code, out, err = _qetsim(args, monkeypatch, capsys)
+    _assert_matches_golden(f"exit {code}\n--- stdout\n{out}--- stderr\n{err}",
+                           GOLDEN / file)
 
 
-def test_seeded_service_transcript_is_byte_identical():
-    # valid requests from several clients, every kind of rejection, a
-    # backend failure (65 positions) and malformed or unknown messages
-    out = io.StringIO()
-    with open(GOLDEN / "service_requests.jsonl", "rb") as requests:
-        serve_stdio(QpfService(seed=7, capacity=64), requests, out)
-    _assert_matches_golden(out.getvalue(), GOLDEN / "service_seed7.jsonl")
+def test_list_names_every_golden_once():
+    # each transcript once and present, each with a kind some test reads;
+    # every other file under golden/ is an input that some line names
+    assert {how for _, how, _ in TRANSCRIPTS} <= {"stdout", "records", "exit"}
+    inputs = {word.removeprefix("tests/golden/") for _, _, args in TRANSCRIPTS
+              for word in args.split() if word.startswith("tests/golden/")}
+    files = {path.relative_to(GOLDEN).as_posix() for path in GOLDEN.rglob("*")
+             if path.is_file() and path != LIST}
+    assert sorted(file for file, _, _ in TRANSCRIPTS) == sorted(files - inputs)
 
 
-def _error_cases():
-    for line in (ERRORS / "cases.txt").read_text().splitlines():
-        name, *argv = line.split()
-        yield pytest.param(name, argv, id=name)
-
-
-@pytest.mark.parametrize("name, argv", _error_cases())
-def test_cli_error_transcript_is_byte_identical(name, argv, capsys,
-                                                monkeypatch):
-    # the paths in cases.txt, and so in the messages, are relative to the
-    # repository root; argparse wraps its usage to the terminal width
-    monkeypatch.chdir(GOLDEN.parents[1])
-    monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refused the command line
-        code = exc.code
-    out, err = capsys.readouterr()
-    transcript = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
-    _assert_matches_golden(transcript, ERRORS / f"{name}.txt")
+@pytest.mark.parametrize("program", sorted([*GOLDEN.glob("*.lq"),
+                                            *GOLDEN.glob("*.qpu")]),
+                         ids=lambda path: path.name)
+def test_golden_program_validates(program, capsys):
+    assert main(["validate", str(program)]) == 0
+    assert capsys.readouterr().out == "ok\n"
 
 
 if __name__ == "__main__":
-    _assert_records_match(*map(_read_records, sys.argv[1:3]))
+    _assert_records_match(*(_records(Path(path).read_text())
+                            for path in sys.argv[1:3]))

@@ -210,9 +210,10 @@ def test_branch_phase_run_goes_through_the_module_functions(monkeypatch):
     _branch_phases.cache_clear()
     for _ in range(2):
         verify_against_cqet(1, "ideal")
-    # per call one sampled run and its two frames; one more run and frame
+    # per call one sampled run and its output frame, the input frame being
+    # read off the coefficients; one more run and frame
     assert calls.count("run_protocol") == 3
-    assert calls.count("frame_vector") == 5
+    assert calls.count("frame_vector") == 3
 
 
 def test_term_trace_cannot_be_corrupted():
