@@ -171,7 +171,8 @@ class QuantumProgram:
 def read_operand(prefix: str, token: str) -> int:
     """The non-negative integer written after ``prefix`` (any case) in ``token``."""
     digits = token[len(prefix):]
-    if token[:len(prefix)].lower() != prefix or not digits.isdecimal():
+    if (token[:len(prefix)].lower() != prefix
+            or not (digits.isascii() and digits.isdecimal())):
         raise ValueError(f"expected an operand like '{prefix}0', got {token!r}")
     return int(digits)
 
@@ -222,10 +223,10 @@ def read_lines(text: str, keyword: str, field: str,
                issues: list) -> tuple[int, list[tuple[int, list[str]]]]:
     """The header value and the ``(line number, tokens)`` body of program text.
 
-    The first line must read ``<keyword> <field>=<int>`` with a
-    non-negative value.  Each problem is appended to ``issues`` as
-    ``(line number, message)`` and the value then reads 0; a first line
-    that is not a header is kept in the body.
+    The first line must read ``<keyword> <field>=<digits>``.  Each
+    problem is appended to ``issues`` as ``(line number, message)`` and
+    the value then reads 0; a first line that does not start with
+    ``keyword`` is kept in the body.
     """
     body = list(token_lines(text))
     header = f"expected header '{keyword} {field}=<int>'"
@@ -233,18 +234,17 @@ def read_lines(text: str, keyword: str, field: str,
         issues.append((1, f"empty program: {header}"))
         return 0, body
     lineno, tokens = body[0]
-    if (tokens[0].upper() != keyword or len(tokens) != 2
+    named = tokens[0].upper() == keyword
+    if (not named or len(tokens) != 2
             or not tokens[1].lower().startswith(field + "=")):
         issues.append((lineno, header))
-        return 0, body
-    try:
-        value = int(tokens[1][len(field) + 1:])
-    except ValueError:
-        value = -1
-    if value < 0:
-        issues.append((lineno, f"bad header {tokens[1]!r}: {field} must be a "
-                               "non-negative integer"))
-    return max(value, 0), body[1:]
+        return 0, body[1:] if named else body
+    value = tokens[1][len(field) + 1:]
+    if value.isascii() and value.isdecimal():
+        return int(value), body[1:]
+    issues.append((lineno, f"bad header {tokens[1]!r}: {field} must be a "
+                           "non-negative integer"))
+    return 0, body[1:]
 
 
 def parse_program_with_lines(text: str) -> tuple[QuantumProgram, tuple[int, ...]]:

@@ -51,7 +51,7 @@ MAX_POSITIONS = 63
 
 @dataclass(frozen=True, eq=False)
 class MachineState:
-    """Sparse register plus occupancy bookkeeping and accumulated results.
+    """Sparse register plus occupancy bookkeeping.
 
     ``indices`` holds distinct basis indices and ``amps`` their nonzero
     amplitudes; every index absent from ``indices`` has amplitude 0.
@@ -63,7 +63,6 @@ class MachineState:
     bits: tuple[int, ...]
     memory_occupied: tuple[bool, ...]
     cell_occupied: tuple[bool, bool, bool]
-    classical_results: tuple[tuple[int, int], ...]
 
     @property
     def s(self) -> int:
@@ -89,7 +88,7 @@ def fresh_machine(s: int) -> MachineState:
             f"an int64 basis index can hold")
     return MachineState(np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex),
                         tuple(range(n - 1, -1, -1)), (False,) * s,
-                        (False, False, False), ())
+                        (False, False, False))
 
 
 def _finite(amps: np.ndarray) -> np.ndarray:
@@ -198,19 +197,6 @@ def _run_step(step, indices: np.ndarray, amps: np.ndarray, rng: RandomSource):
     return _measure(indices, amps, first, second, rng)
 
 
-def _step(instr: Instruction, s: int, indices: np.ndarray, amps: np.ndarray,
-          bits: list[int], rng: RandomSource):
-    """The kernel of one instruction whose preconditions hold.
-
-    Returns the new indices and amplitudes and the measured bit (None
-    unless the opcode is MEASURE); a slot move updates ``bits`` in place.
-    """
-    step = _plan_step(instr, s, bits)
-    if step is None:
-        return indices, amps, None
-    return _run_step(step, indices, amps, rng)
-
-
 def shot_plan(program: QuantumProgram) -> tuple:
     """The steps every shot of ``program`` runs, built on the first call.
 
@@ -240,7 +226,7 @@ def shot_plan(program: QuantumProgram) -> tuple:
 
 def execute_instruction(machine: MachineState, instr: Instruction,
                         rng: RandomSource,
-                        index: int = 0) -> tuple[MachineState, int | None]:
+                        index: int) -> tuple[MachineState, int | None]:
     """Run one instruction, returning the new machine and the measured bit or None."""
     mem = list(machine.memory_occupied)
     cells = list(machine.cell_occupied)
@@ -248,13 +234,11 @@ def execute_instruction(machine: MachineState, instr: Instruction,
     if problems:
         raise QpuRuntimeError(index, instr.opcode, problems[0])
     bits = list(machine.bits)
-    indices, amps, outcome = _step(instr, machine.s, machine.indices,
-                                   machine.amps, bits, rng)
-    results = machine.classical_results
-    if outcome is not None:
-        results += ((instr.memory_addr, outcome),)
-    new = MachineState(indices, amps, tuple(bits), tuple(mem), tuple(cells),
-                       results)
+    indices, amps, outcome = machine.indices, machine.amps, None
+    step = _plan_step(instr, machine.s, bits)
+    if step is not None:
+        indices, amps, outcome = _run_step(step, indices, amps, rng)
+    new = MachineState(indices, amps, tuple(bits), tuple(mem), tuple(cells))
     return new, outcome
 
 

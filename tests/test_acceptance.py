@@ -7,26 +7,26 @@ report lines alongside the pytest verdicts.
 import math
 import threading
 import time
-from collections import deque
 
 import numpy as np
 
 from qetsim.compiler import (LogicalGate, LogicalProgram, decompose_su2,
-                             encode_init, leakage_check, pair,
+                             encode_init, leakage_check,
                              synthesize_logical_cnot, transform_program)
 from qetsim.dynamics import CavityAtomParams, integrate_two_level, rabi_coefficients
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
 from qetsim.isa import Instruction
-from qetsim.machine import execute_instruction, fresh_machine, run_program
+from qetsim.machine import fresh_machine, run_program
 from qetsim.protocol import (ProtocolInput, assemble_state, run_protocol,
                              step_term_trace, verify_against_cqet)
 from qetsim.service import (EmulatorBackend, ExecutionBatch, QpfService,
                             Segment, _concretize, analyze, dispatch,
                             demux_results, encode_message, parse_client_ops,
                             transform)
-from qetsim.statevector import RandomSource, fidelity, is_unitary
+from qetsim.statevector import RandomSource, is_unitary
 from reference_tables import (LINEAGES, PHYSICAL_STEPS, REFERENCE_STEPS,
                               semantic_config)
+from stepping import logical_matrix, occupied, rotation, run, rx, rz, steps
 
 
 class _Timer:
@@ -153,62 +153,17 @@ def test_criterion_4_protocol_oracle():
     print(f"[PASS] criterion 4: protocol oracle ({elapsed:.2f}s)")
 
 
-def _logical_matrix(n, instructions, qubits, rng):
-    """Action on the encoded subspace of ``n`` logical qubits."""
-    n_logical = len(qubits)
-    dim = 2 ** n_logical
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        bits = {q: (col >> (n_logical - 1 - k)) & 1
-                for k, q in enumerate(qubits)}
-        prep = []
-        for q in range(n):
-            prep += encode_init(q, bits.get(q, 0))
-        machine = fresh_machine(2 * n)
-        for index, instr in enumerate(prep + list(instructions)):
-            machine, _ = execute_instruction(machine, instr, rng, index)
-        shape = machine.register.shape
-        for row in range(dim):
-            levels = [0] * len(shape)
-            for k, q in enumerate(qubits):
-                bit = (row >> (n_logical - 1 - k)) & 1
-                first, second = pair(q)
-                levels[first], levels[second] = bit, 1 - bit
-            for q in range(n):
-                if q not in qubits:
-                    first, second = pair(q)
-                    levels[first], levels[second] = 0, 1
-            matrix[row, col] = machine.register.amps[np.ravel_multi_index(levels, shape)]
-    return matrix
-
-
-def _rotation(kind, q, theta):
-    """One logical rotation as the compiler lowers it, without its INITs."""
-    program = transform_program(
-        LogicalProgram(q + 1, [LogicalGate(kind, (q,), theta)]))
-    return [instr for instr in program.instructions if instr.opcode != "INIT"]
-
-
 def test_criterion_5_logical_layer():
     timer = _Timer(30.0)
     rng = RandomSource(105)
-
-    def rx(theta):
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-    def rz(theta):
-        return np.diag([np.exp(-0.5j * theta),
-                        np.exp(0.5j * theta)]).astype(complex)
-
     draws = np.random.default_rng(105).uniform(-2 * math.pi, 2 * math.pi, 100)
     for theta in draws:
-        got = _logical_matrix(1, _rotation("RX", 0, float(theta)), (0,), rng)
+        got = logical_matrix(1, rotation("RX", 0, float(theta)), (0,), rng)
         assert np.max(np.abs(got - rx(theta))) < 1e-12
-        got = _logical_matrix(1, _rotation("RZ", 0, float(theta)), (0,), rng)
+        got = logical_matrix(1, rotation("RZ", 0, float(theta)), (0,), rng)
         assert np.max(np.abs(got - rz(theta))) < 1e-12
 
-    got = _logical_matrix(2, synthesize_logical_cnot(0, 1), (0, 1), rng)
+    got = logical_matrix(2, synthesize_logical_cnot(0, 1), (0, 1), rng)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                      [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     phases = [got[int(np.argmax(np.abs(cnot[:, col]))), col]
@@ -227,26 +182,20 @@ def test_criterion_5_logical_layer():
     circuit_rng = np.random.default_rng(305)
     for _ in range(20):
         n = int(circuit_rng.integers(1, 4))
-        machine = fresh_machine(2 * n)
-        index = 0
         prep = []
         for q in range(n):
             prep += encode_init(q, int(circuit_rng.integers(0, 2)))
-        for instr in prep:
-            machine, _ = execute_instruction(machine, instr, rng, index)
-            index += 1
+        machine, _ = run(fresh_machine(2 * n), prep, rng)
         for _ in range(5):
             kind = circuit_rng.choice(["RX", "RZ", "CNOT"] if n > 1
                                       else ["RX", "RZ"])
             if kind in ("RX", "RZ"):
-                gate = _rotation(kind, int(circuit_rng.integers(0, n)),
-                                 float(circuit_rng.uniform(-3, 3)))
+                gate = rotation(kind, int(circuit_rng.integers(0, n)),
+                                float(circuit_rng.uniform(-3, 3)))
             else:
                 ctrl, tgt = circuit_rng.choice(n, size=2, replace=False)
                 gate = synthesize_logical_cnot(int(ctrl), int(tgt))
-            for instr in gate:
-                machine, _ = execute_instruction(machine, instr, rng, index)
-                index += 1
+            machine, _ = run(machine, gate, rng)
             assert leakage_check(machine.register, n)
     elapsed = timer.check("criterion 5")
     print(f"[PASS] criterion 5: logical layer ({elapsed:.2f}s)")
@@ -326,12 +275,10 @@ def test_criterion_7_service_end_to_end():
         owned_slots = set(segment.slots.values())
         program = _concretize(segment, 0)
         machine = fresh_machine(program.s)
-        for index, instr in enumerate(program.instructions):
-            machine, _ = execute_instruction(machine, instr, rng, index)
-            live = {slot for slot, occupied
-                    in enumerate(machine.memory_occupied) if occupied}
+        for _, machine, _ in steps(machine, program.instructions, rng):
+            live = {p for p in occupied(machine) if p < program.s}
             assert live <= owned_slots
-        assert not any(machine.memory_occupied)
+        assert not occupied(machine)
 
     # determinism: fixed seed and arrival order give identical bytes
     def transcript():

@@ -13,68 +13,12 @@ from qetsim.compiler import (CNOT_CORRECTION_PHI, CNOT_CORRECTION_THETA,
 from qetsim.errors import ProgramSyntaxError, SynthesisError
 from qetsim.isa import (Instruction, format_program, parse_program_with_lines,
                         validate_program)
-from qetsim.machine import execute_instruction, fresh_machine, run_program
+from qetsim.machine import fresh_machine, run_program
 from qetsim.service import QpfService
 from qetsim.statevector import RandomSource
+from stepping import logical_matrix, rotation, run, rx, rz, without_inits
 
 RNG = RandomSource(0)
-
-
-def _rx(theta):
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def _rz(theta):
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]).astype(complex)
-
-
-def _run(machine, instructions):
-    for index, instr in enumerate(instructions):
-        machine, _ = execute_instruction(machine, instr, RNG, index)
-    return machine
-
-
-def _encoded_index(shape, bits):
-    levels = [0] * len(shape)
-    for qubit, bit in bits.items():
-        first, second = pair(qubit)
-        levels[first], levels[second] = bit, 1 - bit
-    return np.ravel_multi_index(levels, shape)
-
-
-def _without_inits(program):
-    """A lowered program's instructions without the INITs the emitter placed."""
-    return [instr for instr in program.instructions if instr.opcode != "INIT"]
-
-
-def _rotation(kind, q, theta):
-    """One logical rotation as the compiler lowers it, without its INITs."""
-    return _without_inits(transform_program(
-        LogicalProgram(q + 1, [LogicalGate(kind, (q,), theta)])))
-
-
-def _logical_matrix(n, instructions, qubits):
-    """Action on the encoded subspace of ``n`` qubits, by basis-state simulation."""
-    n_logical = len(qubits)
-    dim = 2 ** n_logical
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        bits = {q: (col >> (n_logical - 1 - k)) & 1
-                for k, q in enumerate(qubits)}
-        prep = []
-        for q in range(n):
-            prep += encode_init(q, bits.get(q, 0))
-        machine = _run(fresh_machine(2 * n), prep + list(instructions))
-        for row in range(dim):
-            out_bits = {q: (row >> (n_logical - 1 - k)) & 1
-                        for k, q in enumerate(qubits)}
-            full = dict(out_bits)
-            for q in range(n):
-                full.setdefault(q, 0)
-            index = _encoded_index(machine.register.shape, full)
-            matrix[row, col] = machine.register.amps[index]
-    return matrix
 
 
 def test_pair_layout():
@@ -93,30 +37,30 @@ def test_encode_init_bits():
 def test_rx_restriction_matches_textbook_rotation():
     rng = np.random.default_rng(23)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=100):
-        got = _logical_matrix(1, _rotation("RX", 0, float(theta)), (0,))
-        assert np.max(np.abs(got - _rx(theta))) < 1e-12
+        got = logical_matrix(1, rotation("RX", 0, float(theta)), (0,), RNG)
+        assert np.max(np.abs(got - rx(theta))) < 1e-12
 
 
 def test_rx_pi_flips_with_global_phase():
-    got = _logical_matrix(1, _rotation("RX", 0, math.pi), (0,))
+    got = logical_matrix(1, rotation("RX", 0, math.pi), (0,), RNG)
     applied = got @ np.array([1, 0])
     assert np.max(np.abs(applied - np.array([0, -1j]))) < 1e-12
 
 
 def test_rx_zero_is_identity():
-    got = _logical_matrix(1, _rotation("RX", 0, 0.0), (0,))
+    got = logical_matrix(1, rotation("RX", 0, 0.0), (0,), RNG)
     assert np.max(np.abs(got - np.eye(2))) < 1e-12
 
 
 def test_rz_restriction_matches_textbook_rotation():
     rng = np.random.default_rng(29)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=100):
-        got = _logical_matrix(1, _rotation("RZ", 0, float(theta)), (0,))
-        assert np.max(np.abs(got - _rz(theta))) < 1e-12
+        got = logical_matrix(1, rotation("RZ", 0, float(theta)), (0,), RNG)
+        assert np.max(np.abs(got - rz(theta))) < 1e-12
 
 
 def test_rz_pi_maps_plus_to_minus():
-    got = _logical_matrix(1, _rotation("RZ", 0, math.pi), (0,))
+    got = logical_matrix(1, rotation("RZ", 0, math.pi), (0,), RNG)
     plus = np.array([1, 1]) / math.sqrt(2)
     minus = np.array([1, -1]) / math.sqrt(2)
     overlap = abs(np.vdot(minus, got @ plus))
@@ -124,7 +68,7 @@ def test_rz_pi_maps_plus_to_minus():
 
 
 def test_cnot_truth_table_with_single_phase():
-    got = _logical_matrix(2, synthesize_logical_cnot(0, 1), (0, 1))
+    got = logical_matrix(2, synthesize_logical_cnot(0, 1), (0, 1), RNG)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                      [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     phases = [got[np.argmax(np.abs(cnot[:, col])), col] for col in range(4)]
@@ -152,7 +96,7 @@ def test_decompose_identity():
 def test_decompose_pure_x_rotation_is_canonical():
     rng = np.random.default_rng(31)
     for theta in rng.uniform(0, 2 * math.pi, size=100):
-        a, b, c, d = decompose_su2(_rx(theta))
+        a, b, c, d = decompose_su2(rx(theta))
         assert a == 0.0 and c == 0.0
         assert abs(b - theta) < 1e-9
 
@@ -163,7 +107,7 @@ def test_decompose_random_unitaries_recompose():
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u, _ = np.linalg.qr(raw)
         a, b, c, d = decompose_su2(u)
-        rebuilt = np.exp(1j * d) * (_rz(a) @ _rx(b) @ _rz(c))
+        rebuilt = np.exp(1j * d) * (rz(a) @ rx(b) @ rz(c))
         assert np.max(np.abs(rebuilt - u)) < 1e-10
         assert 0 <= b < 2 * math.pi
         assert 0 <= a < 4 * math.pi and 0 <= c < 4 * math.pi
@@ -217,33 +161,34 @@ def test_universality_smoke():
         target, _ = np.linalg.qr(raw)
         lp = parse_logical_program(f"LQ n=1\n{_su2_line(0, target)}\n")
         assert [op.kind for op in lp.ops] == ["RZ", "RX", "RZ"]
-        got = _logical_matrix(1, _without_inits(transform_program(lp)), (0,))
+        got = logical_matrix(1, without_inits(transform_program(lp)), (0,),
+                             RNG)
         phase = np.vdot(target.reshape(-1), got.reshape(-1))
         phase /= abs(phase)
         assert np.max(np.abs(got - phase * target)) < 1e-9
 
 
 def test_leakage_check_fresh_encoding():
-    machine = _run(fresh_machine(2), encode_init(0, 0))
+    machine, _ = run(fresh_machine(2), encode_init(0, 0), RNG)
     assert leakage_check(machine.register, 1)
 
 
 def test_leakage_check_raw_pair_fails():
-    machine = _run(fresh_machine(2), [Instruction.init(0, 0),
-                                      Instruction.init(1, 0)])
+    machine, _ = run(fresh_machine(2), [Instruction.init(0, 0),
+                                        Instruction.init(1, 0)], RNG)
     assert not leakage_check(machine.register, 1)
 
 
 def test_leakage_check_after_compiled_circuit():
     rng = np.random.default_rng(47)
-    gates = [_rotation("RX", 0, rng.uniform(-3, 3)),
-             _rotation("RZ", 1, rng.uniform(-3, 3)),
+    gates = [rotation("RX", 0, rng.uniform(-3, 3)),
+             rotation("RZ", 1, rng.uniform(-3, 3)),
              synthesize_logical_cnot(0, 1),
-             _rotation("RX", 1, rng.uniform(-3, 3))]
-    machine = _run(fresh_machine(4),
-                   encode_init(0, 0) + encode_init(1, 1))
+             rotation("RX", 1, rng.uniform(-3, 3))]
+    machine, _ = run(fresh_machine(4), encode_init(0, 0) + encode_init(1, 1),
+                     RNG)
     for gate in gates:
-        machine = _run(machine, gate)
+        machine, _ = run(machine, gate, RNG)
         assert leakage_check(machine.register, 2)
 
 
@@ -284,6 +229,12 @@ def test_logical_text_errors_with_lines():
     # each operand out of range is an issue at its own line
     assert info.value.issues[2:] == [(4, "measured q5 out of range [0, 1)"),
                                      (5, "gate operand q2 out of range [0, 1)")]
+    # a qubit operand is ASCII digits alone
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_logical_program("LQ n=1\nRX 0.5 q\u0661\nMEASURE q+0\n")
+    assert info.value.issues == [
+        (2, "expected an operand like 'q0', got 'q\u0661'"),
+        (3, "expected an operand like 'q0', got 'q+0'")]
 
 
 def test_logical_text_reports_a_bad_number_in_the_isa_form():
@@ -308,6 +259,17 @@ def test_logical_text_with_a_bad_header_checks_no_range():
         parse_logical_program("LQ n=two\nRX 0.5 q3\nMEASURE q3\n")
     assert info.value.issues == [
         (1, "bad header 'n=two': n must be a non-negative integer")]
+    # a header value is ASCII digits alone
+    for value in ("+2", "1_0", "\u0663"):
+        with pytest.raises(ProgramSyntaxError) as info:
+            parse_logical_program(f"LQ n={value}\nMEASURE q0\n")
+        assert info.value.issues == [
+            (1, f"bad header 'n={value}': n must be a non-negative integer")]
+    # a bad header line is reported once, not also as an operation
+    for text in ("LQ\nMEASURE q0\n", "lq n=2 x\nMEASURE q0\n"):
+        with pytest.raises(ProgramSyntaxError) as info:
+            parse_logical_program(text)
+        assert info.value.issues == [(1, "expected header 'LQ n=<int>'")]
 
 
 def test_logical_program_range_check():
@@ -505,7 +467,7 @@ def random_circuits(draw):
         else:
             theta, q = draw(angle), draw(qubit)
             lines.append(f"{kind} {theta!r} q{q}")
-            gate = _embed(n, q, (_rx if kind == "RX" else _rz)(theta))
+            gate = _embed(n, q, (rx if kind == "RX" else rz)(theta))
         expected = gate @ expected
     return n, "\n".join(lines) + "\n", expected
 
@@ -515,7 +477,7 @@ def random_circuits(draw):
 def test_random_circuits_lower_to_their_textbook_matrix(circuit):
     n, text, expected = circuit
     program = transform_program(parse_logical_program(text))
-    got = _logical_matrix(n, _without_inits(program), tuple(range(n)))
+    got = logical_matrix(n, without_inits(program), tuple(range(n)), RNG)
     # each basis input keeps all its mass on encoded states: none has
     # left the per-pair one-excitation span or stayed in a cell
     assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1)) < 1e-9

@@ -9,27 +9,18 @@ from qetsim.errors import DimensionError, ProgramSyntaxError, QpuRuntimeError
 from qetsim.gates import cqet_matrix
 from qetsim.isa import (Instruction, QuantumProgram, format_program,
                         parse_program_with_lines, validate_program)
-from qetsim.machine import (execute_instruction, fresh_machine, run_program,
-                            shot_plan)
+from qetsim.machine import fresh_machine, run_program, shot_plan
 from qetsim.statevector import LocalUnitary, RandomSource
+from stepping import occupied, run, steps
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _run_all(machine, instructions, rng):
-    for index, instr in enumerate(instructions):
-        machine, _ = execute_instruction(machine, instr, rng, index)
-    return machine
 
 
 def _occupancy_violated(machine):
     """Probability mass on |1> at any unoccupied position."""
     n = len(machine.register.shape)
     amps = machine.register.amps
-    occupied = list(machine.memory_occupied) + list(machine.cell_occupied)
-    for position, occ in enumerate(occupied):
-        if occ:
-            continue
+    for position in set(range(n)) - occupied(machine):
         indices = np.arange(len(amps))
         mask = (indices >> (n - 1 - position)) & 1 == 1
         if np.sum(np.abs(amps[mask]) ** 2) > 1e-12:
@@ -38,29 +29,25 @@ def _occupancy_violated(machine):
 
 
 def test_init_marks_slot_and_keeps_register():
-    machine = fresh_machine(2)
-    machine, outcome = execute_instruction(machine, Instruction.init(0, 0),
-                                           RandomSource(0))
-    assert machine.memory_occupied == (True, False)
+    [(_, machine, outcome)] = steps(fresh_machine(2), [Instruction.init(0, 0)],
+                                    RandomSource(0))
+    assert occupied(machine) == {0}
     assert machine.register.amps[0] == 1
     assert outcome is None
 
 
 def test_init_one_prepares_excited_slot():
-    machine = fresh_machine(1)
-    machine, _ = execute_instruction(machine, Instruction.init(0, 1),
-                                     RandomSource(0))
+    machine, _ = run(fresh_machine(1), [Instruction.init(0, 1)],
+                     RandomSource(0))
     index = np.ravel_multi_index((1, 0, 0, 0), machine.register.shape)
     assert machine.register.amps[index] == 1
 
 
 def test_load_from_empty_slot_is_error():
-    rng = RandomSource(0)
-    machine = fresh_machine(2)
-    machine = _run_all(machine, [Instruction.init(0, 0),
-                                 Instruction.load(0, 1)], rng)
+    program = [Instruction.init(0, 0), Instruction.load(0, 1),
+               Instruction.load(0, 2)]
     with pytest.raises(QpuRuntimeError, match="unoccupied") as info:
-        execute_instruction(machine, Instruction.load(0, 2), rng, index=2)
+        run(fresh_machine(2), program, RandomSource(0))
     assert info.value.index == 2
     assert info.value.opcode == "LOAD"
 
@@ -113,8 +100,7 @@ def test_transfer_pipeline_matches_dense_oracle():
                 @ swap_on(1, 4) @ swap_on(0, 3) @ x_on(1) @ start)
 
     rng = RandomSource(5)
-    machine = fresh_machine(2)
-    machine = _run_all(machine, [
+    machine, _ = run(fresh_machine(2), [
         Instruction.init(0, 0), Instruction.init(1, 1),
         Instruction.load(0, 1), Instruction.load(1, 2),
         Instruction.qet(np.pi),
@@ -122,48 +108,40 @@ def test_transfer_pipeline_matches_dense_oracle():
     ], rng)
     assert np.max(np.abs(machine.register.amps - expected)) < 1e-12
 
-    machine, outcome = execute_instruction(machine, Instruction.measure(0),
-                                           rng, index=7)
-    assert outcome == 1
-    assert machine.classical_results == ((0, 1),)
+    machine, results = run(machine, [Instruction.measure(0)], rng)
+    assert results == [(0, 1)]
 
 
 def test_load_save_roundtrip_is_identity():
     rng = RandomSource(2)
-    machine = fresh_machine(2)
-    machine = _run_all(machine, [Instruction.init(0, 1),
-                                 Instruction.init(1, 0)], rng)
+    machine, _ = run(fresh_machine(2), [Instruction.init(0, 1),
+                                        Instruction.init(1, 0)], rng)
     before = machine.register.amps.copy()
-    occupancy = machine.memory_occupied
-    machine = _run_all(machine, [Instruction.load(0, 1),
-                                 Instruction.save(1, 0)], rng)
+    machine, _ = run(machine, [Instruction.load(0, 1),
+                               Instruction.save(1, 0)], rng)
     assert np.array_equal(machine.register.amps, before)
-    assert machine.memory_occupied == occupancy
-    assert machine.cell_occupied == (False, False, False)
+    assert occupied(machine) == {0, 1}
 
 
 def test_occupancy_invariant_along_program():
     rng = RandomSource(13)
-    machine = fresh_machine(3)
-    steps = [
+    program = [
         Instruction.init(0, 1), Instruction.init(1, 0),
         Instruction.load(0, 1), Instruction.load(1, 2),
         Instruction.qet(0.7), Instruction.phase(0.3, 1.1),
         Instruction.save(1, 0), Instruction.save(2, 1),
         Instruction.measure(0), Instruction.measure(1),
     ]
-    for index, instr in enumerate(steps):
-        machine, _ = execute_instruction(machine, instr, rng, index)
+    for _, machine, _ in steps(fresh_machine(3), program, rng):
         assert not _occupancy_violated(machine)
 
 
 def test_measure_resets_slot_to_zero():
-    rng = RandomSource(1)
-    machine = fresh_machine(1)
-    machine = _run_all(machine, [Instruction.init(0, 1),
-                                 Instruction.measure(0)], rng)
-    assert machine.classical_results == ((0, 1),)
-    assert machine.memory_occupied == (False,)
+    machine, results = run(fresh_machine(1), [Instruction.init(0, 1),
+                                              Instruction.measure(0)],
+                           RandomSource(1))
+    assert results == [(0, 1)]
+    assert occupied(machine) == set()
     assert machine.register.amps[0] == 1
 
 
@@ -172,13 +150,12 @@ def test_register_width_limited_to_int64_index():
         fresh_machine(61)
     # the widest register: m0 is bit 62, and its excitation reaches m59
     rng = RandomSource(0)
-    machine, _ = execute_instruction(fresh_machine(60), Instruction.init(0, 1),
-                                     rng)
+    machine, _ = run(fresh_machine(60), [Instruction.init(0, 1)], rng)
     assert machine.indices.tolist() == [1 << 62]
-    machine = _run_all(machine, [Instruction.load(0, 1),
-                                 Instruction.save(1, 59),
-                                 Instruction.measure(59)], rng)
-    assert machine.classical_results == ((59, 1),)
+    machine, results = run(machine, [Instruction.load(0, 1),
+                                     Instruction.save(1, 59),
+                                     Instruction.measure(59)], rng)
+    assert results == [(59, 1)]
     assert machine.indices.tolist() == [0]
 
 
@@ -190,15 +167,11 @@ def test_ghz_ladder_support_stays_two():
         f"LQ n={n}\nRX 1.5707963267948966 q0\n"
         + "".join(f"CNOT q{q} q{q + 1}\n" for q in range(n - 1))
         + "".join(f"MEASURE q{q}\n" for q in range(n))))
-    rng = RandomSource(3)
-    machine = fresh_machine(program.s)
-    peak = 0
-    for index, instr in enumerate(program.instructions):
-        machine, _ = execute_instruction(machine, instr, rng, index)
-        peak = max(peak, len(machine.indices))
-    assert peak == 2
-    logical = [bit for _, bit in machine.classical_results[::2]]
-    assert logical in ([0] * n, [1] * n)
+    trace = list(steps(fresh_machine(program.s), program.instructions,
+                       RandomSource(3)))
+    assert max(len(machine.indices) for _, machine, _ in trace) == 2
+    bits = [outcome for _, _, outcome in trace if outcome is not None]
+    assert bits[::2] in ([0] * n, [1] * n)
 
 
 def test_run_program_empty():
@@ -396,11 +369,30 @@ def test_parse_reports_every_bad_line():
     lines = [line for line, _ in info.value.issues]
     assert lines == [3, 4]
     assert "missing parameter theta" in info.value.issues[0][1]
+    # an operand is ASCII digits alone
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_program_with_lines(
+            "QPU s=1\nINIT m\u0663 0\nLOAD m0 c+1\nQET 1.0 t1_0\n")
+    assert info.value.issues == [
+        (2, "expected memory_addr like 'm0', got 'm\u0663'"),
+        (3, "expected cell like 'c0', got 'c+1'"),
+        (4, "expected transistor_id like 't0', got 't1_0'")]
 
 
 def test_parse_missing_header():
     with pytest.raises(ProgramSyntaxError, match="QPU"):
         parse_program_with_lines("INIT m0 0\n")
+    # a bad header line is reported once, not also as an instruction
+    for text in ("QPU\nINIT m0 0\n", "qpu s=1 x\nINIT m0 0\n"):
+        with pytest.raises(ProgramSyntaxError) as info:
+            parse_program_with_lines(text)
+        assert info.value.issues == [(1, "expected header 'QPU s=<int>'")]
+    # a header value is ASCII digits alone
+    for value in ("1_0", "+1", "\u0661"):
+        with pytest.raises(ProgramSyntaxError) as info:
+            parse_program_with_lines(f"QPU s={value}\nINIT m0 0\n")
+        assert info.value.issues == [
+            (1, f"bad header 's={value}': s must be a non-negative integer")]
 
 
 def test_parse_records_source_lines():

@@ -7,8 +7,8 @@ be the same.  The reference steps a dense ``2^(s+3)`` state vector with
 ``apply_local`` and ``measure_subsystem``.
 
 ``run_program`` checks a program's occupancy once and relabels slots in
-place; stepping ``execute_instruction`` checks each instruction as it
-comes.  On the same programs, valid or broken, both must give the same
+place; stepping the machine (``stepping.run``) checks each instruction as
+it comes.  On the same programs, valid or broken, both must give the same
 results, the same error and the same use of the random stream.
 """
 
@@ -23,10 +23,11 @@ from qetsim.compiler import LogicalGate, LogicalProgram, transform_program
 from qetsim.errors import DimensionError, QetSimError
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
 from qetsim.isa import Instruction, QuantumProgram
-from qetsim.machine import execute_instruction, fresh_machine, run_program
+from qetsim.machine import fresh_machine, run_program
 from qetsim.statevector import (LocalUnitary, RandomSource, apply_local,
                                 basis_state, measure_subsystem)
 
+from stepping import run, steps
 from test_isa_properties import random_instruction
 
 SWAP = LocalUnitary((2, 2), np.array(
@@ -182,12 +183,10 @@ def compiled_programs(draw):
 def test_sparse_machine_matches_dense_reference(program, seed):
     s, instructions = program
     sparse_rng, dense_rng = RandomSource(seed), RandomSource(seed)
-    machine = fresh_machine(s)
     dense = basis_state((2,) * (s + 3), (0,) * (s + 3))
-    for index, instr in enumerate(instructions):
-        machine, outcome = execute_instruction(machine, instr, sparse_rng,
-                                               index)
-        dense, expected = dense_step(dense, s, instr, dense_rng)
+    for index, machine, outcome in steps(fresh_machine(s), instructions,
+                                         sparse_rng):
+        dense, expected = dense_step(dense, s, instructions[index], dense_rng)
         assert outcome == expected
         assert np.max(np.abs(machine.register.amps - dense.amps)) <= 1e-12
         assert np.all(machine.amps != 0)
@@ -205,19 +204,12 @@ def any_programs(draw):
     return QuantumProgram(s, instructions)
 
 
-def _outcome(run):
-    """What ``run()`` returned, or the emulator error it raised."""
+def _outcome(call):
+    """What ``call()`` returned, or the emulator error it raised."""
     try:
-        return run()
+        return call()
     except QetSimError as exc:
         return exc
-
-
-def _stepped(program, rng):
-    machine = fresh_machine(program.s)
-    for index, instr in enumerate(program.instructions):
-        machine, _ = execute_instruction(machine, instr, rng, index)
-    return list(machine.classical_results)
 
 
 @settings(max_examples=300)
@@ -225,7 +217,8 @@ def _stepped(program, rng):
 def test_run_program_matches_stepping(program, seed):
     run_rng, step_rng = RandomSource(seed), RandomSource(seed)
     ran = _outcome(lambda: run_program(program, run_rng))
-    stepped = _outcome(lambda: _stepped(program, step_rng))
+    stepped = _outcome(lambda: run(fresh_machine(program.s),
+                                   program.instructions, step_rng)[1])
     if isinstance(stepped, QetSimError):
         assert type(ran) is type(stepped)
         assert getattr(ran, "index", None) == getattr(stepped, "index", None)

@@ -14,7 +14,7 @@ from qetsim.compiler import TEMPLATES, parse_logical_program, transform_program
 from qetsim.errors import ServiceError
 from qetsim.isa import (Instruction, QuantumProgram, format_instruction,
                         format_program)
-from qetsim.machine import execute_instruction, fresh_machine
+from qetsim.machine import fresh_machine
 from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
                             EmulatorBackend, ExecutionBatch, QpfService, Segment,
                             analyze, buffer_and_batch,
@@ -22,6 +22,7 @@ from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
                             encode_message, parse_client_ops, serve_stdio,
                             support_exponent, transform)
 from qetsim.statevector import RandomSource
+from stepping import run, steps
 
 BELL_OPS = [
     {"op": "QET", "qubits": [0], "theta": -math.pi / 2},
@@ -231,21 +232,12 @@ def test_batch_empty_queue():
 # -- dispatch ----------------------------------------------------------------
 
 
-def _trace(segment, seed=0):
-    """The instructions of the segment's program, each stepped in turn."""
-    program = _concretize(segment, 0)
-    machine, rng = fresh_machine(program.s), RandomSource(seed)
-    stepped = []
-    for index, instr in enumerate(program.instructions):
-        machine, _ = execute_instruction(machine, instr, rng, index)
-        stepped.append(instr)
-    return stepped
-
-
 def test_dispatch_inserts_init_before_first_use():
     segment = _segment("alice", [{"op": "QET", "qubits": [0], "theta": 1.0},
                                  {"op": "MEASURE", "qubits": [0]}])
-    trace = _trace(segment)
+    program = _concretize(segment, 0)
+    run(fresh_machine(program.s), program.instructions, RandomSource(0))
+    trace = program.instructions
     # every slot is initialized before its first non-INIT use
     first_use = {}
     first_init = {}
@@ -545,10 +537,9 @@ def test_machine_support_stays_within_the_bound(raw, seed):
     # the count the service checks against its capacity before lowering
     assert sum(len(TEMPLATES[op.kind]) for op in ops) == segment.command_count
     program = _concretize(segment, 0)
-    machine, rng = fresh_machine(program.s), RandomSource(seed)
     bound = 2 ** support_exponent(ops)
-    for instr in program.instructions:
-        machine = execute_instruction(machine, instr, rng)[0]
+    for _, machine, _ in steps(fresh_machine(program.s), program.instructions,
+                               RandomSource(seed)):
         assert len(machine.indices) <= bound
 
 
@@ -730,6 +721,48 @@ def test_rejection_reply_commits_nothing(line, reply):
     assert ok == {"type": "result", "results": [{"qubit": 0, "bit": 0},
                                                 {"qubit": 0, "bit": 0}]}
     assert service._next_request == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 70) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+_SUBMIT_KEYS = ("type", "client", "ops", "op", "qubits", "theta", "phi")
+
+
+@st.composite
+def _mutated_submit(draw):
+    """A valid submit message with some keys dropped or set to any JSON."""
+    ops = draw(st.lists(_CLIENT_OP, max_size=3)) + [json.loads(_MEASURE)]
+    message = {"type": "submit", "client": draw(_CLIENT_ID), "ops": ops}
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from([message, *ops]))
+        key = draw(st.sampled_from(_SUBMIT_KEYS))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(_JSON)
+    return message
+
+
+@settings(max_examples=100)
+@given(st.lists(_JSON | _mutated_submit() | st.just({"type": "capacity"}),
+                min_size=1, max_size=6))
+def test_any_message_gets_one_reply_and_leaves_nothing_behind(messages):
+    # the service neither dies, hangs nor keeps state on any client message
+    service = QpfService(seed=0)
+    for message in messages:
+        reply = service.handle_line(json.dumps(message))
+        assert "\n" not in reply
+        assert json.loads(reply)["type"] in ("result", "error", "capacity")
+        assert service._pending == {} and not service._queue
+    probe = {"type": "submit", "client": "probe", "ops": [
+        {"op": "QET", "qubits": [0], "theta": math.pi},
+        {"op": "MEASURE", "qubits": [0]}]}
+    assert json.loads(service.handle_line(json.dumps(probe))) == {
+        "type": "result", "results": [{"qubit": 0, "bit": 1}]}
 
 
 def test_register_wider_than_index_is_error_reply():
