@@ -14,7 +14,7 @@ from .compiler import parse_logical_program, transform_program
 from .errors import ProgramSyntaxError, QetSimError
 from .isa import (QuantumProgram, format_program, parse_program_with_lines,
                   token_lines)
-from .machine import fresh_machine, run_program
+from .machine import bit_layout, run_program
 from .protocol import (PROTOCOL_SEQUENCE, SWAP_FACTOR, ProtocolInput,
                        assemble_state, initial_state, run_protocol,
                        step_term_trace, verify_against_cqet)
@@ -93,7 +93,7 @@ def _load(path: str) -> tuple[QuantumProgram, tuple[int, ...]]:
     if next((tokens[0].upper() for _, tokens in token_lines(text)), "") == "LQ":
         return transform_program(parse_logical_program(text)), ()
     program, lines = parse_program_with_lines(text)
-    fresh_machine(program.s)
+    bit_layout(program.s)
     return program, lines
 
 

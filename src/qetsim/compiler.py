@@ -42,7 +42,7 @@ from .errors import ProgramSyntaxError, SynthesisError
 from .gates import cqet_matrix, qet_matrix
 from .isa import (Instruction, QuantumProgram, read_lines, read_operand,
                   read_real)
-from .machine import fresh_machine
+from .machine import bit_layout
 from .statevector import LocalUnitary, StateVector, is_unitary
 
 # Correction angles that turn the raw controlled transfer into an exact
@@ -328,7 +328,7 @@ def transform_program(lp: LogicalProgram) -> QuantumProgram:
     reads its pair out first slot first, with the second slot measured
     too so both slots end free.
     """
-    fresh_machine(memory_size(lp.n))
+    bit_layout(memory_size(lp.n))
     slots = {(q, half): slot
              for q in range(lp.n) for half, slot in enumerate(pair(q))}
     program = QuantumProgram(memory_size(lp.n), tuple(emit(lp.ops, slots)))

@@ -11,7 +11,8 @@ per line.  Opcodes are case-insensitive and ``#`` starts a comment.
     CQET [t<id>]
     MEASURE m<k>
 
-Angles are decimal radians.  A program over ``s`` memory slots with
+Angles are decimal radians, spelled in ASCII as ``float`` reads them
+but without ``_``.  A program over ``s`` memory slots with
 ``t`` instructions has space cost ``s`` and time cost ``t``.  The table
 ``SYNTAX`` below is the one definition of these operands: the field
 check of ``Instruction``, the parser and the formatter all read it.
@@ -178,11 +179,17 @@ def read_operand(prefix: str, token: str) -> int:
 
 
 def read_real(name: str, token: str) -> float:
-    """The decimal number ``token`` written for the operand ``name``."""
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"expected {name} like '0', got {token!r}") from None
+    """The decimal number ``token`` written for the operand ``name``.
+
+    ``float``'s ASCII grammar, without the ``_`` digit separator it also
+    takes: one number has one spelling, as an integer operand has.
+    """
+    if token.isascii() and "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise ValueError(f"expected {name} like '0', got {token!r}")
 
 
 def _parse_instruction(tokens: list[str]) -> Instruction:

@@ -80,15 +80,26 @@ class MachineState:
         return StateVector((2,) * n, amps)
 
 
-def fresh_machine(s: int) -> MachineState:
+@lru_cache(maxsize=64)
+def bit_layout(s: int) -> tuple[int, ...]:
+    """A fresh machine's ``bits`` over ``s`` slots; a register too wide raises."""
     n = s + 3
     if n > MAX_POSITIONS:
         raise DimensionError(
             f"a register of {n} positions exceeds the {MAX_POSITIONS} "
             f"an int64 basis index can hold")
-    return MachineState(np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex),
-                        tuple(range(n - 1, -1, -1)), (False,) * s,
-                        (False, False, False))
+    return tuple(range(n - 1, -1, -1))
+
+
+# The register of every fresh machine, shared: no kernel writes in place.
+_EMPTY_INDICES = np.zeros(1, dtype=np.int64)
+_EMPTY_AMPS = np.ones(1, dtype=complex)
+_EMPTY_INDICES.flags.writeable = _EMPTY_AMPS.flags.writeable = False
+
+
+def fresh_machine(s: int) -> MachineState:
+    return MachineState(_EMPTY_INDICES, _EMPTY_AMPS, bit_layout(s),
+                        (False,) * s, (False, False, False))
 
 
 def _finite(amps: np.ndarray) -> np.ndarray:
@@ -209,7 +220,7 @@ def shot_plan(program: QuantumProgram) -> tuple:
     """
     plan = vars(program).get("_shot_plan")
     if plan is None:
-        bits = list(fresh_machine(program.s).bits)
+        bits = list(bit_layout(program.s))
         issues = program.issues
         stop = issues[0][0] if issues else len(program.instructions)
         # a list, not tuple() of a generator: that allocates ten slots and
@@ -252,8 +263,7 @@ def run_program(program: QuantumProgram,
     the offending instruction index, as stepping ``execute_instruction``
     would.
     """
-    machine = fresh_machine(program.s)
-    indices, amps = machine.indices, machine.amps
+    indices, amps = _EMPTY_INDICES, _EMPTY_AMPS
     results = []
     for step in shot_plan(program):
         indices, amps, outcome = _run_step(step, indices, amps, rng)

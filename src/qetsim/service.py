@@ -42,7 +42,7 @@ import selectors
 import socket
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .compiler import KINDS, TEMPLATES, LogicalGate, emit
 from .errors import QetSimError, ServiceError, SynthesisError
@@ -67,11 +67,12 @@ class Segment:
     instructions: list  # Instruction over machine slots, INITs included
     slots: dict  # (local logical address, half of its pair) -> machine slot
     measured: list  # local logical address of each readout, in request order
+    # commands the request asked for; the INITs the lowering adds are free
+    command_count: int = field(init=False)
 
-    @property
-    def command_count(self) -> int:
-        """Commands the request asked for; the INITs the lowering adds are free."""
-        return sum(instr.opcode != "INIT" for instr in self.instructions)
+    def __post_init__(self):
+        self.command_count = sum(instr.opcode != "INIT"
+                                 for instr in self.instructions)
 
 
 @dataclass
@@ -225,8 +226,6 @@ def dispatch(batch: ExecutionBatch, backend) -> list[tuple]:
             records = []
             error = str(exc) if known else repr(exc)
         outcomes.append((segment, records, error))
-    logger.info("dispatched batch: %d segment(s), %d command(s)",
-                len(batch.segments), batch.command_count)
     return outcomes
 
 
@@ -379,9 +378,13 @@ class QpfService:
         return self.handle_line(text) if text else None
 
 
+# json.dumps with any option set builds a new encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_message(obj: dict) -> str:
     """Canonical one-line encoding used by both transports and the CLI."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def error_reply(pairs) -> dict:

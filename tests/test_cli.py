@@ -302,6 +302,22 @@ def test_serve_stdio_answers_non_utf8_line_like_tcp(locale_env):
         expected, '{"capacity":64,"type":"capacity"}']
 
 
+def test_serve_logs_failures_only():
+    # nothing is logged per request (a line each cost an eighth to a fifth
+    # of a request); the golden's one backend failure, the too-wide
+    # segment, is the one line
+    env = dict(os.environ, PYTHONPATH=str(Path(qetsim.__file__).parents[1]))
+    with open(GOLDEN / "service_requests.jsonl", "rb") as requests:
+        done = subprocess.run(
+            [sys.executable, "-m", "qetsim.cli", "serve", "--seed", "7",
+             "--capacity", "64"],
+            stdin=requests, capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert done.stdout == (GOLDEN / "service_seed7.jsonl").read_bytes()
+    [line] = done.stderr.decode().splitlines()
+    assert " qetsim.service segment erin/3 failed: DimensionError(" in line
+
+
 def test_serve_stdio_one_shot(monkeypatch, capsys):
     fake_in = io.TextIOWrapper(io.BytesIO(
         b'{"type":"submit","client":"a","ops":[{"op":"MEASURE","qubits":[0]}]}\n'))

@@ -251,6 +251,22 @@ def test_logical_text_reports_a_bad_number_in_the_isa_form():
     with pytest.raises(ProgramSyntaxError) as info:
         parse_program_with_lines("QPU s=0\nQET half\n")
     assert info.value.issues == [(2, "expected theta like '0', got 'half'")]
+    # an angle is ASCII and has no digit separator, in both texts
+    for token in ("1_0", "\u0663", "\uff11", "1e0_0"):
+        with pytest.raises(ProgramSyntaxError) as info:
+            parse_logical_program(f"LQ n=1\nRX {token} q0\nPHASE 0 {token} q0\n"
+                                  f"SU2 q0 1 0 0 0 0 0 {token} 0\nMEASURE q0\n")
+        assert info.value.issues == [
+            (2, f"expected theta like '0', got {token!r}"),
+            (3, f"expected phi like '0', got {token!r}"),
+            (4, f"expected entry like '0', got {token!r}")]
+    # exponents, nan and inf read as float reads them
+    lp = parse_logical_program("LQ n=1\nRX 25E-2 q0\nMEASURE q0\n")
+    assert lp.ops[0].theta == 0.25
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_logical_program("LQ n=1\nRZ nan q0\nPHASE 0 -inf q0\n")
+    assert info.value.issues == [(2, "theta must be finite"),
+                                 (3, "phi must be finite")]
 
 
 def test_logical_text_with_a_bad_header_checks_no_range():

@@ -159,6 +159,23 @@ def test_register_width_limited_to_int64_index():
     assert machine.indices.tolist() == [0]
 
 
+def test_fresh_register_is_shared_and_stays_empty():
+    # every fresh machine and every shot starts from one read-only register
+    first, second = fresh_machine(2), fresh_machine(7)
+    assert first.amps is second.amps and first.indices is second.indices
+    assert not first.amps.flags.writeable
+    assert not first.indices.flags.writeable
+    program = QuantumProgram(1, (Instruction.init(0, 1),
+                                 Instruction.measure(0)))
+    assert run_program(program, RandomSource(0)) == [(0, 1)]
+    assert (first.indices.tolist(), first.amps.tolist()) == ([0], [1])
+    # a register too wide is refused on every run, since no plan is kept
+    wide = QuantumProgram(61, (Instruction.init(0, 1),))
+    for _ in range(2):
+        with pytest.raises(DimensionError, match="64 positions"):
+            run_program(wide, RandomSource(0))
+
+
 def test_ghz_ladder_support_stays_two():
     # compiled CNOTs use exact full transfers, which leave no remnant
     # entries behind, so the support never exceeds the GHZ state's
@@ -377,6 +394,24 @@ def test_parse_reports_every_bad_line():
         (2, "expected memory_addr like 'm0', got 'm\u0663'"),
         (3, "expected cell like 'c0', got 'c+1'"),
         (4, "expected transistor_id like 't0', got 't1_0'")]
+    # an angle is float's ASCII grammar without the digit separator
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_program_with_lines(
+            "QPU s=0\nQET 1_0\nQET \u0663\nPHASE 0.5 \uff11\nQET 1e0_0\n")
+    assert info.value.issues == [
+        (2, "expected theta like '0', got '1_0'"),
+        (3, "expected theta like '0', got '\u0663'"),
+        (4, "expected phi like '0', got '\uff11'"),
+        (5, "expected theta like '0', got '1e0_0'")]
+    # exponents, nan and inf read as float reads them; the instruction
+    # check then refuses an angle that is not finite
+    program, _ = parse_program_with_lines("QPU s=0\nQET -2.5E-1\nQET .5\n")
+    assert [i.theta for i in program.instructions] == [-0.25, 0.5]
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_program_with_lines("QPU s=0\nQET nan\nQET -Infinity\n")
+    assert info.value.issues == [
+        (2, "theta must be a finite float, got nan"),
+        (3, "theta must be a finite float, got -inf")]
 
 
 def test_parse_missing_header():

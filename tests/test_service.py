@@ -765,6 +765,26 @@ def test_any_message_gets_one_reply_and_leaves_nothing_behind(messages):
         "type": "result", "results": [{"qubit": 0, "bit": 1}]}
 
 
+_NON_ASCII = st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=4)
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(
+    st.text(max_size=4) | _NON_ASCII,
+    st.recursive(
+        st.integers() | st.floats() | st.sampled_from([math.nan, math.inf,
+                                                       -math.inf])
+        | st.text(max_size=6) | _NON_ASCII,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=4) | _NON_ASCII,
+                                         inner, max_size=4)),
+        max_leaves=16)))
+def test_encode_message_is_the_canonical_dumps(obj):
+    # the shared encoder writes what json.dumps with the same options writes
+    assert encode_message(obj) == json.dumps(obj, sort_keys=True,
+                                             separators=(",", ":"))
+
+
 def test_register_wider_than_index_is_error_reply():
     # 31 logical qubits are 62 memory slots plus 3 cells: 65 positions
     service = QpfService(seed=0)
