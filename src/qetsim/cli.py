@@ -13,7 +13,7 @@ from pathlib import Path
 from .compiler import parse_logical_program, transform_program
 from .errors import ProgramSyntaxError, QetSimError
 from .isa import (QuantumProgram, format_program, parse_program_with_lines,
-                  token_lines)
+                  token_lines, validate_program)
 from .machine import bit_layout, run_program
 from .protocol import (PROTOCOL_SEQUENCE, SWAP_FACTOR, ProtocolInput,
                        assemble_state, initial_state, run_protocol,
@@ -99,7 +99,7 @@ def _load(path: str) -> tuple[QuantumProgram, tuple[int, ...]]:
 
 def cmd_validate(args) -> int:
     program, lines = _load(args.path)
-    issues = program.issues
+    issues = validate_program(program)
     for index, message in issues:
         print(f"line {lines[index]} (instruction {index}): {message}")
     if issues:
@@ -183,7 +183,7 @@ def cmd_protocol_verify(args) -> int:
 
 def cmd_serve(args) -> int:
     logging.basicConfig(level=logging.INFO,
-                        format="%(asctime)s %(name)s %(message)s")
+                        format="%(asctime)s %(levelname)s %(name)s %(message)s")
     service = QpfService(seed=args.seed, capacity=args.capacity)
     if args.transport == "stdio":
         serve_stdio(service, sys.stdin.buffer, sys.stdout)

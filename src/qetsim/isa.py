@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ProgramSyntaxError
 
@@ -64,7 +64,6 @@ _KINDS = {
 # flattened once so that checking each new Instruction costs one lookup.
 _CHECKS = {op: tuple((name,) + _KINDS[kind][1:] for name, kind in operands)
            for op, operands in SYNTAX.items()}
-OPCODES = tuple(SYNTAX)
 # A slot or cell not in the occupancy an instruction needs, by that need.
 _WRONG = {True: "unoccupied", False: "already occupied"}
 
@@ -162,11 +161,6 @@ class QuantumProgram:
     @property
     def t(self) -> int:
         return len(self.instructions)
-
-    @cached_property
-    def issues(self) -> tuple[tuple[int, str], ...]:
-        """What ``validate_program`` finds, computed once per program."""
-        return tuple(validate_program(self))
 
 
 def read_operand(prefix: str, token: str) -> int:

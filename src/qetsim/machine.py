@@ -21,15 +21,19 @@ exact, see ``gates.qet_matrix``, so they leave no remnants).
 Unoccupied positions are always ``|0>`` and unentangled, so measuring
 one yields 0 with probability one.
 
-Both entry points turn an instruction into a step the same way
-(``_plan_step``) and run it with the same kernels.  ``execute_instruction``
-checks one instruction's occupancy and returns a new ``MachineState``
-and the measured bit, if any.  ``run_program`` runs the program's
-``shot_plan``: the program's occupancy is checked once, with
-``validate_program`` (see ``QuantumProgram.issues``), and its slot moves
-are resolved and its gates built once, since which bit holds which
-position never depends on a measured bit.  A shot then runs only the
-gates, the ``INIT 1`` flips and the measurements, on local arrays.
+Both entry points check an instruction and turn it into a step the same
+way (``_checked_step``: ``isa.occupancy_step``, then ``_plan_step``) and
+run it with the same kernels, so a broken precondition raises
+``QpuRuntimeError`` from one line, in ``_run_step``.
+``execute_instruction`` checks one instruction against the state's
+occupancy and returns a new ``MachineState`` and the measured bit, if
+any.  ``run_program`` runs the program's ``shot_plan``: one walk over
+the instructions checks their occupancy, resolves the slot moves and
+builds the gates, once per program, since which bit holds which
+position never depends on a measured bit.  The walk ends at the first
+broken precondition with a fault step.  A shot then runs only the
+gates, the ``INIT 1`` flips and the measurements, on local arrays, and
+raises at the fault step, if there is one.
 
 An int64 index holds at most 63 positions, so ``s`` is at most 60.
 """
@@ -163,7 +167,7 @@ def _measure(indices: np.ndarray, amps: np.ndarray, bit: int, position: int,
 
 
 # The kinds of step a shot plan holds (see ``shot_plan``).
-_GATE, _FLIP, _MEASURE = range(3)
+_GATE, _FLIP, _MEASURE, _FAULT = range(4)
 
 
 def _plan_step(instr: Instruction, s: int, bits: list[int]):
@@ -193,11 +197,26 @@ def _plan_step(instr: Instruction, s: int, bits: list[int]):
     return _GATE, gate, tuple(bits[s + 1:])
 
 
+def _checked_step(instr: Instruction, index: int, s: int, mem: list[bool],
+                  cells: list[bool], bits: list[int]):
+    """The step of instruction ``index``, after checking its preconditions.
+
+    ``mem``, ``cells`` and ``bits`` are updated in place.  When a
+    precondition is broken the step is ``(_FAULT, index, (opcode, the
+    first broken condition))``, which ``_run_step`` raises.
+    """
+    problems = occupancy_step(instr, s, mem, cells)
+    if problems:
+        return _FAULT, index, (instr.opcode, problems[0])
+    return _plan_step(instr, s, bits)
+
+
 def _run_step(step, indices: np.ndarray, amps: np.ndarray, rng: RandomSource):
     """Run one step of a shot plan on the register.
 
     Returns the new indices and amplitudes and the measured bit (None
-    unless the step is a measurement).
+    unless the step is a measurement); a fault step raises its
+    ``QpuRuntimeError``.
     """
     kind, first, second = step
     if kind == _GATE:
@@ -205,32 +224,37 @@ def _run_step(step, indices: np.ndarray, amps: np.ndarray, rng: RandomSource):
         return indices, amps, None
     if kind == _FLIP:
         return indices ^ first, amps, None
+    if kind == _FAULT:
+        raise QpuRuntimeError(first, *second)
     return _measure(indices, amps, first, second, rng)
 
 
 def shot_plan(program: QuantumProgram) -> tuple:
     """The steps every shot of ``program`` runs, built on the first call.
 
-    One walk over the instructions before the program's first issue, from
-    a fresh machine's bit layout, so a register too wide for the machine
-    is refused first.  Which bit holds which position never depends on a
-    measured bit, so the walk resolves every slot move, and each gate's
-    matrix is built here once.  The plan is kept on the program, as its
-    ``issues`` are, so it lives as long as the program and no longer.
+    One walk over the instructions, from a fresh machine's occupancy and
+    bit layout, so a register too wide for the machine is refused first.
+    Which bit holds which position never depends on a measured bit, so
+    the walk resolves every slot move, and each gate's matrix is built
+    here once.  At the first broken precondition the plan gets its fault
+    step and the walk stops.  The plan is kept on the program, so it
+    lives as long as the program and no longer.
     """
     plan = vars(program).get("_shot_plan")
     if plan is None:
-        bits = list(bit_layout(program.s))
-        issues = program.issues
-        stop = issues[0][0] if issues else len(program.instructions)
+        s = program.s
+        bits = list(bit_layout(s))
+        mem, cells = [False] * s, [False] * 3
         # a list, not tuple() of a generator: that allocates ten slots and
         # shrinks them, and the shrunk tuples pile up in CPython's per-size
         # free lists (6 % more peak RSS on the service_mix benchmark)
         steps = []
-        for instr in program.instructions[:stop]:
-            step = _plan_step(instr, program.s, bits)
+        for index, instr in enumerate(program.instructions):
+            step = _checked_step(instr, index, s, mem, cells, bits)
             if step is not None:
                 steps.append(step)
+                if step[0] == _FAULT:
+                    break
         plan = vars(program)["_shot_plan"] = tuple(steps)
     return plan
 
@@ -241,12 +265,9 @@ def execute_instruction(machine: MachineState, instr: Instruction,
     """Run one instruction, returning the new machine and the measured bit or None."""
     mem = list(machine.memory_occupied)
     cells = list(machine.cell_occupied)
-    problems = occupancy_step(instr, machine.s, mem, cells)
-    if problems:
-        raise QpuRuntimeError(index, instr.opcode, problems[0])
     bits = list(machine.bits)
     indices, amps, outcome = machine.indices, machine.amps, None
-    step = _plan_step(instr, machine.s, bits)
+    step = _checked_step(instr, index, machine.s, mem, cells, bits)
     if step is not None:
         indices, amps, outcome = _run_step(step, indices, amps, rng)
     new = MachineState(indices, amps, tuple(bits), tuple(mem), tuple(cells))
@@ -259,9 +280,9 @@ def run_program(program: QuantumProgram,
 
     Returns the classical results in measurement order.  The program is
     checked and compiled to its ``shot_plan`` once, not per shot; the
-    steps before its first issue run, and then that issue aborts with
-    the offending instruction index, as stepping ``execute_instruction``
-    would.
+    steps before its first broken precondition run, and then its fault
+    step raises with the offending instruction index, as stepping
+    ``execute_instruction`` would.
     """
     indices, amps = _EMPTY_INDICES, _EMPTY_AMPS
     results = []
@@ -269,9 +290,4 @@ def run_program(program: QuantumProgram,
         indices, amps, outcome = _run_step(step, indices, amps, rng)
         if outcome is not None:
             results.append((step[2], outcome))
-    issues = program.issues
-    if issues:
-        index, message = issues[0]
-        raise QpuRuntimeError(index, program.instructions[index].opcode,
-                              message)
     return results

@@ -285,8 +285,8 @@ class _Pending:
 class QpfService:
     """The framework front end: accepts requests, batches, dispatches.
 
-    Thread-safe: the request counter and queue form one critical
-    section, and at most one batch is in flight on the backend at a time.
+    Thread-safe: one lock covers the request counter, the queue and the
+    backend, so at most one batch is in flight at a time.
     """
 
     def __init__(self, seed: int = 0, capacity: int = DEFAULT_CAPACITY,
@@ -295,8 +295,7 @@ class QpfService:
         self._capacity = int(capacity)
         self._queue: deque = deque()
         self._pending: dict[tuple[str, int], _Pending] = {}
-        self._state_lock = threading.Lock()
-        self._backend_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._next_request = 0
 
     def capacity(self) -> int:
@@ -319,7 +318,7 @@ class QpfService:
                 raise ServiceError(
                     [(0, f"request needs {needed} commands; "
                          f"controller capacity is {self.capacity()}")])
-            with self._state_lock:
+            with self._lock:
                 request_id = self._next_request
                 segment = transform(ops, client_id, request_id)
                 self._next_request += 1
@@ -332,19 +331,13 @@ class QpfService:
         return pending.wait()
 
     def _pump(self):
-        """Drain whole batches; exactly one batch in flight at a time."""
-        while True:
-            with self._backend_lock:
-                with self._state_lock:
-                    batch = buffer_and_batch(self._queue, self.capacity())
-                if not batch.segments:
-                    return
+        """Drain whole batches under the lock, one batch at a time."""
+        with self._lock:
+            while (batch := buffer_and_batch(self._queue,
+                                             self.capacity())).segments:
                 responses = demux_results(dispatch(batch, self.backend))
-            with self._state_lock:
                 for key, response in responses.items():
-                    pending = self._pending.pop(key, None)
-                    if pending is not None:
-                        pending.set(response)
+                    self._pending.pop(key).set(response)
 
     # -- wire protocol -----------------------------------------------------
 

@@ -13,7 +13,7 @@ import qetsim
 from qetsim import isa
 from qetsim.cli import build_parser, main
 from qetsim.isa import parse_program_with_lines
-from qetsim.service import QpfService
+from qetsim.service import QpfService, parse_client_ops, transform
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -235,25 +235,45 @@ def test_non_integer_option_names_its_rule(argv, rule, capsys):
     assert err.endswith(f"error: argument {rule}\n") and "invalid" not in err
 
 
-def test_run_validates_the_program_once(monkeypatch, capsys):
-    # counted wherever a qetsim module holds the function, as the
-    # benchmark's tracer wraps it
-    calls = []
-    original = isa.validate_program
+def _calls(monkeypatch, function):
+    """A list that gains an entry at each call of ``function``.
 
-    def counted(program):
-        calls.append(program)
-        return original(program)
+    Calls are counted wherever a qetsim module holds the function, as the
+    benchmark's tracer wraps it.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
 
     for name, module in list(sys.modules.items()):
         if name == "qetsim" or name.startswith("qetsim."):
             for attr, value in list(vars(module).items()):
-                if value is original:
+                if value is function:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_run_validates_the_program_once(monkeypatch, capsys):
+    # the shot plan's walk checks each instruction once per program, not
+    # once per shot; only ``validate``, which reports every issue, calls
+    # validate_program
+    validated = _calls(monkeypatch, isa.validate_program)
+    stepped = _calls(monkeypatch, isa.occupancy_step)
     monkeypatch.chdir(ROOT)
     assert main(["run", "tests/golden/bell.lq", "--shots", "3"]) == 0
     assert "counts over 3 shot(s):" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert (len(validated), len(stepped)) == (0, 31)
+    ops = [{"op": "QET", "qubits": [0], "theta": 1.0},
+           {"op": "MEASURE", "qubits": [0]}]
+    segment = transform(parse_client_ops(ops), "c")
+    reply = QpfService().submit_request("c", ops)
+    assert reply["type"] == "result"
+    assert (len(validated), len(stepped)) == (
+        0, 31 + len(segment.instructions))
+    assert main(["validate", "tests/golden/bell.lq"]) == 0
+    assert len(validated) == 1
 
 
 def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
@@ -315,7 +335,7 @@ def test_serve_logs_failures_only():
     assert done.returncode == 0, done.stderr.decode(errors="replace")
     assert done.stdout == (GOLDEN / "service_seed7.jsonl").read_bytes()
     [line] = done.stderr.decode().splitlines()
-    assert " qetsim.service segment erin/3 failed: DimensionError(" in line
+    assert " WARNING qetsim.service segment erin/3 failed: DimensionError(" in line
 
 
 def test_serve_stdio_one_shot(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from qetsim.errors import ProgramSyntaxError, SynthesisError
 from qetsim.isa import (Instruction, format_program, parse_program_with_lines,
                         validate_program)
 from qetsim.machine import fresh_machine, run_program
-from qetsim.service import QpfService
+from qetsim.service import QpfService, _concretize, transform
 from qetsim.statevector import RandomSource
 from stepping import logical_matrix, rotation, run, rx, rz, without_inits
 
@@ -440,6 +440,9 @@ def test_each_op_kind_reads_the_same_through_both_front_ends(line, readouts):
 def test_logical_text_round_trips_through_its_lines(program):
     lp = parse_logical_program(_lq_text(*program))
     assert parse_logical_program(_lq_text(lp.n, _lines_of(lp))) == lp
+    # both front ends' lowerings of the ops always validate
+    assert validate_program(transform_program(lp)) == []
+    assert validate_program(_concretize(transform(lp.ops, "a"), 0)) == []
 
 
 # -- random-circuit oracle -----------------------------------------------------
