@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProgramSyntaxError, SynthesisError
+from .errors import SynthesisError
 from .gates import cqet_matrix, qet_matrix
-from .isa import (Instruction, QuantumProgram, read_lines, read_operand,
+from .isa import (Instruction, QuantumProgram, read_operand, read_program,
                   read_real)
 from .machine import bit_layout
 from .statevector import LocalUnitary, StateVector, is_unitary
@@ -359,46 +359,40 @@ def leakage_check(state: StateVector, logical_qubits: int,
 # -- logical program text -----------------------------------------------------
 
 
-def parse_logical_program(text: str) -> LogicalProgram:
-    issues: list[tuple[int, str]] = []
-    ops: list[LogicalGate] = []
+def _read_logical_line(tokens: list[str], n: int | None) -> list[LogicalGate]:
+    """The ops of one line of logical text, range-checked unless ``n`` is None."""
+    op = tokens[0].upper()
+    if op in KINDS:
+        arity, angles = KINDS[op]
+        if len(tokens) != 1 + len(angles) + arity:
+            words = (("", "an angle", "two angles")[len(angles)],
+                     ("", "a qubit", "two qubits")[arity])
+            raise ValueError(f"{op} takes " + " and ".join(filter(None, words)))
+        values = [read_real(name, token)
+                  for name, token in zip(angles, tokens[1:])]
+        qubits = [read_operand("an operand", "q", token)
+                  for token in tokens[1 + len(angles):]]
+        line_ops = [LogicalGate(op, qubits, *values)]
+    elif op == "SU2":
+        if len(tokens) != 10:
+            raise ValueError("SU2 takes a qubit and 8 matrix entries")
+        qubit = (read_operand("an operand", "q", tokens[1]),)
+        reals = [read_real("entry", x) for x in tokens[2:]]
+        matrix = np.array([complex(re, im) for re, im
+                           in zip(reals[0::2], reals[1::2])])
+        a, b, c, _ = decompose_su2(matrix.reshape(2, 2))
+        # temporal order is rightmost factor first
+        line_ops = [LogicalGate("RZ", qubit, c),
+                    LogicalGate("RX", qubit, b),
+                    LogicalGate("RZ", qubit, a)]
+    else:
+        raise ValueError(f"unknown logical operation {tokens[0]!r}")
+    if n is not None:  # a bad header's n is unknown and bounds nothing
+        LogicalProgram(n, line_ops)
+    return line_ops
 
-    n, body = read_lines(text, "LQ", "n", issues)
-    n_known = not issues  # a bad header reads n = 0, which bounds nothing
-    for lineno, tokens in body:
-        op = tokens[0].upper()
-        try:
-            if op in KINDS:
-                arity, angles = KINDS[op]
-                if len(tokens) != 1 + len(angles) + arity:
-                    words = (("", "an angle", "two angles")[len(angles)],
-                             ("", "a qubit", "two qubits")[arity])
-                    raise ValueError(f"{op} takes "
-                                     + " and ".join(filter(None, words)))
-                values = [read_real(name, token)
-                          for name, token in zip(angles, tokens[1:])]
-                qubits = [read_operand("q", token)
-                          for token in tokens[1 + len(angles):]]
-                line_ops = [LogicalGate(op, qubits, *values)]
-            elif op == "SU2":
-                if len(tokens) != 10:
-                    raise ValueError("SU2 takes a qubit and 8 matrix entries")
-                qubit = (read_operand("q", tokens[1]),)
-                reals = [read_real("entry", x) for x in tokens[2:]]
-                matrix = np.array([complex(re, im) for re, im
-                                   in zip(reals[0::2], reals[1::2])])
-                a, b, c, _ = decompose_su2(matrix.reshape(2, 2))
-                # temporal order is rightmost factor first
-                line_ops = [LogicalGate("RZ", qubit, c),
-                            LogicalGate("RX", qubit, b),
-                            LogicalGate("RZ", qubit, a)]
-            else:
-                raise ValueError(f"unknown logical operation {tokens[0]!r}")
-            if n_known:  # the range checks, on this line alone
-                LogicalProgram(n, line_ops)
-            ops += line_ops
-        except (ValueError, SynthesisError) as exc:
-            issues.append((lineno, str(exc)))
-    if issues:
-        raise ProgramSyntaxError(issues)
-    return LogicalProgram(n, tuple(ops))
+
+def parse_logical_program(text: str) -> LogicalProgram:
+    n, lines = read_program(text, "LQ", "n", _read_logical_line)
+    return LogicalProgram(n, tuple(op for _, line_ops in lines
+                                   for op in line_ops))

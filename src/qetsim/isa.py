@@ -24,8 +24,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
-from .errors import ProgramSyntaxError
+from .errors import ProgramSyntaxError, SynthesisError
 
 # Operands of each opcode, in text order: (Instruction field, kind).  A
 # trailing transistor operand may be left out of the text.
@@ -163,12 +164,12 @@ class QuantumProgram:
         return len(self.instructions)
 
 
-def read_operand(prefix: str, token: str) -> int:
+def read_operand(name: str, prefix: str, token: str) -> int:
     """The non-negative integer written after ``prefix`` (any case) in ``token``."""
     digits = token[len(prefix):]
     if (token[:len(prefix)].lower() != prefix
             or not (digits.isascii() and digits.isdecimal())):
-        raise ValueError(f"expected an operand like '{prefix}0', got {token!r}")
+        raise ValueError(f"expected {name} like '{prefix}0', got {token!r}")
     return int(digits)
 
 
@@ -202,13 +203,8 @@ def _parse_instruction(tokens: list[str]) -> Instruction:
     for (name, kind), token in zip(operands, args):
         if kind == "angle":
             values[name] = read_real(name, token)
-            continue
-        prefix = _KINDS[kind][0]
-        try:
-            values[name] = read_operand(prefix, token)
-        except ValueError:
-            raise ValueError(f"expected {name} like '{prefix}0', "
-                             f"got {token!r}") from None
+        else:
+            values[name] = read_operand(name, _KINDS[kind][0], token)
     return Instruction(opcode, **values)
 
 
@@ -220,53 +216,48 @@ def token_lines(text: str):
             yield lineno, tokens
 
 
-def read_lines(text: str, keyword: str, field: str,
-               issues: list) -> tuple[int, list[tuple[int, list[str]]]]:
-    """The header value and the ``(line number, tokens)`` body of program text.
+def read_program(text: str, keyword: str, field: str, read_line):
+    """The header value and the ``(line number, result)`` of each body line.
 
-    The first line must read ``<keyword> <field>=<digits>``.  Each
-    problem is appended to ``issues`` as ``(line number, message)`` and
-    the value then reads 0; a first line that does not start with
-    ``keyword`` is kept in the body.
+    The first line must read ``<keyword> <field>=<digits>``; one that
+    does not start with ``keyword`` is read as a body line.  Each body
+    line's tokens and the header value, None after a bad header, go to
+    ``read_line``.  Every problem of the header, and every ``ValueError``
+    or ``SynthesisError`` a line raises, is collected at its line and
+    raised as one ``ProgramSyntaxError``.
     """
-    body = list(token_lines(text))
     header = f"expected header '{keyword} {field}=<int>'"
-    if not body:
-        issues.append((1, f"empty program: {header}"))
-        return 0, body
-    lineno, tokens = body[0]
-    named = tokens[0].upper() == keyword
-    if (not named or len(tokens) != 2
-            or not tokens[1].lower().startswith(field + "=")):
+    lines = token_lines(text)
+    lineno, tokens = next(lines, (1, None))
+    value, issues, results = None, [], []
+    if tokens is None:
+        issues.append((lineno, f"empty program: {header}"))
+    elif tokens[0].upper() != keyword:
         issues.append((lineno, header))
-        return 0, body[1:] if named else body
-    value = tokens[1][len(field) + 1:]
-    if value.isascii() and value.isdecimal():
-        return int(value), body[1:]
-    issues.append((lineno, f"bad header {tokens[1]!r}: {field} must be a "
-                           "non-negative integer"))
-    return 0, body[1:]
-
-
-def parse_program_with_lines(text: str) -> tuple[QuantumProgram, tuple[int, ...]]:
-    """Parse program text, returning the source line of each instruction.
-
-    Collects every line-level problem before raising, so diagnostics
-    cover the whole file.
-    """
-    issues: list[tuple[int, str]] = []
-    instructions: list[Instruction] = []
-    lines_of: list[int] = []
-    s, body = read_lines(text, "QPU", "s", issues)
-    for lineno, tokens in body:
+        lines = chain([(lineno, tokens)], lines)
+    elif len(tokens) != 2 or not tokens[1].lower().startswith(field + "="):
+        issues.append((lineno, header))
+    elif (digits := tokens[1][len(field) + 1:]).isascii() and digits.isdecimal():
+        value = int(digits)
+    else:
+        issues.append((lineno, f"bad header {tokens[1]!r}: {field} must be a "
+                               "non-negative integer"))
+    for lineno, tokens in lines:
         try:
-            instructions.append(_parse_instruction(tokens))
-            lines_of.append(lineno)
-        except ValueError as exc:
+            results.append((lineno, read_line(tokens, value)))
+        except (ValueError, SynthesisError) as exc:
             issues.append((lineno, str(exc)))
     if issues:
         raise ProgramSyntaxError(issues)
-    return QuantumProgram(s, tuple(instructions)), tuple(lines_of)
+    return value, results
+
+
+def parse_program_with_lines(text: str) -> tuple[QuantumProgram, tuple[int, ...]]:
+    """Parse program text, returning the source line of each instruction."""
+    s, lines = read_program(text, "QPU", "s",
+                            lambda tokens, _: _parse_instruction(tokens))
+    lines_of, instructions = zip(*lines) if lines else ((), ())
+    return QuantumProgram(s, instructions), lines_of
 
 
 def format_instruction(instr: Instruction) -> str:

@@ -48,7 +48,8 @@ import numpy as np
 from .errors import DimensionError, MeasurementError, QpuRuntimeError
 from .gates import cqet_matrix, phase_matrix, qet_matrix
 from .isa import Instruction, QuantumProgram, occupancy_step
-from .statevector import NORM_TOL, LocalUnitary, RandomSource, StateVector
+from .statevector import (NORM_TOL, LocalUnitary, RandomSource, StateVector,
+                          finite_amps)
 
 MAX_POSITIONS = 63
 
@@ -106,12 +107,6 @@ def fresh_machine(s: int) -> MachineState:
                         (False,) * s, (False, False, False))
 
 
-def _finite(amps: np.ndarray) -> np.ndarray:
-    if not np.isfinite(amps).all():
-        raise DimensionError("non-finite amplitude")
-    return amps
-
-
 @lru_cache(maxsize=1024)
 def _cell_layout(cell_bits: tuple[int, ...]):
     """How a gate on the cells held by ``cell_bits`` reads and writes an index.
@@ -146,7 +141,7 @@ def _apply_to_cells(indices: np.ndarray, amps: np.ndarray, gate: LocalUnitary,
     summed = np.zeros(len(support), dtype=complex)
     np.add.at(summed, slot, products[nonzero])
     keep = summed != 0
-    return support[keep], _finite(summed[keep])
+    return support[keep], finite_amps(summed[keep])
 
 
 def _measure(indices: np.ndarray, amps: np.ndarray, bit: int, position: int,
@@ -163,7 +158,7 @@ def _measure(indices: np.ndarray, amps: np.ndarray, bit: int, position: int,
     kept = ones if outcome else ~ones
     # classical-conditional flip back to |0> so the slot can be reused
     return (indices[kept] ^ (outcome << bit),
-            _finite(amps[kept] / np.sqrt(weights[outcome])), outcome)
+            finite_amps(amps[kept] / np.sqrt(weights[outcome])), outcome)
 
 
 # The kinds of step a shot plan holds (see ``shot_plan``).

@@ -51,10 +51,8 @@ class StateVector:
             raise DimensionError(
                 f"amplitude array of length {amps.shape} does not match "
                 f"shape of dimension {dim}")
-        if not np.isfinite(amps).all():
-            raise DimensionError("non-finite amplitude")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", finite_amps(amps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,13 +140,18 @@ def _plan(dims: tuple[int, ...], targets: tuple[int, ...]):
             tuple(dims[t] for t in targets))
 
 
-def _kernel_result(shape: tuple[int, ...], amps: np.ndarray) -> StateVector:
-    """A kernel's output on an already checked shape: only finiteness is new."""
+def finite_amps(amps: np.ndarray) -> np.ndarray:
+    """``amps``, once every entry is checked to be finite."""
     if not np.isfinite(amps).all():
         raise DimensionError("non-finite amplitude")
+    return amps
+
+
+def _kernel_result(shape: tuple[int, ...], amps: np.ndarray) -> StateVector:
+    """A kernel's output on an already checked shape: only finiteness is new."""
     state = object.__new__(StateVector)
     object.__setattr__(state, "shape", shape)
-    object.__setattr__(state, "amps", amps)
+    object.__setattr__(state, "amps", finite_amps(amps))
     return state
 
 

@@ -2,6 +2,10 @@ import io
 import json
 import math
 import os
+import re
+import select
+import signal
+import socket
 import subprocess
 import sys
 import tracemalloc
@@ -336,6 +340,44 @@ def test_serve_logs_failures_only():
     assert done.stdout == (GOLDEN / "service_seed7.jsonl").read_bytes()
     [line] = done.stderr.decode().splitlines()
     assert " WARNING qetsim.service segment erin/3 failed: DimensionError(" in line
+
+
+def test_serve_socket_until_interrupted():
+    # the TCP transport through the real entry point: it prints where it
+    # listens, serves, and stops quietly on SIGINT; every wait is bounded
+    env = dict(os.environ, PYTHONPATH=str(Path(qetsim.__file__).parents[1]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "qetsim.cli", "serve", "--transport", "socket",
+         "--port", "0", "--seed", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0)
+    try:
+        assert select.select([server.stdout], [], [], 60)[0], "no address"
+        # unbuffered, so no later output is read here and missed below
+        first = server.stdout.readline().decode()
+        address = re.fullmatch(r"listening on (127\.0\.0\.1):(\d+)\n", first)
+        assert address, first
+        host, port = address.groups()
+        with socket.create_connection((host, int(port)), timeout=60) as conn:
+            reader = conn.makefile("rb")
+            conn.sendall(b'{"type":"capacity"}\n')
+            assert reader.readline() == b'{"capacity":1024,"type":"capacity"}\n'
+            conn.sendall(json.dumps(
+                {"type": "submit", "client": "a",
+                 "ops": [{"op": "QET", "qubits": [0], "theta": math.pi},
+                         {"op": "MEASURE", "qubits": [0]}]}).encode() + b"\n")
+            assert json.loads(reader.readline()) == {
+                "type": "result", "results": [{"qubit": 0, "bit": 1}]}
+            reader.close()
+        server.send_signal(signal.SIGINT)
+        out, err = server.communicate(timeout=60)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate(timeout=60)
+    assert server.returncode == 0, err.decode(errors="replace")
+    assert out == b""
+    [line] = err.decode().splitlines()
+    assert f" INFO qetsim.service service listening on {host}:{port}" in line
 
 
 def test_serve_stdio_one_shot(monkeypatch, capsys):

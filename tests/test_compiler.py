@@ -221,14 +221,17 @@ def test_logical_text_su2_line():
 
 
 def test_logical_text_errors_with_lines():
-    text = "LQ n=1\nRX q0\nWIBBLE q0\nMEASURE q5\nRZ 0.5 q2\n"
+    text = "LQ n=1\nRX q0\nWIBBLE q0\nMEASURE q5\nRZ 0.5 q2\nSU2 q0 1 0\n"
     with pytest.raises(ProgramSyntaxError) as info:
         parse_logical_program(text)
     lines = [line for line, _ in info.value.issues]
     assert 2 in lines and 3 in lines
-    # each operand out of range is an issue at its own line
-    assert info.value.issues[2:] == [(4, "measured q5 out of range [0, 1)"),
-                                     (5, "gate operand q2 out of range [0, 1)")]
+    # each operand out of range, and an SU2 short of entries, is an issue
+    # at its own line
+    assert info.value.issues[2:] == [
+        (4, "measured q5 out of range [0, 1)"),
+        (5, "gate operand q2 out of range [0, 1)"),
+        (6, "SU2 takes a qubit and 8 matrix entries")]
     # a qubit operand is ASCII digits alone
     with pytest.raises(ProgramSyntaxError) as info:
         parse_logical_program("LQ n=1\nRX 0.5 q\u0661\nMEASURE q+0\n")
@@ -286,6 +289,12 @@ def test_logical_text_with_a_bad_header_checks_no_range():
         with pytest.raises(ProgramSyntaxError) as info:
             parse_logical_program(text)
         assert info.value.issues == [(1, "expected header 'LQ n=<int>'")]
+    # a text with no line to read has no header either
+    for text in ("", "# only a comment\n"):
+        with pytest.raises(ProgramSyntaxError) as info:
+            parse_logical_program(text)
+        assert info.value.issues == [
+            (1, "empty program: expected header 'LQ n=<int>'")]
 
 
 def test_logical_program_range_check():

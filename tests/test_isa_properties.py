@@ -1,10 +1,11 @@
 """The opcode table and the occupancy step, checked on random programs.
 
 Text format and parser come from one table, so every program must
-survive a format/parse round trip.  Static validation and execution
-share one occupancy step, so a program runs exactly when it validates,
-and otherwise fails at the first issue validation reports, with the
-same message.
+survive a format/parse round trip.  Machine and logical text share one
+reader, so a text reads as its lines read one at a time.  Static
+validation and execution share one occupancy step, so a program runs
+exactly when it validates, and otherwise fails at the first issue
+validation reports, with the same message.
 """
 
 import math
@@ -12,7 +13,8 @@ import math
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from qetsim.errors import QpuRuntimeError
+from qetsim.compiler import LogicalProgram, parse_logical_program
+from qetsim.errors import ProgramSyntaxError, QpuRuntimeError
 from qetsim.isa import (SYNTAX, Instruction, QuantumProgram, format_program,
                         parse_program_with_lines, validate_program)
 from qetsim.machine import run_program
@@ -93,6 +95,75 @@ def programs(draw):
 @given(programs())
 def test_format_then_parse_is_identity(program):
     assert parse_program_with_lines(format_program(program))[0] == program
+
+
+# Well-formed lines of machine and of logical text, and the opcodes and
+# operands, good and bad, of random lines of either.
+GOOD_LINES = {
+    "QPU": ["INIT m0 1", "LOAD m1 c1", "SAVE c2 m0", "QET 0.5",
+            "PHASE -1e-3 2 t0", "CQET", "measure m1  # read"],
+    "LQ": ["RX 0.5 q0", "RZ -1 q1", "QET 2 q0", "PHASE 0.5 0.25 q1",
+           "CNOT q0 q1", "CQET q1 q0", "MEASURE q1", "SU2 q0 1 0 0 0 0 0 1 0"],
+}
+OPCODES = sorted({line.split()[0].upper() for lines in GOOD_LINES.values()
+                  for line in lines} | {"BLORP"})
+TOKENS = ["m0", "c1", "t0", "t1", "q0", "q1", "q3", "0", "1", "0.5", "nan",
+          "1_0", "half", "m+1", "q"]
+PARSERS = {"QPU": parse_program_with_lines, "LQ": parse_logical_program}
+
+
+@st.composite
+def program_texts(draw):
+    """A good header, then lines of both texts between blank and comment lines.
+
+    Returns the header, the text and each drawn line with its line number.
+    """
+    keyword = draw(st.sampled_from(sorted(GOOD_LINES)))
+    field = {"QPU": "s", "LQ": "n"}[keyword]
+    header = f"{keyword} {field}={draw(st.integers(0, 3))}"
+    text, lines = [header], []
+    for _ in range(draw(st.integers(0, 6))):
+        text += draw(st.lists(st.sampled_from(["", "# gap"]), max_size=2))
+        line = draw(st.one_of(
+            st.sampled_from(GOOD_LINES[keyword]),
+            st.sampled_from(GOOD_LINES["QPU"] + GOOD_LINES["LQ"]),
+            st.builds(lambda op, args: " ".join([op, *args]),
+                      st.sampled_from(OPCODES),
+                      st.lists(st.sampled_from(TOKENS), max_size=4))))
+        text.append(line)
+        lines.append((len(text), line))
+    return header, "\n".join(text) + "\n", lines
+
+
+def _read(parse, text):
+    """What ``parse`` reads from ``text``, and the issues it raises."""
+    try:
+        return parse(text), []
+    except ProgramSyntaxError as exc:
+        return None, exc.issues
+
+
+@settings(max_examples=150)
+@given(program_texts())
+def test_text_reads_as_its_lines_read_alone(case):
+    header, text, lines = case
+    keyword, value = header.split()[0], int(header.split("=")[1])
+    parse = PARSERS[keyword]
+    alone = [_read(parse, f"{header}\n{line}\n") for _, line in lines]
+    program, issues = _read(parse, text)
+    # every line's issues, in order, each at the line it stands on
+    assert issues == [(lineno, message)
+                      for (lineno, _), (_, line_issues) in zip(lines, alone)
+                      for _, message in line_issues]
+    if issues:
+        return
+    if keyword == "QPU":
+        instructions = [i for (part, _), _ in alone for i in part.instructions]
+        assert program == (QuantumProgram(value, instructions),
+                           tuple(lineno for lineno, _ in lines))
+    else:
+        ops = [op for part, _ in alone for op in part.ops]
+        assert program == LogicalProgram(value, ops)
 
 
 # operands of every type the constructor might be handed: bools, floats

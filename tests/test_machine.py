@@ -417,6 +417,12 @@ def test_parse_reports_every_bad_line():
 def test_parse_missing_header():
     with pytest.raises(ProgramSyntaxError, match="QPU"):
         parse_program_with_lines("INIT m0 0\n")
+    # a text with no line to read has no header either
+    for text in ("", "# only a comment\n"):
+        with pytest.raises(ProgramSyntaxError) as info:
+            parse_program_with_lines(text)
+        assert info.value.issues == [
+            (1, "empty program: expected header 'QPU s=<int>'")]
     # a bad header line is reported once, not also as an instruction
     for text in ("QPU\nINIT m0 0\n", "qpu s=1 x\nINIT m0 0\n"):
         with pytest.raises(ProgramSyntaxError) as info:
