@@ -13,7 +13,7 @@ from pathlib import Path
 from .compiler import parse_logical_program, transform_program
 from .errors import ProgramSyntaxError, QetSimError
 from .isa import (QuantumProgram, format_program, parse_program_with_lines,
-                  token_lines, validate_program)
+                  read_operand, token_lines, validate_program)
 from .machine import bit_layout, run_program
 from .protocol import (PROTOCOL_SEQUENCE, SWAP_FACTOR, ProtocolInput,
                        assemble_state, initial_state, run_protocol,
@@ -26,10 +26,13 @@ IDEAL_INFIDELITY_GATE = 1e-9
 
 
 def _int_type(low: int, high: float, message: str):
-    """An argparse type: an integer in ``[low, high]``, else ``message``."""
+    """An argparse type: an integer in ``[low, high]``, else ``message``.
+
+    The integer is read as program text reads one, in ASCII digits only.
+    """
     def convert(text: str) -> int:
         try:
-            value = int(text)
+            value = read_operand("", "", text)
             if low <= value <= high:
                 return value
         except ValueError:
@@ -122,8 +125,8 @@ def cmd_run(args) -> int:
                  "results": [{"qubit": addr, "bit": bit}
                              for addr, bit in results]}))
         else:
-            readout = " ".join(f"m{addr}={bit}" for addr, bit in results)
-            print(f"shot {shot}: {readout or '(no measurements)'}")
+            shown = " ".join(f"m{addr}={bit}" for addr, bit in results)
+            print(f"shot {shot}: {shown or '(no measurements)'}")
     if args.output == "machine":
         print(encode_message({"type": "aggregate", "shots": args.shots,
                               "counts": counts}))

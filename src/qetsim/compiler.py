@@ -43,7 +43,7 @@ from .gates import cqet_matrix, qet_matrix
 from .isa import (Instruction, QuantumProgram, read_operand, read_program,
                   read_real)
 from .machine import bit_layout
-from .statevector import LocalUnitary, StateVector, is_unitary
+from .statevector import ALGEBRA_TOL, LocalUnitary, StateVector, is_unitary
 
 # Correction angles that turn the raw controlled transfer into an exact
 # CNOT: the controlled transfer fires on control |0> and adds a factor i,
@@ -139,67 +139,6 @@ def pair(logical_id: int) -> tuple[int, int]:
     return 2 * logical_id, 2 * logical_id + 1
 
 
-def memory_size(n: int) -> int:
-    """The memory slots of ``n`` logical qubits: those below qubit ``n``'s pair."""
-    return pair(n)[0]
-
-
-def encode_init(logical_id: int, basis_bit: int) -> list[Instruction]:
-    """Prepare a pair in the encoded basis state ``basis_bit``."""
-    if basis_bit not in (0, 1):
-        raise SynthesisError(f"basis bit must be 0 or 1, got {basis_bit}")
-    first, second = pair(logical_id)
-    return [Instruction.init(first, basis_bit),
-            Instruction.init(second, 1 - basis_bit)]
-
-
-def bracket(slots: tuple[int, int],
-            inner: list[Instruction]) -> list[Instruction]:
-    """Run ``inner`` with a pair's slots in cells c1 and c2."""
-    first, second = slots
-    return ([Instruction.load(first, 1), Instruction.load(second, 2)]
-            + inner
-            + [Instruction.save(1, first), Instruction.save(2, second)])
-
-
-def controlled_transfer(ctrl: tuple[int, int],
-                        tgt: tuple[int, int]) -> list[Instruction]:
-    """One CQET with the control's first slot in c0 and the target pair in c1, c2."""
-    return [Instruction.load(ctrl[0], 0),
-            Instruction.load(tgt[0], 1),
-            Instruction.load(tgt[1], 2),
-            Instruction.cqet(),
-            Instruction.save(0, ctrl[0]),
-            Instruction.save(1, tgt[0]),
-            Instruction.save(2, tgt[1])]
-
-
-def readout(slots: tuple[int, int]) -> list[Instruction]:
-    """Measure a pair first slot first; both slots end free."""
-    return [Instruction.measure(slots[0]), Instruction.measure(slots[1])]
-
-
-def synthesize_logical_cnot(ctrl_id: int, tgt_id: int) -> list[Instruction]:
-    """Exact CNOT (control 1 flips target) from the controlled transfer.
-
-    The control pair is conjugated by full transfers, the control's
-    first slot rides in the control cell during the conditional
-    transfer, and one phase gate removes the leftover branch phases;
-    the result has no residual global phase at all.
-    """
-    if ctrl_id == tgt_id:
-        raise SynthesisError("CNOT control and target must differ")
-    ctrl = pair(ctrl_id)
-    tgt = pair(tgt_id)
-    seq = bracket(ctrl, [Instruction.qet(math.pi)])
-    seq += controlled_transfer(ctrl, tgt)
-    seq += bracket(ctrl, [
-        Instruction.phase(CNOT_CORRECTION_THETA, CNOT_CORRECTION_PHI),
-        Instruction.qet(math.pi),
-    ])
-    return seq
-
-
 def derive_cnot_corrections() -> tuple[float, float]:
     """Re-derive the phase-correction angles from the gate matrices.
 
@@ -234,7 +173,10 @@ def decompose_su2(u) -> tuple[float, float, float, float]:
     ``(0, pi)`` and ``a, c`` are reduced modulo ``4 pi``.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not is_unitary(LocalUnitary((2,), u)):
+    # an entry past 1, inf or NaN is refused before the Gram product can
+    # overflow or warn
+    if (u.shape != (2, 2) or not (np.abs(u) <= 1 + ALGEBRA_TOL).all()
+            or not is_unitary(LocalUnitary((2,), u))):
         raise SynthesisError("SU2 matrix must be 2x2 unitary")
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     delta = 0.5 * cmath.phase(det)
@@ -269,21 +211,38 @@ def decompose_su2(u) -> tuple[float, float, float, float]:
     return result
 
 
-# Each op kind of either front end lowered once over placeholder pairs:
-# the pair of qubit 0 stands for the op's first qubit, that of qubit 1 for
-# its second, and None for the op's own gate.
-_ONE_PAIR = bracket(pair(0), [None])
+# Each op kind of either front end lowered once over placeholder slots:
+# slots 0 and 1 are the pair of the op's first qubit, slots 2 and 3 that
+# of its second, and None is the op's own gate.
+def _bracket(*inner) -> list[Instruction | None]:
+    """Run ``inner`` with the first qubit's pair in cells c1 and c2."""
+    return [Instruction.load(0, 1), Instruction.load(1, 2), *inner,
+            Instruction.save(1, 0), Instruction.save(2, 1)]
+
+
+# one CQET with the first qubit's first slot in c0 and the second's pair
+# in c1, c2
+_CQET = [Instruction.load(0, 0), Instruction.load(2, 1),
+         Instruction.load(3, 2), Instruction.cqet(), Instruction.save(0, 0),
+         Instruction.save(1, 2), Instruction.save(2, 3)]
+_ONE_PAIR = _bracket(None)
 TEMPLATES = {
     "RX": _ONE_PAIR, "RZ": _ONE_PAIR, "QET": _ONE_PAIR, "PHASE": _ONE_PAIR,
-    "CNOT": synthesize_logical_cnot(0, 1),
-    "CQET": controlled_transfer(pair(0), pair(1)),
-    "MEASURE": readout(pair(0)),
+    # Exact CNOT: full transfers on the control turn the CQET's firing on
+    # control |0> into firing on 1, and the PHASE takes out the branch
+    # phases that are left, so no global phase remains.
+    "CNOT": (_bracket(Instruction.qet(math.pi)) + _CQET
+             + _bracket(Instruction.phase(CNOT_CORRECTION_THETA,
+                                          CNOT_CORRECTION_PHI),
+                        Instruction.qet(math.pi))),
+    "CQET": _CQET,
+    "MEASURE": [Instruction.measure(0), Instruction.measure(1)],
 }
 # placeholder slot -> (index of the op's qubit, half of its pair)
 _OPERAND = {slot: (operand, half)
             for operand in (0, 1) for half, slot in enumerate(pair(operand))}
 # INIT of a pair's first and second half: every pair starts at logical 0
-_INIT = tuple(encode_init(0, 0))
+_INIT = (Instruction.init(0, 0), Instruction.init(1, 1))
 
 
 def emit(ops: list[LogicalGate],
@@ -328,10 +287,10 @@ def transform_program(lp: LogicalProgram) -> QuantumProgram:
     reads its pair out first slot first, with the second slot measured
     too so both slots end free.
     """
-    bit_layout(memory_size(lp.n))
+    bit_layout(2 * lp.n)
     slots = {(q, half): slot
              for q in range(lp.n) for half, slot in enumerate(pair(q))}
-    return QuantumProgram(memory_size(lp.n), tuple(emit(lp.ops, slots)))
+    return QuantumProgram(2 * lp.n, tuple(emit(lp.ops, slots)))
 
 
 def leakage_check(state: StateVector, logical_qubits: int,

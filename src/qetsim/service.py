@@ -232,11 +232,11 @@ def dispatch(batch: ExecutionBatch, backend) -> list[tuple]:
 def demux_results(outcomes: list[tuple]) -> dict:
     """Per-request responses keyed by ``(client_id, request_id)``.
 
-    Readout ``k`` of a segment reads records ``2k`` and ``2k + 1``:
-    ``compiler.readout`` measures a pair's first slot and then its second,
-    the backend returns one record per MEASURE in program order, and an
-    INIT the lowering puts between the two measures returns none.  So a
-    qubit measured again after reuse gets its own bits.  Each logical
+    Readout ``k`` of a segment reads records ``2k`` and ``2k + 1``: the
+    ``MEASURE`` template measures a pair's first slot and then its
+    second, the backend returns one record per MEASURE in program order,
+    and an INIT the lowering puts between the two measures returns none.
+    So a qubit measured again after reuse gets its own bits.  Each logical
     readout takes the first physical bit; a pair with equal bits means the
     state left the encoded subspace and is surfaced as a decode error
     rather than being resolved silently.

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from qetsim.compiler import (LogicalGate, LogicalProgram, encode_init, pair,
-                             transform_program)
+from qetsim.compiler import LogicalGate, LogicalProgram, pair, transform_program
+from qetsim.isa import Instruction
 from qetsim.machine import execute_instruction, fresh_machine
 
 
@@ -49,10 +49,16 @@ def without_inits(program):
     return [instr for instr in program.instructions if instr.opcode != "INIT"]
 
 
-def rotation(kind, q, theta):
-    """One logical rotation as the compiler lowers it, without its INITs."""
-    return without_inits(transform_program(
-        LogicalProgram(q + 1, [LogicalGate(kind, (q,), theta)])))
+def lowered(kind, qubits, theta=None):
+    """One logical op as the compiler lowers it, without its INITs."""
+    return without_inits(transform_program(LogicalProgram(
+        max(qubits) + 1, [LogicalGate(kind, qubits, theta)])))
+
+
+def prepared(bits):
+    """The INITs that put logical qubit ``q`` in basis state ``bits[q]``."""
+    return [Instruction.init(slot, bit ^ half) for q, bit in enumerate(bits)
+            for half, slot in enumerate(pair(q))]
 
 
 def logical_matrix(n, instructions, qubits, rng):
@@ -71,9 +77,9 @@ def logical_matrix(n, instructions, qubits, rng):
     dim = 2 ** len(qubits)
     matrix = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        prep = [instr for q, bit in encoded(col).items()
-                for instr in encode_init(q, bit)]
-        machine, _ = run(fresh_machine(2 * n), prep + list(instructions), rng)
+        machine, _ = run(fresh_machine(2 * n),
+                         prepared(encoded(col).values()) + list(instructions),
+                         rng)
         register = machine.register
         for row in range(dim):
             levels = [0] * len(register.shape)

@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 from qetsim.compiler import (LogicalGate, LogicalProgram, decompose_su2,
-                             encode_init, leakage_check,
-                             synthesize_logical_cnot, transform_program)
+                             leakage_check, transform_program)
 from qetsim.dynamics import CavityAtomParams, integrate_two_level, rabi_coefficients
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
 from qetsim.isa import Instruction
@@ -26,7 +25,8 @@ from qetsim.service import (EmulatorBackend, ExecutionBatch, QpfService,
 from qetsim.statevector import RandomSource, is_unitary
 from reference_tables import (LINEAGES, PHYSICAL_STEPS, REFERENCE_STEPS,
                               semantic_config)
-from stepping import logical_matrix, occupied, rotation, run, rx, rz, steps
+from stepping import (logical_matrix, lowered, occupied, prepared, run, rx,
+                      rz, steps)
 
 
 class _Timer:
@@ -158,12 +158,12 @@ def test_criterion_5_logical_layer():
     rng = RandomSource(105)
     draws = np.random.default_rng(105).uniform(-2 * math.pi, 2 * math.pi, 100)
     for theta in draws:
-        got = logical_matrix(1, rotation("RX", 0, float(theta)), (0,), rng)
+        got = logical_matrix(1, lowered("RX", (0,), float(theta)), (0,), rng)
         assert np.max(np.abs(got - rx(theta))) < 1e-12
-        got = logical_matrix(1, rotation("RZ", 0, float(theta)), (0,), rng)
+        got = logical_matrix(1, lowered("RZ", (0,), float(theta)), (0,), rng)
         assert np.max(np.abs(got - rz(theta))) < 1e-12
 
-    got = logical_matrix(2, synthesize_logical_cnot(0, 1), (0, 1), rng)
+    got = logical_matrix(2, lowered("CNOT", (0, 1)), (0, 1), rng)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                      [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     phases = [got[int(np.argmax(np.abs(cnot[:, col]))), col]
@@ -182,19 +182,17 @@ def test_criterion_5_logical_layer():
     circuit_rng = np.random.default_rng(305)
     for _ in range(20):
         n = int(circuit_rng.integers(1, 4))
-        prep = []
-        for q in range(n):
-            prep += encode_init(q, int(circuit_rng.integers(0, 2)))
+        prep = prepared([int(circuit_rng.integers(0, 2)) for _ in range(n)])
         machine, _ = run(fresh_machine(2 * n), prep, rng)
         for _ in range(5):
             kind = circuit_rng.choice(["RX", "RZ", "CNOT"] if n > 1
                                       else ["RX", "RZ"])
             if kind in ("RX", "RZ"):
-                gate = rotation(kind, int(circuit_rng.integers(0, n)),
-                                float(circuit_rng.uniform(-3, 3)))
+                gate = lowered(kind, (int(circuit_rng.integers(0, n)),),
+                               float(circuit_rng.uniform(-3, 3)))
             else:
                 ctrl, tgt = circuit_rng.choice(n, size=2, replace=False)
-                gate = synthesize_logical_cnot(int(ctrl), int(tgt))
+                gate = lowered("CNOT", (int(ctrl), int(tgt)))
             machine, _ = run(machine, gate, rng)
             assert leakage_check(machine.register, n)
     elapsed = timer.check("criterion 5")

@@ -230,7 +230,20 @@ def test_port_out_of_range_is_usage_error(port, capsys):
      "--samples: must be a positive integer"),
     (["serve", "--capacity", "x"], "--capacity: must be a positive integer"),
     (["serve", "--port", "x"], "--port: must be an integer in 0..65535"),
-], ids=["shots", "seed", "samples", "capacity", "port"])
+    # every spelling that int() takes but program text refuses
+    (["run", "tests/golden/bell.lq", "--seed", "\u0663"],
+     "--seed: must be a non-negative integer"),
+    (["run", "tests/golden/bell.lq", "--seed", " +5 "],
+     "--seed: must be a non-negative integer"),
+    (["run", "tests/golden/bell.lq", "--shots", "1_0"],
+     "--shots: must be a positive integer"),
+    (["protocol-verify", "--samples", "+5"],
+     "--samples: must be a positive integer"),
+    (["serve", "--capacity", "1_0"], "--capacity: must be a positive integer"),
+    (["serve", "--port", "\u0663"], "--port: must be an integer in 0..65535"),
+], ids=["shots", "seed", "samples", "capacity", "port", "seed-arabic-indic",
+        "seed-signed-spaced", "shots-underscore", "samples-signed",
+        "capacity-underscore", "port-arabic-indic"])
 def test_non_integer_option_names_its_rule(argv, rule, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)

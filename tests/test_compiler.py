@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,16 +8,16 @@ from hypothesis import strategies as st
 
 from qetsim.compiler import (CNOT_CORRECTION_PHI, CNOT_CORRECTION_THETA,
                              KINDS, LogicalGate, LogicalProgram, decompose_su2,
-                             derive_cnot_corrections, encode_init,
-                             leakage_check, pair, parse_logical_program,
-                             synthesize_logical_cnot, transform_program)
+                             derive_cnot_corrections, leakage_check, pair,
+                             parse_logical_program, transform_program)
 from qetsim.errors import ProgramSyntaxError, SynthesisError
 from qetsim.isa import (Instruction, format_program, parse_program_with_lines,
                         validate_program)
 from qetsim.machine import fresh_machine, run_program
 from qetsim.service import QpfService, _concretize, transform
 from qetsim.statevector import RandomSource
-from stepping import logical_matrix, rotation, run, rx, rz, without_inits
+from stepping import (logical_matrix, lowered, prepared, run, rx, rz,
+                      without_inits)
 
 RNG = RandomSource(0)
 
@@ -27,48 +28,42 @@ def test_pair_layout():
     assert transform_program(lp).s == 6
 
 
-def test_encode_init_bits():
-    assert encode_init(0, 0) == [Instruction.init(0, 0),
-                                 Instruction.init(1, 1)]
-    assert encode_init(2, 1) == [Instruction.init(4, 1),
-                                 Instruction.init(5, 0)]
-
-
 def test_rx_restriction_matches_textbook_rotation():
     rng = np.random.default_rng(23)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=100):
-        got = logical_matrix(1, rotation("RX", 0, float(theta)), (0,), RNG)
+        got = logical_matrix(1, lowered("RX", (0,), float(theta)), (0,), RNG)
         assert np.max(np.abs(got - rx(theta))) < 1e-12
 
 
 def test_rx_pi_flips_with_global_phase():
-    got = logical_matrix(1, rotation("RX", 0, math.pi), (0,), RNG)
+    got = logical_matrix(1, lowered("RX", (0,), math.pi), (0,), RNG)
     applied = got @ np.array([1, 0])
     assert np.max(np.abs(applied - np.array([0, -1j]))) < 1e-12
 
 
 def test_rx_zero_is_identity():
-    got = logical_matrix(1, rotation("RX", 0, 0.0), (0,), RNG)
+    got = logical_matrix(1, lowered("RX", (0,), 0.0), (0,), RNG)
     assert np.max(np.abs(got - np.eye(2))) < 1e-12
 
 
 def test_rz_restriction_matches_textbook_rotation():
     rng = np.random.default_rng(29)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=100):
-        got = logical_matrix(1, rotation("RZ", 0, float(theta)), (0,), RNG)
+        got = logical_matrix(1, lowered("RZ", (0,), float(theta)), (0,), RNG)
         assert np.max(np.abs(got - rz(theta))) < 1e-12
 
 
 def test_rz_pi_maps_plus_to_minus():
-    got = logical_matrix(1, rotation("RZ", 0, math.pi), (0,), RNG)
+    got = logical_matrix(1, lowered("RZ", (0,), math.pi), (0,), RNG)
     plus = np.array([1, 1]) / math.sqrt(2)
     minus = np.array([1, -1]) / math.sqrt(2)
     overlap = abs(np.vdot(minus, got @ plus))
     assert abs(overlap - 1) < 1e-12
 
 
-def test_cnot_truth_table_with_single_phase():
-    got = logical_matrix(2, synthesize_logical_cnot(0, 1), (0, 1), RNG)
+@pytest.mark.parametrize("ctrl, tgt", itertools.permutations(range(3), 2))
+def test_cnot_truth_table_with_single_phase(ctrl, tgt):
+    got = logical_matrix(3, lowered("CNOT", (ctrl, tgt)), (ctrl, tgt), RNG)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                      [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     phases = [got[np.argmax(np.abs(cnot[:, col])), col] for col in range(4)]
@@ -82,11 +77,6 @@ def test_cnot_corrections_rederive():
     theta, phi = derive_cnot_corrections()
     assert abs(theta - CNOT_CORRECTION_THETA) < 1e-12
     assert abs(phi - CNOT_CORRECTION_PHI) < 1e-12
-
-
-def test_cnot_rejects_same_operand():
-    with pytest.raises(SynthesisError):
-        synthesize_logical_cnot(1, 1)
 
 
 def test_decompose_identity():
@@ -114,8 +104,10 @@ def test_decompose_random_unitaries_recompose():
 
 
 def test_decompose_rejects_non_unitary():
-    with pytest.raises(SynthesisError):
-        decompose_su2(np.array([[1, 0], [0, 2]], dtype=complex))
+    # inf, NaN and 1e200 are refused before any product could warn
+    for entry in (2, math.inf, math.nan, 1e200):
+        with pytest.raises(SynthesisError, match="must be 2x2 unitary"):
+            decompose_su2(np.array([[1, 0], [0, entry]], dtype=complex))
 
 
 def test_transform_empty_program():
@@ -169,7 +161,7 @@ def test_universality_smoke():
 
 
 def test_leakage_check_fresh_encoding():
-    machine, _ = run(fresh_machine(2), encode_init(0, 0), RNG)
+    machine, _ = run(fresh_machine(2), prepared([0]), RNG)
     assert leakage_check(machine.register, 1)
 
 
@@ -181,12 +173,11 @@ def test_leakage_check_raw_pair_fails():
 
 def test_leakage_check_after_compiled_circuit():
     rng = np.random.default_rng(47)
-    gates = [rotation("RX", 0, rng.uniform(-3, 3)),
-             rotation("RZ", 1, rng.uniform(-3, 3)),
-             synthesize_logical_cnot(0, 1),
-             rotation("RX", 1, rng.uniform(-3, 3))]
-    machine, _ = run(fresh_machine(4), encode_init(0, 0) + encode_init(1, 1),
-                     RNG)
+    gates = [lowered("RX", (0,), rng.uniform(-3, 3)),
+             lowered("RZ", (1,), rng.uniform(-3, 3)),
+             lowered("CNOT", (0, 1)),
+             lowered("RX", (1,), rng.uniform(-3, 3))]
+    machine, _ = run(fresh_machine(4), prepared([0, 1]), RNG)
     for gate in gates:
         machine, _ = run(machine, gate, RNG)
         assert leakage_check(machine.register, 2)
