@@ -1,26 +1,27 @@
-"""Operator command line: validate, run, compile, protocol-verify, serve."""
+"""Operator command line: validate, run, compile, protocol-verify, serve.
+
+Every command reads and runs programs, so the compiler and the machine
+are imported here.  The protocol oracle and the service, with its
+sockets and logging, are imported inside the one command that runs
+each, so ``qetsim run`` neither loads nor compiles them.
+"""
 
 from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import math
 import sys
-import time
 from pathlib import Path
 
 from .compiler import parse_logical_program, transform_program
 from .errors import ProgramSyntaxError, QetSimError
+from .gates import SWAP_FACTOR
 from .isa import (QuantumProgram, format_program, parse_program_with_lines,
                   read_operand, token_lines, validate_program)
 from .machine import bit_layout, run_program
-from .protocol import (PROTOCOL_SEQUENCE, SWAP_FACTOR, ProtocolInput,
-                       assemble_state, initial_state, run_protocol,
-                       step_term_trace, verify_against_cqet)
-from .service import (DEFAULT_CAPACITY, QpfService, ServiceServer,
-                      encode_message, serve_stdio)
 from .statevector import RandomSource, fidelity
+from .wire import encode_message
 
 IDEAL_INFIDELITY_GATE = 1e-9
 
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("human", "machine"), default="human")
 
     p = sub.add_parser("serve", help="serve the multi-client framework protocol")
-    p.add_argument("--capacity", type=_positive_int, default=DEFAULT_CAPACITY)
+    p.add_argument("--capacity", type=_positive_int, default=None)
     p.add_argument("--transport", choices=("stdio", "socket"), default="stdio")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--host", default="127.0.0.1")
@@ -146,6 +147,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_protocol_verify(args) -> int:
+    from .protocol import (PROTOCOL_SEQUENCE, ProtocolInput, assemble_state,
+                           initial_state, run_protocol, step_term_trace,
+                           verify_against_cqet)
+
     reference = ProtocolInput(0.5, 0.5, 0.5, 0.5)
     result = run_protocol(reference, args.convention)
     trace = step_term_trace(args.convention)
@@ -185,9 +190,16 @@ def cmd_protocol_verify(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    import logging
+    import time
+
+    from .service import (DEFAULT_CAPACITY, QpfService, ServiceServer,
+                          serve_stdio)
+
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(levelname)s %(name)s %(message)s")
-    service = QpfService(seed=args.seed, capacity=args.capacity)
+    service = QpfService(seed=args.seed,
+                         capacity=args.capacity or DEFAULT_CAPACITY)
     if args.transport == "stdio":
         serve_stdio(service, sys.stdin.buffer, sys.stdout)
         return 0

@@ -47,6 +47,12 @@ def _frozen(dims: tuple[int, ...], m: np.ndarray) -> LocalUnitary:
     return LocalUnitary(dims, m)
 
 
+# The factor a fully transferred component picks up, per convention of
+# the protocol oracle: ``physical`` is the ``i`` of ``qet_matrix(pi)``,
+# ``ideal`` a plain permutation.
+SWAP_FACTOR = {"ideal": 1.0, "physical": 1j}
+
+
 def qet_matrix(theta: float) -> LocalUnitary:
     """Partial excitation transfer between two cells.
 

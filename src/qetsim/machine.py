@@ -40,6 +40,7 @@ An int64 index holds at most 63 positions, so ``s`` is at most 60.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,17 +149,19 @@ def _measure(indices: np.ndarray, amps: np.ndarray, bit: int, position: int,
              rng: RandomSource) -> tuple[np.ndarray, np.ndarray, int]:
     """Born-rule measurement of one position, then reset it to ``|0>``."""
     ones = ((indices >> bit) & 1).astype(bool)
+    zeros = ~ones
     probabilities = np.abs(amps) ** 2
-    weights = np.array([probabilities[~ones].sum(), probabilities[ones].sum()])
-    total = float(weights.sum())
+    # Python floats: the same doubles as numpy scalars, at less cost
+    w0, w1 = float(probabilities[zeros].sum()), float(probabilities[ones].sum())
+    total = w0 + w1
     if total < NORM_TOL:
         raise MeasurementError(
             f"state norm {total:.3e} too small to measure subsystem {position}")
-    outcome = rng.choose(weights / total)
-    kept = ones if outcome else ~ones
+    outcome = rng.choose((w0 / total, w1 / total))
+    kept = ones if outcome else zeros
     # classical-conditional flip back to |0> so the slot can be reused
     return (indices[kept] ^ (outcome << bit),
-            finite_amps(amps[kept] / np.sqrt(weights[outcome])), outcome)
+            finite_amps(amps[kept] / math.sqrt(w1 if outcome else w0)), outcome)
 
 
 # The kinds of step a shot plan holds (see ``shot_plan``).

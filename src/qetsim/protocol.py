@@ -44,7 +44,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ProtocolError
-from .gates import cqet_matrix
+from .gates import SWAP_FACTOR, cqet_matrix
 from .statevector import LocalUnitary, RandomSource, StateVector, apply_local
 
 PROTOCOL_DIMS = (2, 4, 2, 3, 2, 4)
@@ -57,8 +57,6 @@ _ATOM_LEVELS = {"a": (0, 4), "b": (1, 3), "c": (0, 4)}
 
 # the atomic levels each R and each U couples, on every cavity
 LEVELS = {"R": (1, 2), "U": (2, 3)}
-# the factor a swapped component picks up, per convention
-SWAP_FACTOR = {"ideal": 1.0, "physical": 1j}
 
 # starting configurations of the four coefficient lineages, as level tuples
 # (photon a, memory a, photon b, dot, photon c, memory c)

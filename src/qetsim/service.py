@@ -50,6 +50,7 @@ from .gates import exact_turns
 from .isa import QuantumProgram
 from .machine import run_program
 from .statevector import RandomSource
+from .wire import encode_message
 
 logger = logging.getLogger(__name__)
 
@@ -369,15 +370,6 @@ class QpfService:
         except UnicodeDecodeError as exc:
             return malformed_reply(exc)
         return self.handle_line(text) if text else None
-
-
-# json.dumps with any option set builds a new encoder on every call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def encode_message(obj: dict) -> str:
-    """Canonical one-line encoding used by both transports and the CLI."""
-    return _ENCODER.encode(obj)
 
 
 def error_reply(pairs) -> dict:
