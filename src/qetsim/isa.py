@@ -159,18 +159,17 @@ class QuantumProgram:
         if self.s < 0:
             raise ValueError("memory size must be non-negative")
 
-    @property
-    def t(self) -> int:
-        return len(self.instructions)
-
 
 def read_operand(name: str, prefix: str, token: str) -> int:
     """The non-negative integer written after ``prefix`` (any case) in ``token``."""
     digits = token[len(prefix):]
-    if (token[:len(prefix)].lower() != prefix
-            or not (digits.isascii() and digits.isdecimal())):
-        raise ValueError(f"expected {name} like '{prefix}0', got {token!r}")
-    return int(digits)
+    if (token[:len(prefix)].lower() == prefix and digits.isascii()
+            and digits.isdecimal()):
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's limit on digits
+            pass
+    raise ValueError(f"expected {name} like '{prefix}0', got {token!r}")
 
 
 def read_real(name: str, token: str) -> float:
@@ -237,11 +236,12 @@ def read_program(text: str, keyword: str, field: str, read_line):
         lines = chain([(lineno, tokens)], lines)
     elif len(tokens) != 2 or not tokens[1].lower().startswith(field + "="):
         issues.append((lineno, header))
-    elif (digits := tokens[1][len(field) + 1:]).isascii() and digits.isdecimal():
-        value = int(digits)
     else:
-        issues.append((lineno, f"bad header {tokens[1]!r}: {field} must be a "
-                               "non-negative integer"))
+        try:
+            value = read_operand(field, field + "=", tokens[1])
+        except ValueError:
+            issues.append((lineno, f"bad header {tokens[1]!r}: {field} must "
+                                   "be a non-negative integer"))
     for lineno, tokens in lines:
         try:
             results.append((lineno, read_line(tokens, value)))

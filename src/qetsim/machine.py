@@ -71,13 +71,9 @@ class MachineState:
     cell_occupied: tuple[bool, bool, bool]
 
     @property
-    def s(self) -> int:
-        return len(self.memory_occupied)
-
-    @property
     def register(self) -> StateVector:
         """The dense ``2^(s+3)``-amplitude register, built on each call."""
-        n = self.s + 3
+        n = len(self.bits)
         dense = np.zeros_like(self.indices)
         for position, bit in enumerate(self.bits):
             dense |= ((self.indices >> bit) & 1) << (n - 1 - position)
@@ -97,15 +93,10 @@ def bit_layout(s: int) -> tuple[int, ...]:
     return tuple(range(n - 1, -1, -1))
 
 
-# The register of every fresh machine, shared: no kernel writes in place.
+# The register every shot starts from, shared: no kernel writes in place.
 _EMPTY_INDICES = np.zeros(1, dtype=np.int64)
 _EMPTY_AMPS = np.ones(1, dtype=complex)
 _EMPTY_INDICES.flags.writeable = _EMPTY_AMPS.flags.writeable = False
-
-
-def fresh_machine(s: int) -> MachineState:
-    return MachineState(_EMPTY_INDICES, _EMPTY_AMPS, bit_layout(s),
-                        (False,) * s, (False, False, False))
 
 
 @lru_cache(maxsize=1024)
@@ -265,7 +256,7 @@ def execute_instruction(machine: MachineState, instr: Instruction,
     cells = list(machine.cell_occupied)
     bits = list(machine.bits)
     indices, amps, outcome = machine.indices, machine.amps, None
-    step = _checked_step(instr, index, machine.s, mem, cells, bits)
+    step = _checked_step(instr, index, len(mem), mem, cells, bits)
     if step is not None:
         indices, amps, outcome = _run_step(step, indices, amps, rng)
     new = MachineState(indices, amps, tuple(bits), tuple(mem), tuple(cells))

@@ -103,23 +103,6 @@ class RandomSource:
         return radius * math.cos(2.0 * math.pi * self._gen.random())
 
 
-def basis_state(shape, levels) -> StateVector:
-    """Product basis state with amplitude 1 on the given configuration."""
-    shape = tuple(int(d) for d in shape)
-    levels = tuple(int(x) for x in levels)
-    if len(levels) != len(shape):
-        raise DimensionError(
-            f"expected {len(shape)} levels, got {len(levels)}")
-    for sub, (level, d) in enumerate(zip(levels, shape)):
-        if not 0 <= level < d:
-            raise DimensionError(
-                f"level {level} out of range for subsystem {sub} "
-                f"(dimension {d})")
-    amps = np.zeros(math.prod(shape), dtype=complex)
-    amps[np.ravel_multi_index(levels, shape)] = 1.0
-    return StateVector(shape, amps)
-
-
 @functools.lru_cache(maxsize=256)
 def _plan(dims: tuple[int, ...], targets: tuple[int, ...]):
     """How to bring ``targets`` of a ``dims``-shaped state to the front.

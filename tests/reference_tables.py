@@ -1,4 +1,7 @@
-"""Frozen reference data for the transfer-protocol tests.
+"""Frozen reference data for the transfer-protocol tests, and basis states.
+
+``basis_state`` builds the product basis states that the dense
+references of the state-vector and machine tests start from.
 
 Two independently derived tables of per-step term configurations, as
 (photon a, memory a, photon b, dot, photon c, memory c) level tuples:
@@ -15,6 +18,13 @@ The two agree configuration-for-configuration once memory labels are
 reduced to ground/excited, which ``semantic_config`` does by excitation
 accounting.
 """
+
+import math
+
+import numpy as np
+
+from qetsim.errors import DimensionError
+from qetsim.statevector import StateVector
 
 LINEAGES = ("alpha", "beta", "gamma", "delta")
 
@@ -111,3 +121,20 @@ def semantic_config(config, lineage):
     for position in unknown_slots:
         mems[position] = fill
     return (pa, mems[0], pb, dot, pc, mems[1])
+
+
+def basis_state(shape, levels) -> StateVector:
+    """Product basis state with amplitude 1 on the given configuration."""
+    shape = tuple(int(d) for d in shape)
+    levels = tuple(int(x) for x in levels)
+    if len(levels) != len(shape):
+        raise DimensionError(
+            f"expected {len(shape)} levels, got {len(levels)}")
+    for sub, (level, d) in enumerate(zip(levels, shape)):
+        if not 0 <= level < d:
+            raise DimensionError(
+                f"level {level} out of range for subsystem {sub} "
+                f"(dimension {d})")
+    amps = np.zeros(math.prod(shape), dtype=complex)
+    amps[np.ravel_multi_index(levels, shape)] = 1.0
+    return StateVector(shape, amps)

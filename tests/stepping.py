@@ -1,7 +1,8 @@
 """The one way tests step the machine, and the references they check it with.
 
-A change to the stepping entry point or to the occupancy it keeps
-touches this module alone; ``run_program`` runs whole shots.
+Tests build the machine they step with ``fresh_machine``.  A change to
+the stepping entry point, to the occupancy it keeps or to how a machine
+starts touches this module alone; ``run_program`` runs whole shots.
 """
 
 import math
@@ -10,7 +11,19 @@ import numpy as np
 
 from qetsim.compiler import LogicalGate, LogicalProgram, pair, transform_program
 from qetsim.isa import Instruction
-from qetsim.machine import execute_instruction, fresh_machine
+from qetsim.machine import MachineState, bit_layout, execute_instruction
+
+# The register of every fresh machine, shared and read-only: stepping
+# never writes in place.
+_EMPTY_INDICES = np.zeros(1, dtype=np.int64)
+_EMPTY_AMPS = np.ones(1, dtype=complex)
+_EMPTY_INDICES.flags.writeable = _EMPTY_AMPS.flags.writeable = False
+
+
+def fresh_machine(s):
+    """A machine over ``s`` slots with every position empty and ``|0>``."""
+    return MachineState(_EMPTY_INDICES, _EMPTY_AMPS, bit_layout(s),
+                        (False,) * s, (False, False, False))
 
 
 def steps(machine, instructions, rng):

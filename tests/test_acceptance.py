@@ -15,7 +15,7 @@ from qetsim.compiler import (LogicalGate, LogicalProgram, decompose_su2,
 from qetsim.dynamics import CavityAtomParams, integrate_two_level, rabi_coefficients
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
 from qetsim.isa import Instruction
-from qetsim.machine import fresh_machine, run_program
+from qetsim.machine import run_program
 from qetsim.protocol import (ProtocolInput, assemble_state, run_protocol,
                              step_term_trace, verify_against_cqet)
 from qetsim.service import (EmulatorBackend, ExecutionBatch, QpfService,
@@ -25,8 +25,8 @@ from qetsim.service import (EmulatorBackend, ExecutionBatch, QpfService,
 from qetsim.statevector import RandomSource, is_unitary
 from reference_tables import (LINEAGES, PHYSICAL_STEPS, REFERENCE_STEPS,
                               semantic_config)
-from stepping import (logical_matrix, lowered, occupied, prepared, run, rx,
-                      rz, steps)
+from stepping import (fresh_machine, logical_matrix, lowered, occupied,
+                      prepared, run, rx, rz, steps)
 
 
 class _Timer:

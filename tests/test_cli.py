@@ -82,6 +82,34 @@ def test_non_utf8_file_is_an_error_not_a_traceback(tmp_path, capsys, command):
     assert err.startswith("error: ") and "decode" in err
 
 
+# one digit past the most that int() reads from text (Python 3.10.7 and on)
+LONG = "1" * (max(4300, getattr(sys, "get_int_max_str_digits", int)()) + 1)
+
+
+# (file, its text, the reader's refusal) for a header value and an operand
+TOO_LONG = {
+    "header.qpu": (f"QPU s={LONG}\nINIT m0 0\n", f"line 1: bad header "
+                   f"'s={LONG}': s must be a non-negative integer"),
+    "header.lq": (f"LQ n={LONG}\nMEASURE q0\n", f"line 1: bad header "
+                  f"'n={LONG}': n must be a non-negative integer"),
+    "slot.qpu": (f"QPU s=1\nINIT m{LONG} 0\n",
+                 f"line 2: expected memory_addr like 'm0', got 'm{LONG}'"),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter reads integers of any length")
+@pytest.mark.parametrize("command, name", [
+    (command, name) for name in TOO_LONG
+    for command in ("validate", "run", "compile")
+    if command != "compile" or name.endswith(".lq")])
+def test_integer_past_the_digit_limit_is_refused_at_its_line(
+        tmp_path, capsys, command, name):
+    text, message = TOO_LONG[name]
+    assert main([command, _write(tmp_path, name, text)]) == 1
+    assert capsys.readouterr() == (message + "\n", "")
+
+
 def test_run_deterministic_zeros(tmp_path, capsys):
     path = _write(tmp_path, "init.qpu", "QPU s=1\nINIT m0 0\nMEASURE m0\n")
     assert main(["run", path, "--shots", "5", "--output", "machine"]) == 0

@@ -13,11 +13,11 @@ from qetsim.compiler import (CNOT_CORRECTION_PHI, CNOT_CORRECTION_THETA,
 from qetsim.errors import ProgramSyntaxError, SynthesisError
 from qetsim.isa import (Instruction, format_program, parse_program_with_lines,
                         validate_program)
-from qetsim.machine import fresh_machine, run_program
+from qetsim.machine import run_program
 from qetsim.service import QpfService, _concretize, transform
 from qetsim.statevector import RandomSource
-from stepping import (logical_matrix, lowered, prepared, run, rx, rz,
-                      without_inits)
+from stepping import (fresh_machine, logical_matrix, lowered, prepared, run,
+                      rx, rz, without_inits)
 
 RNG = RandomSource(0)
 

@@ -9,9 +9,9 @@ from qetsim.errors import DimensionError, ProgramSyntaxError, QpuRuntimeError
 from qetsim.gates import cqet_matrix
 from qetsim.isa import (Instruction, QuantumProgram, format_program,
                         parse_program_with_lines, validate_program)
-from qetsim.machine import fresh_machine, run_program, shot_plan
+from qetsim.machine import _EMPTY_AMPS, _EMPTY_INDICES, run_program, shot_plan
 from qetsim.statevector import LocalUnitary, RandomSource
-from stepping import occupied, run, steps
+from stepping import fresh_machine, occupied, run, steps
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,15 +160,17 @@ def test_register_width_limited_to_int64_index():
 
 
 def test_fresh_register_is_shared_and_stays_empty():
-    # every fresh machine and every shot starts from one read-only register
+    # every stepped machine starts from one read-only register, and every
+    # shot from another
     first, second = fresh_machine(2), fresh_machine(7)
     assert first.amps is second.amps and first.indices is second.indices
-    assert not first.amps.flags.writeable
-    assert not first.indices.flags.writeable
+    for indices, amps in ((first.indices, first.amps),
+                          (_EMPTY_INDICES, _EMPTY_AMPS)):
+        assert not (indices.flags.writeable or amps.flags.writeable)
     program = QuantumProgram(1, (Instruction.init(0, 1),
                                  Instruction.measure(0)))
     assert run_program(program, RandomSource(0)) == [(0, 1)]
-    assert (first.indices.tolist(), first.amps.tolist()) == ([0], [1])
+    assert (_EMPTY_INDICES.tolist(), _EMPTY_AMPS.tolist()) == ([0], [1])
     # a register too wide is refused on every run, since no plan is kept
     wide = QuantumProgram(61, (Instruction.init(0, 1),))
     for _ in range(2):
@@ -269,8 +271,8 @@ def test_shot_plan_keeps_only_what_touches_the_register():
         (GOLDEN / "bell.lq").read_text()))
     ghz = transform_program(parse_logical_program(
         (GOLDEN / "ghz7.lq").read_text()))
-    assert (bell.t, len(shot_plan(bell))) == (31, 11)
-    assert (ghz.t, len(shot_plan(ghz))) == (141, 46)
+    assert (len(bell.instructions), len(shot_plan(bell))) == (31, 11)
+    assert (len(ghz.instructions), len(shot_plan(ghz))) == (141, 46)
     assert shot_plan(bell) is shot_plan(bell)
 
 
@@ -440,7 +442,7 @@ def test_parse_records_source_lines():
     program, lines = parse_program_with_lines(
         "QPU s=1\n\n# gap\nINIT m0 0\nMEASURE m0\n")
     assert lines == (4, 5)
-    assert program.t == 2
+    assert len(program.instructions) == 2
 
 
 def test_instruction_field_discipline():

@@ -23,11 +23,12 @@ from qetsim.compiler import LogicalGate, LogicalProgram, transform_program
 from qetsim.errors import DimensionError, QetSimError
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
 from qetsim.isa import Instruction, QuantumProgram
-from qetsim.machine import fresh_machine, run_program
+from qetsim.machine import run_program
 from qetsim.statevector import (LocalUnitary, RandomSource, apply_local,
-                                basis_state, measure_subsystem)
+                                measure_subsystem)
 
-from stepping import run, steps
+from reference_tables import basis_state
+from stepping import fresh_machine, run, steps
 from test_isa_properties import random_instruction
 
 SWAP = LocalUnitary((2, 2), np.array(

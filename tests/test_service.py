@@ -14,7 +14,6 @@ from qetsim.compiler import TEMPLATES, parse_logical_program, transform_program
 from qetsim.errors import ServiceError
 from qetsim.isa import (Instruction, QuantumProgram, format_instruction,
                         format_program)
-from qetsim.machine import fresh_machine
 from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
                             EmulatorBackend, ExecutionBatch, QpfService, Segment,
                             analyze, buffer_and_batch,
@@ -22,7 +21,7 @@ from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
                             encode_message, parse_client_ops, serve_stdio,
                             support_exponent, transform)
 from qetsim.statevector import RandomSource
-from stepping import run, steps
+from stepping import fresh_machine, run, steps
 
 BELL_OPS = [
     {"op": "QET", "qubits": [0], "theta": -math.pi / 2},

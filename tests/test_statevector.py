@@ -7,8 +7,10 @@ import pytest
 from qetsim.errors import DimensionError, MeasurementError
 from qetsim.gates import qet_matrix
 from qetsim.statevector import (LocalUnitary, RandomSource, StateVector,
-                                apply_local, basis_state, fidelity,
-                                is_unitary, measure_subsystem)
+                                apply_local, fidelity, is_unitary,
+                                measure_subsystem)
+
+from reference_tables import basis_state
 
 
 def test_basis_state_ground_product():
