@@ -20,7 +20,8 @@ from .gates import SWAP_FACTOR
 from .isa import (QuantumProgram, format_program, parse_program_with_lines,
                   read_operand, token_lines, validate_program)
 from .machine import bit_layout, run_program
-from .statevector import RandomSource, fidelity
+from .pcg64 import RandomSource
+from .statevector import fidelity
 from .wire import encode_message
 
 IDEAL_INFIDELITY_GATE = 1e-9

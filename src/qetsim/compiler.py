@@ -3,9 +3,11 @@
 A logical qubit lives on a pair of physical memory slots in the
 one-excitation subspace: logical 0 is ``|01>``, logical 1 is ``|10>``,
 and the logical basis is read from the first slot of the pair.  On that
-subspace a transfer gate of angle ``theta`` acts as ``Rx(-theta)`` and
-the phase gate as ``Rz(theta)`` times ``e^{i phi / 2}``, which is all
-the compiler needs to realize arbitrary rotations.
+subspace the transfer gate ``gates.qet_matrix(theta)`` acts as
+``Rx(-theta)`` and the phase gate ``gates.phase_matrix(theta, phi)`` as
+``Rz(theta)`` times ``e^{i phi / 2}``, which is all the compiler needs
+to realize arbitrary rotations; ``decompose_su2`` reads its ``Rx`` and
+``Rz`` from those pair blocks.
 
 A logical program is an ordered list of ops.  ``RX``, ``RZ`` and
 ``CNOT`` are a universal set; the machine's own ``QET``, ``PHASE`` and
@@ -39,11 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SynthesisError
-from .gates import cqet_matrix, qet_matrix
+from .gates import cqet_matrix, phase_matrix, qet_matrix
 from .isa import (Instruction, QuantumProgram, read_operand, read_program,
                   read_real)
 from .machine import bit_layout
-from .statevector import ALGEBRA_TOL, LocalUnitary, StateVector, is_unitary
+from .statevector import ALGEBRA_TOL, LocalUnitary, is_unitary
 
 # Correction angles that turn the raw controlled transfer into an exact
 # CNOT: the controlled transfer fires on control |0> and adds a factor i,
@@ -52,16 +54,6 @@ from .statevector import ALGEBRA_TOL, LocalUnitary, StateVector, is_unitary
 # pair.  ``derive_cnot_corrections`` re-derives both numbers.
 CNOT_CORRECTION_THETA = math.pi / 2
 CNOT_CORRECTION_PHI = 3 * math.pi / 2
-
-
-
-def _rx(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]).astype(complex)
 
 
 # Op kind -> (number of qubits, angles in text order), for both front ends.
@@ -190,7 +182,7 @@ def decompose_su2(u) -> tuple[float, float, float, float]:
         result = (a, 0.0, 0.0, delta)
     else:
         b = 2 * math.atan2((1j * w).real, z.real)
-        if (np.max(np.abs(v - _rx(b))) < 1e-12
+        if (np.max(np.abs(v - qet_matrix(-b).entries[1:3, 1:3])) < 1e-12
                 and abs((1j * w).imag) < 1e-12 and abs(z.imag) < 1e-12):
             if b < 0:
                 b, delta = b + two_pi, delta + math.pi
@@ -205,7 +197,10 @@ def decompose_su2(u) -> tuple[float, float, float, float]:
             result = ((p + m) % four_pi, b, (p - m) % four_pi, delta)
 
     a, b, c, d = result
-    rebuilt = np.exp(1j * d) * (_rz(a) @ _rx(b) @ _rz(c))
+    # on the encoded pair, Rz(t) is PHASE(t, 0) and Rx(t) is QET(-t)
+    rebuilt = np.exp(1j * d) * (phase_matrix(a, 0.0).entries[1:3, 1:3]
+                                @ qet_matrix(-b).entries[1:3, 1:3]
+                                @ phase_matrix(c, 0.0).entries[1:3, 1:3])
     if np.max(np.abs(rebuilt - u)) > 1e-10:
         raise SynthesisError("decomposition failed to recompose the input")
     return result
@@ -291,28 +286,6 @@ def transform_program(lp: LogicalProgram) -> QuantumProgram:
     slots = {(q, half): slot
              for q in range(lp.n) for half, slot in enumerate(pair(q))}
     return QuantumProgram(2 * lp.n, tuple(emit(lp.ops, slots)))
-
-
-def leakage_check(state: StateVector, logical_qubits: int,
-                  tol: float = 1e-9) -> bool:
-    """True when the state's mass sits in the per-pair one-excitation span.
-
-    Only the pairs of the first ``logical_qubits`` qubits are checked;
-    other positions are ignored, so the check works on the full machine
-    register as well as on a bare memory state.
-    """
-    n = len(state.shape)
-    if any(d != 2 for d in state.shape):
-        raise SynthesisError("leakage check expects a qubit register")
-    indices = np.arange(1 << n)
-    good = np.ones(1 << n, dtype=bool)
-    for q in range(logical_qubits):
-        first, second = pair(q)
-        bit_first = (indices >> (n - 1 - first)) & 1
-        bit_second = (indices >> (n - 1 - second)) & 1
-        good &= bit_first != bit_second
-    bad_mass = float(np.sum(np.abs(state.amps[~good]) ** 2))
-    return bad_mass <= tol
 
 
 # -- logical program text -----------------------------------------------------

@@ -6,7 +6,9 @@ one-excitation subspace the Hamiltonian reduces to a 2x2 matrix; the
 coupling sign is fixed so that a positive real coupling transfers
 amplitude with a factor ``+i``, matching the transfer-gate matrices.
 The closed-form solution and a fixed-step RK4 integrator give two
-independent routes to the same coefficients.
+independent routes to the same coefficients.  The PHASE gate's Zeeman
+evolution is diagonal and needs neither: tests keep it as a reference
+next to the gate-block check that reads it.
 """
 
 from __future__ import annotations
@@ -36,27 +38,6 @@ class CavityAtomParams:
                   self.omega_b, self.t)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("parameters must be finite")
-
-
-@dataclass(frozen=True)
-class ZeemanParams:
-    """Magnetic-field phase knobs: base frequency, Lande factor, magneton, field, duration."""
-
-    omega_0: float
-    lande_g: float
-    mu: float
-    B: float
-    t: float
-
-    def __post_init__(self):
-        values = (self.omega_0, self.lande_g, self.mu, self.B, self.t)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("parameters must be finite")
-
-    @property
-    def theta(self) -> float:
-        """Relative phase accumulated between the two spin states."""
-        return self.lande_g * self.mu * self.B * self.t
 
 
 def hamiltonian(p: CavityAtomParams) -> np.ndarray:
@@ -122,17 +103,3 @@ def integrate_two_level(alpha: complex, beta: complex, p: CavityAtomParams,
             f"step-halving changed the result by {drift:.3e}; "
             f"increase steps (got {steps})")
     return complex(fine[0]), complex(fine[1])
-
-
-def zeeman_phase(c1: complex, c2: complex,
-                 p: ZeemanParams) -> tuple[complex, complex]:
-    """Diagonal evolution under a magnetic field.
-
-    The two spin states rotate at ``omega_0 +- g mu B / 2``; the moduli
-    are untouched and the relative phase accumulated is exactly
-    ``p.theta``.
-    """
-    omega_a = p.omega_0 + 0.5 * p.lande_g * p.mu * p.B
-    omega_b = p.omega_0 - 0.5 * p.lande_g * p.mu * p.B
-    return (c1 * complex(np.exp(-1j * omega_a * p.t)),
-            c2 * complex(np.exp(-1j * omega_b * p.t)))

@@ -49,8 +49,8 @@ import numpy as np
 from .errors import DimensionError, MeasurementError, QpuRuntimeError
 from .gates import cqet_matrix, phase_matrix, qet_matrix
 from .isa import Instruction, QuantumProgram, occupancy_step
-from .statevector import (NORM_TOL, LocalUnitary, RandomSource, StateVector,
-                          finite_amps)
+from .pcg64 import RandomSource
+from .statevector import NORM_TOL, LocalUnitary, StateVector, finite_amps
 
 MAX_POSITIONS = 63
 

@@ -1,17 +1,18 @@
-"""The uniform stream of ``numpy.random.default_rng(seed)``, in pure Python.
+"""The package's one random stream: ``numpy.random.default_rng``'s.
 
 ``default_rng`` seeds a PCG64 generator (128-bit LCG, XSL-RR output)
 through a ``SeedSequence``; ``random()`` keeps the top 53 bits of each
 64-bit output.  This module repeats both steps with Python integers, so
-a seed gives the same doubles, bit for bit, without importing
-``numpy.random``: that import alone maps about 6 MB into a process,
-because ``numpy.random`` pulls in ``secrets`` and with it OpenSSL.
-It is the package's only generator: ``statevector.RandomSource`` draws
-the machine's and the service's outcomes from it, and the protocol
-oracle's Gaussian inputs through a Box-Muller transform of its doubles.
+a seed gives the same doubles, bit for bit, without importing numpy:
+``numpy.random`` alone maps about 6 MB into a process, because it pulls
+in ``secrets`` and with it OpenSSL.  ``RandomSource`` is the package's
+only generator: the machine and the service draw their outcomes with
+``choose``, and the protocol oracle its Gaussian inputs with ``normal``.
 """
 
 from __future__ import annotations
+
+import math
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -72,10 +73,16 @@ def _generate_state(pool: list[int], n_words64: int) -> list[int]:
     return [words[2 * i] | (words[2 * i + 1] << 32) for i in range(n_words64)]
 
 
-class Pcg64:
-    """PCG64 seeded as ``numpy.random.default_rng(seed)`` seeds it."""
+class RandomSource:
+    """Deterministic sampler; a fixed seed fixes the whole sequence.
 
-    def __init__(self, seed: int):
+    The uniforms are those of ``numpy.random.default_rng(seed)``; the
+    outcome draws and the normal deviates both read them.  A single
+    instance must not be shared between threads.
+    """
+
+    def __init__(self, seed: int = 0):
+        seed = int(seed)
         if seed < 0:
             raise ValueError("expected non-negative integer")
         s0, s1, i0, i1 = _generate_state(_entropy_pool(seed), 4)
@@ -96,3 +103,22 @@ class Pcg64:
         rot = state >> 122
         word = ((mixed >> rot) | (mixed << (64 - rot))) & _M64
         return (word >> 11) * (1.0 / 9007199254740992.0)
+
+    def choose(self, probabilities) -> int:
+        """Sample an index by inverse CDF over one uniform draw."""
+        r = self.random()
+        acc = 0.0
+        for k, p in enumerate(probabilities):
+            acc += p
+            if r < acc:
+                return k
+        # the sum rounded below r: the last outcome that can happen
+        return max((k for k, p in enumerate(probabilities) if p > 0), default=0)
+
+    def normal(self) -> float:
+        """A standard normal deviate by Box-Muller over two uniform draws.
+
+        The radius reads ``1 - u``, in ``(0, 1]``, so a zero draw is safe.
+        """
+        radius = math.sqrt(-2.0 * math.log(1.0 - self.random()))
+        return radius * math.cos(2.0 * math.pi * self.random())

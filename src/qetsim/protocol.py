@@ -45,7 +45,8 @@ import numpy as np
 
 from .errors import ProtocolError
 from .gates import SWAP_FACTOR, cqet_matrix
-from .statevector import LocalUnitary, RandomSource, StateVector, apply_local
+from .pcg64 import RandomSource
+from .statevector import LocalUnitary, StateVector, apply_local
 
 PROTOCOL_DIMS = (2, 4, 2, 3, 2, 4)
 PHOTON_A, MEM_A, PHOTON_B, DOT, PHOTON_C, MEM_C = range(6)

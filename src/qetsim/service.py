@@ -49,7 +49,7 @@ from .errors import QetSimError, ServiceError, SynthesisError
 from .gates import exact_turns
 from .isa import QuantumProgram
 from .machine import run_program
-from .statevector import RandomSource
+from .pcg64 import RandomSource
 from .wire import encode_message
 
 logger = logging.getLogger(__name__)
@@ -355,7 +355,11 @@ class QpfService:
 
     def handle_line(self, line: str) -> str:
         try:
-            message = json.loads(line)
+            # json.loads refuses a BOM before it decodes; decode() does not
+            if line.startswith("\ufeff"):
+                raise json.JSONDecodeError(
+                    "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            message = _DECODER.decode(line)
             if not isinstance(message, dict):
                 raise ValueError("message must be an object")
         except (ValueError, RecursionError) as exc:
@@ -385,6 +389,19 @@ def malformed_reply(reason) -> str:
 
 MAX_LINE_BYTES = 1 << 20  # a longer line is refused
 _TOO_LONG_REPLY = malformed_reply(f"line longer than {MAX_LINE_BYTES} bytes")
+# a longer integer literal is refused, on every interpreter alike: the
+# default limit of int() from text since Python 3.10.7
+MAX_INT_DIGITS = 4300
+
+
+def _read_int(literal: str) -> int:
+    """A JSON integer literal, refused past ``MAX_INT_DIGITS`` digits."""
+    if len(literal) - literal.startswith("-") > MAX_INT_DIGITS:
+        raise ValueError(f"integer of more than {MAX_INT_DIGITS} digits")
+    return int(literal)
+
+
+_DECODER = json.JSONDecoder(parse_int=_read_int)
 
 
 def serve_stdio(service: QpfService, stdin, stdout):

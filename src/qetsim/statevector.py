@@ -9,7 +9,8 @@ between level tuples and flat indices.
 All operations are value-in, value-out.  The only shared state is the
 cache of transpose plans: immutable tuples keyed by a shape and its
 target subsystems, so a plan built once serves every later call on the
-same positions.
+same positions.  A measurement draws from the caller's
+``pcg64.RandomSource``, which this module does not import.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, MeasurementError
-from .pcg64 import Pcg64
 
 NORM_TOL = 1e-9
 ALGEBRA_TOL = 1e-12
@@ -70,37 +70,6 @@ class LocalUnitary:
             raise DimensionError(
                 f"matrix shape {entries.shape} does not match dims {self.dims}")
         object.__setattr__(self, "entries", entries)
-
-
-class RandomSource:
-    """Deterministic sampler; a fixed seed fixes the whole sequence.
-
-    The uniforms are those of ``numpy.random.default_rng(seed)``; the
-    outcome draws and the normal deviates both read them.  A single
-    instance must not be shared between threads.
-    """
-
-    def __init__(self, seed: int = 0):
-        self._gen = Pcg64(int(seed))
-
-    def choose(self, probabilities) -> int:
-        """Sample an index by inverse CDF over one uniform draw."""
-        r = self._gen.random()
-        acc = 0.0
-        for k, p in enumerate(probabilities):
-            acc += p
-            if r < acc:
-                return k
-        # the sum rounded below r: the last outcome that can happen
-        return max((k for k, p in enumerate(probabilities) if p > 0), default=0)
-
-    def normal(self) -> float:
-        """A standard normal deviate by Box-Muller over two uniform draws.
-
-        The radius reads ``1 - u``, in ``(0, 1]``, so a zero draw is safe.
-        """
-        radius = math.sqrt(-2.0 * math.log(1.0 - self._gen.random()))
-        return radius * math.cos(2.0 * math.pi * self._gen.random())
 
 
 @functools.lru_cache(maxsize=256)
@@ -152,10 +121,11 @@ def apply_local(state: StateVector, u: LocalUnitary, targets) -> StateVector:
 
 
 def measure_subsystem(state: StateVector, target: int,
-                      rng: RandomSource) -> tuple[int, StateVector]:
+                      rng) -> tuple[int, StateVector]:
     """Born-rule measurement of one subsystem.
 
-    Returns the sampled level and the renormalized post-measurement
+    Returns the sampled level, drawn by ``rng.choose`` (a
+    ``pcg64.RandomSource``), and the renormalized post-measurement
     state.  A state with total probability below ``NORM_TOL`` is an
     error rather than being silently rescaled.
     """

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from qetsim.compiler import LogicalGate, LogicalProgram, pair, transform_program
+from qetsim.errors import SynthesisError
 from qetsim.isa import Instruction
 from qetsim.machine import MachineState, bit_layout, execute_instruction
 
@@ -55,6 +56,27 @@ def rx(theta):
 
 def rz(theta):
     return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]).astype(complex)
+
+
+def leakage_check(state, logical_qubits, tol=1e-9):
+    """True when the state's mass sits in the per-pair one-excitation span.
+
+    Only the pairs of the first ``logical_qubits`` qubits are checked;
+    other positions are ignored, so the check works on the full machine
+    register as well as on a bare memory state.
+    """
+    n = len(state.shape)
+    if any(d != 2 for d in state.shape):
+        raise SynthesisError("leakage check expects a qubit register")
+    indices = np.arange(1 << n)
+    good = np.ones(1 << n, dtype=bool)
+    for q in range(logical_qubits):
+        first, second = pair(q)
+        bit_first = (indices >> (n - 1 - first)) & 1
+        bit_second = (indices >> (n - 1 - second)) & 1
+        good &= bit_first != bit_second
+    bad_mass = float(np.sum(np.abs(state.amps[~good]) ** 2))
+    return bad_mass <= tol
 
 
 def without_inits(program):

@@ -11,22 +11,23 @@ import time
 import numpy as np
 
 from qetsim.compiler import (LogicalGate, LogicalProgram, decompose_su2,
-                             leakage_check, transform_program)
+                             transform_program)
 from qetsim.dynamics import CavityAtomParams, integrate_two_level, rabi_coefficients
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
 from qetsim.isa import Instruction
 from qetsim.machine import run_program
+from qetsim.pcg64 import RandomSource
 from qetsim.protocol import (ProtocolInput, assemble_state, run_protocol,
                              step_term_trace, verify_against_cqet)
 from qetsim.service import (EmulatorBackend, ExecutionBatch, QpfService,
                             Segment, _concretize, analyze, dispatch,
                             demux_results, encode_message, parse_client_ops,
                             transform)
-from qetsim.statevector import RandomSource, is_unitary
+from qetsim.statevector import is_unitary
 from reference_tables import (LINEAGES, PHYSICAL_STEPS, REFERENCE_STEPS,
                               semantic_config)
-from stepping import (fresh_machine, logical_matrix, lowered, occupied,
-                      prepared, run, rx, rz, steps)
+from stepping import (fresh_machine, leakage_check, logical_matrix, lowered,
+                      occupied, prepared, run, rx, rz, steps)
 
 
 class _Timer:

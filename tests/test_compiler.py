@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from qetsim.compiler import (CNOT_CORRECTION_PHI, CNOT_CORRECTION_THETA,
                              KINDS, LogicalGate, LogicalProgram, decompose_su2,
-                             derive_cnot_corrections, leakage_check, pair,
+                             derive_cnot_corrections, pair,
                              parse_logical_program, transform_program)
 from qetsim.errors import ProgramSyntaxError, SynthesisError
 from qetsim.isa import (Instruction, format_program, parse_program_with_lines,
                         validate_program)
 from qetsim.machine import run_program
+from qetsim.pcg64 import RandomSource
 from qetsim.service import QpfService, _concretize, transform
-from qetsim.statevector import RandomSource
-from stepping import (fresh_machine, logical_matrix, lowered, prepared, run,
-                      rx, rz, without_inits)
+from stepping import (fresh_machine, leakage_check, logical_matrix, lowered,
+                      prepared, run, rx, rz, without_inits)
 
 RNG = RandomSource(0)
 

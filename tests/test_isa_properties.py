@@ -18,7 +18,7 @@ from qetsim.errors import ProgramSyntaxError, QpuRuntimeError
 from qetsim.isa import (SYNTAX, Instruction, QuantumProgram, format_program,
                         parse_program_with_lines, validate_program)
 from qetsim.machine import run_program
-from qetsim.statevector import RandomSource
+from qetsim.pcg64 import RandomSource
 
 ANGLES = st.one_of(st.sampled_from([0.0, math.pi, -math.pi / 2]),
                    st.floats(-10.0, 10.0))

@@ -10,7 +10,8 @@ from qetsim.gates import cqet_matrix
 from qetsim.isa import (Instruction, QuantumProgram, format_program,
                         parse_program_with_lines, validate_program)
 from qetsim.machine import _EMPTY_AMPS, _EMPTY_INDICES, run_program, shot_plan
-from qetsim.statevector import LocalUnitary, RandomSource
+from qetsim.pcg64 import RandomSource
+from qetsim.statevector import LocalUnitary
 from stepping import fresh_machine, occupied, run, steps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -246,7 +247,7 @@ def test_one_program_object_runs_as_fresh_copies():
         fresh.append(run_program(_copy(other), fresh_rng))
     assert kept == fresh
     assert len({tuple(results) for results in kept[::2]}) > 1
-    assert kept_rng._gen.random() == fresh_rng._gen.random()
+    assert kept_rng.random() == fresh_rng.random()
 
 
 def test_issue_after_measure_raises_at_same_index_on_every_run():
@@ -262,7 +263,7 @@ def test_issue_after_measure_raises_at_same_index_on_every_run():
         with pytest.raises(QpuRuntimeError):
             run_program(_copy(program), fresh_rng)
     # the steps before the issue drew the same uniforms on every run
-    assert kept_rng._gen.random() == fresh_rng._gen.random()
+    assert kept_rng.random() == fresh_rng.random()
 
 
 def test_shot_plan_keeps_only_what_touches_the_register():

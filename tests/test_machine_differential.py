@@ -24,8 +24,8 @@ from qetsim.errors import DimensionError, QetSimError
 from qetsim.gates import cqet_matrix, phase_matrix, qet_matrix
 from qetsim.isa import Instruction, QuantumProgram
 from qetsim.machine import run_program
-from qetsim.statevector import (LocalUnitary, RandomSource, apply_local,
-                                measure_subsystem)
+from qetsim.pcg64 import RandomSource
+from qetsim.statevector import LocalUnitary, apply_local, measure_subsystem
 
 from reference_tables import basis_state
 from stepping import fresh_machine, run, steps
@@ -227,7 +227,7 @@ def test_run_program_matches_stepping(program, seed):
     else:
         assert ran == stepped
     # both drew the same uniforms, so the next one is the same too
-    assert run_rng._gen.random() == step_rng._gen.random()
+    assert run_rng.random() == step_rng.random()
 
 
 def test_run_program_rejects_too_wide_register_first():

@@ -33,15 +33,11 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 # perfbench/tracer.py wraps or reads it, or None)
 UNREACHED = {
     "compiler.derive_cnot_corrections": ("item 17", None),
-    "compiler.leakage_check": ("item 6", None),
     "dynamics.CavityAtomParams.__post_init__": ("items 7(b) and 16", None),
-    "dynamics.ZeemanParams.__post_init__": ("items 7(b) and 16", None),
-    "dynamics.ZeemanParams.theta": ("items 7(b) and 16", None),
     "dynamics._rk4_step_matrix": ("items 7(b) and 16", None),
     "dynamics.hamiltonian": ("items 7(b) and 16", None),
     "dynamics.integrate_two_level": ("items 7(b) and 16", None),
     "dynamics.rabi_coefficients": ("items 7(b) and 16", None),
-    "dynamics.zeeman_phase": ("items 7(b) and 16", None),
     "machine.MachineState.register": ("item 4", ".register"),
     "machine.execute_instruction": ("item 4", "execute_instruction"),
     "service.ExecutionBatch.command_count": ("item 5", ".command_count"),

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import sys
 import threading
 import tracemalloc
 from collections import deque
@@ -14,13 +15,14 @@ from qetsim.compiler import TEMPLATES, parse_logical_program, transform_program
 from qetsim.errors import ServiceError
 from qetsim.isa import (Instruction, QuantumProgram, format_instruction,
                         format_program)
-from qetsim.service import (MAX_LINE_BYTES, QUBIT_BUDGET, SUPPORT_BUDGET,
+from qetsim.pcg64 import RandomSource
+from qetsim.service import (MAX_INT_DIGITS, MAX_LINE_BYTES, QUBIT_BUDGET,
+                            SUPPORT_BUDGET,
                             EmulatorBackend, ExecutionBatch, QpfService, Segment,
                             analyze, buffer_and_batch,
                             demux_results, dispatch, _concretize,
                             encode_message, parse_client_ops, serve_stdio,
                             support_exponent, transform)
-from qetsim.statevector import RandomSource
 from stepping import fresh_machine, run, steps
 
 BELL_OPS = [
@@ -720,6 +722,33 @@ def test_rejection_reply_commits_nothing(line, reply):
     assert ok == {"type": "result", "results": [{"qubit": 0, "bit": 0},
                                                 {"qubit": 0, "bit": 0}]}
     assert service._next_request == 1
+
+
+
+def test_integer_past_the_digit_limit_is_refused_in_the_services_words():
+    # the same replies with int()'s digit limit and with none, as on
+    # Python 3.10.0-3.10.6, where set_int_max_str_digits does not exist
+    too_long, longest = "1" * (MAX_INT_DIGITS + 1), "1" * MAX_INT_DIGITS
+    refused = _error_line(-1, "malformed message: integer of more than "
+                              f"{MAX_INT_DIGITS} digits")
+    out_of_range = _error_line(0, f"qubit address {longest} outside declared "
+                                  f"range [0, {QUBIT_BUDGET})")
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    try:
+        for limit in [saved] if saved is None else [saved, 0]:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+            service = QpfService(seed=0)
+            for op in ('{"op":"QET","qubits":[%s],"theta":1.0}' % too_long,
+                       '{"op":"QET","qubits":[0],"theta":-%s}' % too_long):
+                assert service.handle_line(_submit_line(op)) == refused
+            assert service.handle_line(_submit_line(
+                '{"op":"QET","qubits":[%s],"theta":1.0}' % longest)) \
+                == out_of_range
+            assert service._next_request == 0
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 _JSON = st.recursive(

@@ -1,14 +1,13 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qetsim.errors import DimensionError, MeasurementError
 from qetsim.gates import qet_matrix
-from qetsim.statevector import (LocalUnitary, RandomSource, StateVector,
-                                apply_local, fidelity, is_unitary,
-                                measure_subsystem)
+from qetsim.pcg64 import RandomSource
+from qetsim.statevector import (LocalUnitary, StateVector, apply_local,
+                                fidelity, is_unitary, measure_subsystem)
 
 from reference_tables import basis_state
 
@@ -171,7 +170,7 @@ def test_choose_never_returns_an_impossible_outcome():
     # the largest draw lies past the running sum's end
     probabilities = [0.1] * 10 + [0.0]
     rng = RandomSource(0)
-    rng._gen = SimpleNamespace(random=lambda: 1 - 2 ** -53)
+    rng.random = lambda: 1 - 2 ** -53
     assert rng.choose(probabilities) == 9
     state = StateVector((11,), np.sqrt(probabilities))
     outcome, collapsed = measure_subsystem(state, 0, rng)
@@ -198,9 +197,9 @@ def test_normal_deviates_have_unit_moments():
 
 def test_normal_is_finite_at_both_ends_of_the_uniform_range():
     rng = RandomSource(0)
-    rng._gen = SimpleNamespace(random=lambda: 0.0)
+    rng.random = lambda: 0.0
     assert rng.normal() == 0.0
-    rng._gen = SimpleNamespace(random=lambda: 1 - 2 ** -53)
+    rng.random = lambda: 1 - 2 ** -53
     assert math.isfinite(rng.normal())
 
 
